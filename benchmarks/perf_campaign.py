@@ -5,12 +5,8 @@ Where ``perf_prediction.py`` times the per-tick model math in
 isolation, this benchmark runs a complete experiment — simulator,
 50-VM fleet application, monitor, fault injections and the PREPARE
 controller — exactly as the campaign engine would run it, and times
-the whole cell.  Each cell is run both with the fleet-batched
-controller hot path (``PrepareConfig.fleet_batching``, the default)
-and with the per-VM reference loop, and the two runs are checked for
-byte-identical behaviour (violation accounting, the full action log,
-proactive counts and the SLO trace) before any timing is reported —
-a fast number from a diverged control loop is worthless.
+the whole cell.  What the loop *decides* on such cells is pinned
+separately, by ``tests/core/test_golden_decisions.py``.
 
 Run from the repo root::
 
@@ -26,13 +22,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench import format_results, interleave_calls, write_results
-from repro.core.controller import PrepareConfig
+from repro.bench import format_results, time_call, write_results
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.base import FaultKind
 
@@ -54,7 +49,7 @@ DEFAULT_SEED = 7
 DEFAULT_REPEATS = 3
 
 
-def _cell_config(name: str, seed: int, batched: bool) -> ExperimentConfig:
+def _cell_config(name: str, seed: int) -> ExperimentConfig:
     spec = CELLS[name]
     return ExperimentConfig(
         app=spec["app"],
@@ -63,23 +58,6 @@ def _cell_config(name: str, seed: int, batched: bool) -> ExperimentConfig:
         seed=seed,
         duration=spec["duration"],
         injection_count=spec["injection_count"],
-        controller=PrepareConfig(fleet_batching=batched),
-    )
-
-
-def _fingerprint(result) -> Tuple:
-    """Everything the control loop decided, as a comparable value."""
-    return (
-        result.violation_time,
-        tuple(result.per_injection_violation),
-        result.proactive_actions,
-        tuple(
-            (a.timestamp, a.vm, a.verb, str(a.resource), a.metric,
-             a.proactive, a.completed, a.effective)
-            for a in result.actions
-        ),
-        tuple(result.trace_times),
-        tuple(result.trace_values),
     )
 
 
@@ -87,48 +65,15 @@ def run(
     cells=("cell50_smoke", "cell50"),
     seed: int = DEFAULT_SEED,
     repeats: int = DEFAULT_REPEATS,
-    warmup: int = 1,
-) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float]]:
-    """Time every cell in both controller modes; verify parity first.
-
-    Returns ``(results, speedups)`` where ``speedups[cell]`` is the
-    per-VM-loop median divided by the batched median.
-    """
-    results: Dict[str, Dict[str, float]] = {}
-    speedups: Dict[str, float] = {}
-    for cell in cells:
-        parity = {}
-        for batched in (True, False):
-            parity[batched] = _fingerprint(
-                run_experiment(_cell_config(cell, seed, batched))
-            )
-        if parity[True] != parity[False]:
-            raise AssertionError(
-                f"{cell}: fleet-batched controller diverged from the "
-                "per-VM reference loop — refusing to time a broken "
-                "hot path"
-            )
-
-        def batched_cell(cell=cell):
-            run_experiment(_cell_config(cell, seed, True))
-
-        def per_vm_cell(cell=cell):
-            run_experiment(_cell_config(cell, seed, False))
-
-        # The parity runs above already warmed every code path once.
-        # Interleaved repeats keep the batched/per-VM ratio honest on
-        # hosts whose speed drifts over the seconds a cell takes.
-        results.update(interleave_calls(
-            {
-                f"{cell}/batched": batched_cell,
-                f"{cell}/per_vm_loop": per_vm_cell,
-            },
-            repeats=repeats, warmup=warmup,
-        ))
-        b = results[f"{cell}/batched"]["median_s"]
-        p = results[f"{cell}/per_vm_loop"]["median_s"]
-        speedups[cell] = p / b if b else float("inf")
-    return results, speedups
+) -> Dict[str, Dict[str, float]]:
+    """Time every cell end to end (one un-timed warm-up run each)."""
+    return {
+        f"{cell}/batched": time_call(
+            lambda cell=cell: run_experiment(_cell_config(cell, seed)),
+            repeats=repeats,
+        )
+        for cell in cells
+    }
 
 
 def main(argv=None) -> int:
@@ -163,11 +108,8 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
     else:
         repeats = args.repeats
-    warmup = 0 if args.quick else 1
 
-    results, speedups = run(
-        cells=cells, seed=args.seed, repeats=repeats, warmup=warmup
-    )
+    results = run(cells=cells, seed=args.seed, repeats=repeats)
 
     end_to_end: Optional[float] = None
     if "cell50" in cells and args.reference_s > 0:
@@ -181,19 +123,14 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "repeats": repeats,
         "quick": bool(args.quick),
-        "parity": "batched vs per-VM loop verified byte-identical",
-        "speedup_batched_vs_per_vm": speedups,
         "pre_overhaul_cell50_s": args.reference_s,
         "speedup_vs_pre_overhaul": end_to_end,
     }
     write_results(args.output, results, meta)
     print(format_results({"results": results}))
-    print()
-    for cell, s in speedups.items():
-        print(f"{cell}: batched {s:.2f}x vs per-VM loop")
     if end_to_end is not None:
         print(
-            f"cell50: {end_to_end:.2f}x vs pre-overhaul baseline "
+            f"\ncell50: {end_to_end:.2f}x vs pre-overhaul baseline "
             f"({args.reference_s:.2f} s)"
         )
     print(f"\nwrote {args.output}")

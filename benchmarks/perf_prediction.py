@@ -81,15 +81,6 @@ def run(
             for predictor, history in zip(fleet, histories):
                 predictor.predict(history, steps=steps)
 
-        def predict_tick_scalar():
-            # Scalar per-chain fallback (still cached + batch-scored).
-            for predictor, history in zip(fleet, histories):
-                predictor.vectorized = False
-                try:
-                    predictor.predict(history, steps=steps)
-                finally:
-                    predictor.vectorized = True
-
         def predict_tick_reference():
             # The full pre-vectorization path: per-call matrix rebuild,
             # per-state Python propagation, scalar classifier loops.
@@ -110,9 +101,6 @@ def run(
 
         results[f"{key}/train"] = time_call(train_one, repeats=repeats)
         results[f"{key}/predict"] = time_call(predict_tick, repeats=repeats)
-        results[f"{key}/predict_scalar"] = time_call(
-            predict_tick_scalar, repeats=repeats
-        )
         results[f"{key}/predict_reference"] = time_call(
             predict_tick_reference, repeats=repeats
         )

@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, List, Mapping
 
 __all__ = [
     "time_call",
-    "interleave_calls",
     "write_results",
     "read_results",
     "compare_results",
@@ -61,34 +60,6 @@ def time_call(
         fn()
         samples.append(time.perf_counter() - start)
     return _summarize(samples)
-
-
-def interleave_calls(
-    fns: Mapping[str, Callable[[], Any]], repeats: int = 5, warmup: int = 1
-) -> Dict[str, Dict[str, float]]:
-    """Time several callables with round-robin interleaved repeats.
-
-    Where :func:`time_call` exhausts one callable's repeats before the
-    next starts, this alternates them (A, B, ..., A, B, ...), so a slow
-    drift in host speed — frequency scaling, a noisy neighbour waking
-    up — lands on every callable roughly equally.  Use it whenever the
-    quantity of interest is the *ratio* between the callables rather
-    than their absolute times.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    for _ in range(warmup):
-        for fn in fns.values():
-            fn()
-    samples: Dict[str, List[float]] = {name: [] for name in fns}
-    for _ in range(repeats):
-        for name, fn in fns.items():
-            start = time.perf_counter()
-            fn()
-            samples[name].append(time.perf_counter() - start)
-    return {name: _summarize(series) for name, series in samples.items()}
 
 
 def _summarize(samples: List[float]) -> Dict[str, float]:

@@ -393,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--top", type=int, default=25,
                       help="functions shown in the cumulative table")
     prof.add_argument(
-        "--per-vm-loop", action="store_true",
-        help="profile the reference per-VM controller loop instead of "
-             "the fleet-batched hot path",
-    )
-    prof.add_argument(
         "--output", metavar="FILE", default=None,
         help="also dump raw pstats data for snakeviz/pstats",
     )
@@ -1138,7 +1133,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     from pathlib import Path
 
-    from repro.core.controller import PrepareConfig
     from repro.experiments import ExperimentConfig, run_experiment
 
     config = ExperimentConfig(
@@ -1148,7 +1142,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         seed=args.seed,
         duration=args.duration,
         injection_count=args.injections,
-        controller=PrepareConfig(fleet_batching=not args.per_vm_loop),
     )
     profiler = cProfile.Profile()
     profiler.enable()
@@ -1175,10 +1168,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             module = "<stdlib/other>"
         by_module[module] = by_module.get(module, 0.0) + row[2]
 
-    mode = "per-VM loop" if args.per_vm_loop else "fleet-batched"
     print(
         f"profiled {args.app}/{args.fault} seed={args.seed} "
-        f"duration={args.duration:.0f}s ({mode}): {total:.2f}s total"
+        f"duration={args.duration:.0f}s: {total:.2f}s total"
     )
     print(f"\n{'module':<40s} {'tottime':>9s} {'share':>7s}")
     for module, seconds in sorted(by_module.items(), key=lambda kv: -kv[1]):

@@ -128,20 +128,6 @@ class PrepareConfig:
     #: re-equilibrates are meaningless; suppression must end before
     #: validation matures so the validator sees fresh alert state.
     post_action_grace: float = 35.0
-    #: When True the predictive path classifies *every* horizon
-    #: 1..lookahead_steps (one batched propagation per VM via
-    #: ``predict_horizons``) and alerts on the earliest horizon whose
-    #: score clears ``alert_threshold``, instead of only the final
-    #: horizon.  Off by default: the paper evaluates a single fixed
-    #: look-ahead window.
-    horizon_sweep: bool = False
-    #: Batch the per-VM predictive / reactive classify stages into one
-    #: :class:`~repro.core.fleet.FleetScorer` call per tick (and stack
-    #: the deviation-fallback windows) instead of running the full
-    #: pipeline once per VM.  Bitwise-identical to the per-VM loop —
-    #: the equivalence tests assert it — so this is purely a hot-path
-    #: switch; False keeps the pre-batching loop (debugging aid).
-    fleet_batching: bool = True
     #: Staleness bound on last-known-good imputation, seconds.  Missing
     #: or NaN-corrupted samples are imputed from the VM's last real
     #: reading to keep the per-VM training buffers aligned, but once a
@@ -173,6 +159,27 @@ class PrepareConfig:
     drift_min_fraction: float = 1.0
     #: Ticks between drift triggers (one regime shift = one event).
     drift_cooldown: int = 24
+
+    def __post_init__(self) -> None:
+        # Campaign specs set these fields from JSON sweep axes, so a bad
+        # value must fail here, by name — not as a ZeroDivisionError (or
+        # a silently shortened look-ahead) halfway through a run.
+        smallest = {
+            "retrain_every": 1, "n_bins": 2, "min_training_samples": 2,
+            "reactive_confirmations": 1, "drift_window": 2,
+            "action_cooldown": 0.0, "post_action_grace": 0.0,
+        }
+        for name, low in smallest.items():
+            if not low <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= {low}, "
+                    f"got {getattr(self, name)!r}"
+                )
+        if not 0.0 < self.lookahead_seconds < math.inf:
+            raise ValueError(
+                "lookahead_seconds must be finite and > 0, "
+                f"got {self.lookahead_seconds!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -290,8 +297,6 @@ class PrepareController:
         #: Lazily built fleet-wide scorer shared by the predictive and
         #: reactive paths (see :meth:`_fleet_scorer`).
         self._scorer: Optional[FleetScorer] = None
-        self._scorer_key: Tuple[str, ...] = ()
-        self._scorer_was_stacked = False
         self._last_action_at: Dict[str, float] = {}
         self._suppressed_until: Dict[str, float] = {}
         self._ops_seen = 0
@@ -663,95 +668,47 @@ class PrepareController:
     # ------------------------------------------------------------------
     # Predictive path
     # ------------------------------------------------------------------
-    def _fleet_scorer(self, trained_names: List[str]) -> FleetScorer:
+    def _fleet_scorer(self) -> FleetScorer:
         """Shared :class:`FleetScorer` over the trained predictors.
 
         Between retrains every tick reuses the same stacked operators
-        and horizon cache.  After a retrain the scorer first attempts
-        an incremental :meth:`FleetScorer.refresh` (re-stacking only
-        the refit VMs' tensor rows); a full rebuild happens only when
-        the trained membership changed or the repair was impossible.
+        and horizon cache; the scorer itself repairs the rows of VMs
+        refit in place (:meth:`FleetScorer.sync`).  Only a change of
+        trained membership builds a new one.
         """
-        key = tuple(trained_names)
+        trained = {
+            name: p for name, p in self.predictors.items() if p.trained
+        }
         scorer = self._scorer
-        if scorer is not None and key == self._scorer_key:
-            if scorer.stacked or not self._scorer_was_stacked:
-                return scorer
-            if scorer.refresh():
-                return scorer
-        scorer = FleetScorer(
-            {name: self.predictors[name] for name in trained_names}
-        )
-        self._scorer = scorer
-        self._scorer_key = key
-        self._scorer_was_stacked = scorer.stacked
-        return scorer
+        if scorer is None or list(scorer.predictors) != list(trained):
+            self._scorer = FleetScorer(trained)
+        return self._scorer
 
     def _predictive_path(self, now: float) -> None:
-        confirmed: List[Tuple[str, PredictionResult]] = []
-        batched = self.config.fleet_batching and not self.config.horizon_sweep
-        eligible: List[Tuple[str, np.ndarray]] = []
-        trained_names: List[str] = []
-        results: List[PredictionResult] = []
-        if batched:
-            # Gather pass: same per-VM skip bookkeeping, in the same
-            # order, as the per-VM loop below — then one fleet call.
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                trained_names.append(name)
-                if self._blacked_out(name, now):
-                    self.resilience_stats["blackout_skips"] += 1
-                    self._m_blackout_skips.inc(vm=name)
-                    continue
-                history = self.buffers[name].recent_values(
-                    predictor.history_needed
-                )
-                if history.shape[0] < predictor.history_needed:
-                    continue
-                eligible.append((name, history))
-            if not eligible:
-                return
-            steps = self.lookahead_steps
-            scorer = self._fleet_scorer(trained_names)
-            results = scorer.score(
-                [(name, history, steps) for name, history in eligible]
+        steps = self.lookahead_steps
+        batch: List[Tuple[str, np.ndarray, int]] = []
+        for name, predictor in self.predictors.items():
+            if not predictor.trained:
+                continue
+            if self._blacked_out(name, now):
+                # The VM's recent history is pure imputation: a
+                # forecast from frozen inputs is noise.  Skip this
+                # VM (the rest of the cluster keeps predicting)
+                # until real samples resume.
+                self.resilience_stats["blackout_skips"] += 1
+                self._m_blackout_skips.inc(vm=name)
+                continue
+            history = self.buffers[name].recent_values(
+                predictor.history_needed
             )
-        else:
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                if self._blacked_out(name, now):
-                    # The VM's recent history is pure imputation: a
-                    # forecast from frozen inputs is noise.  Skip this
-                    # VM (the rest of the cluster keeps predicting)
-                    # until real samples resume.
-                    self.resilience_stats["blackout_skips"] += 1
-                    self._m_blackout_skips.inc(vm=name)
-                    continue
-                buffer = self.buffers[name]
-                history = buffer.recent_values(predictor.history_needed)
-                if history.shape[0] < predictor.history_needed:
-                    continue
-                if self.config.horizon_sweep:
-                    horizons = predictor.predict_horizons(
-                        history, steps=self.lookahead_steps
-                    )
-                    # Earliest horizon that clears the alert margin
-                    # wins; otherwise keep the final-horizon result
-                    # (identical to the single-horizon path).
-                    result = next(
-                        (r for r in horizons
-                         if r.score > self.config.alert_threshold),
-                        horizons[-1],
-                    )
-                else:
-                    result = predictor.predict(
-                        history, steps=self.lookahead_steps
-                    )
-                eligible.append((name, history))
-                results.append(result)
-        for (name, _history), result in zip(eligible, results):
+            if history.shape[0] < predictor.history_needed:
+                continue
+            batch.append((name, history, steps))
+        if not batch:
+            return
+        confirmed: Dict[str, PredictionResult] = {}
+        results = self._fleet_scorer().score(batch)
+        for (name, _history, _steps), result in zip(batch, results):
             self._latest_results[name] = result
             self._note_strengths(name, result)
             if self._suppressed(name, now):
@@ -765,9 +722,9 @@ class PrepareController:
             if self.filters[name].push(raw_alert):
                 self.events.emit(now, "alert_confirmed", vm=name)
                 self._m_confirmed.inc(vm=name)
-                confirmed.append((name, result))
+                confirmed[name] = result
         if confirmed:
-            self._handle_confirmed_alert(now, dict(confirmed), proactive=True)
+            self._handle_confirmed_alert(now, confirmed, proactive=True)
 
     # ------------------------------------------------------------------
     # Reactive path ("if the anomaly predictor fails to raise advance
@@ -779,37 +736,22 @@ class PrepareController:
         if not self.trained():
             with self.obs.span(STAGE_RETRAIN):
                 self._retrain()
+        batch: List[Tuple[str, np.ndarray]] = []
+        for name, predictor in self.predictors.items():
+            if not predictor.trained:
+                continue
+            current = self.buffers[name].recent_values(1)
+            if current.shape[0] == 0:
+                continue
+            batch.append((name, current[0]))
         results: Dict[str, PredictionResult] = {}
-        if self.config.fleet_batching:
-            batch: List[Tuple[str, np.ndarray]] = []
-            trained_names: List[str] = []
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                trained_names.append(name)
-                current = self.buffers[name].recent_values(1)
-                if current.shape[0] == 0:
-                    continue
-                batch.append((name, current[0]))
-            if batch:
-                scorer = self._fleet_scorer(trained_names)
-                for (name, _values), result in zip(
-                    batch, scorer.classify_batch(batch)
-                ):
-                    results[name] = result
-        else:
-            for name, predictor in self.predictors.items():
-                if not predictor.trained:
-                    continue
-                buffer = self.buffers[name]
-                current = buffer.recent_values(1)
-                if current.shape[0] == 0:
-                    continue
-                results[name] = predictor.classify_current(current[0])
-        for name, result in results.items():
-            self._reactive_abnormal[name] = result.abnormal
-            self._latest_results[name] = result
-            self._note_strengths(name, result)
+        if batch:
+            classified = self._fleet_scorer().classify_batch(batch)
+            for (name, _values), result in zip(batch, classified):
+                results[name] = result
+                self._reactive_abnormal[name] = result.abnormal
+                self._latest_results[name] = result
+                self._note_strengths(name, result)
         # VMs without a trained model cannot speak for themselves during
         # a violation (first occurrence of a fault, or localization has
         # reassigned their epochs).  Bootstrap those with a model-free
@@ -833,55 +775,32 @@ class PrepareController:
         """
         epoch_len, gap, ref_len = 4, 4, 12
         needed = epoch_len + gap + ref_len
-        scores: Dict[str, Tuple[float, np.ndarray]] = {}
-        if self.config.fleet_batching:
-            names: List[str] = []
-            windows: List[np.ndarray] = []
-            for name, buffer in self.buffers.items():
-                values = buffer.recent_values(needed)
-                if values.shape[0] < needed:
-                    # A VM that joined late (or lost samples) cannot be
-                    # diagnosed yet — but it must not disable the
-                    # fallback for the whole cluster: skip it, diagnose
-                    # the rest.
-                    continue
-                names.append(name)
-                windows.append(values)
-            if names:
-                # One stacked (n_vms, window, attrs) reduction; each
-                # per-VM reduction keeps its own axis, so every z row
-                # matches the per-VM computation below bitwise.
-                stacked = np.stack(windows)
-                reference = stacked[:, :ref_len, :]
-                epoch = stacked[:, -epoch_len:, :]
-                scale = np.maximum(
-                    np.maximum(reference.std(axis=1), epoch.std(axis=1)),
-                    1e-3 * np.maximum(np.abs(reference.mean(axis=1)), 1.0),
-                )
-                zs = np.abs(epoch.mean(axis=1) - reference.mean(axis=1)) / scale
-                for i, name in enumerate(names):
-                    z = zs[i]
-                    scores[name] = (float(z.max()), z)
-        else:
-            for name, buffer in self.buffers.items():
-                values = buffer.recent_values(needed)
-                if values.shape[0] < needed:
-                    # A VM that joined late (or lost samples) cannot be
-                    # diagnosed yet — but it must not disable the
-                    # fallback for the whole cluster: skip it, diagnose
-                    # the rest.
-                    continue
-                reference = values[:ref_len]
-                epoch = values[-epoch_len:]
-                scale = np.maximum(
-                    np.maximum(reference.std(axis=0), epoch.std(axis=0)),
-                    1e-3 * np.maximum(np.abs(reference.mean(axis=0)), 1.0),
-                )
-                z = np.abs(epoch.mean(axis=0) - reference.mean(axis=0)) / scale
-                scores[name] = (float(z.max()), z)
-        if not scores:
+        names: List[str] = []
+        windows: List[np.ndarray] = []
+        for name, buffer in self.buffers.items():
+            values = buffer.recent_values(needed)
+            if values.shape[0] < needed:
+                # A VM that joined late (or lost samples) cannot be
+                # diagnosed yet — but it must not disable the
+                # fallback for the whole cluster: skip it, diagnose
+                # the rest.
+                continue
+            names.append(name)
+            windows.append(values)
+        if not names:
             return {}
-        top = max(score for score, _z in scores.values())
+        # One stacked (n_vms, window, attrs) reduction; each VM's
+        # reduction keeps its own axis, so every z row is what that
+        # VM's window alone would give.
+        stacked = np.stack(windows)
+        reference = stacked[:, :ref_len, :]
+        epoch = stacked[:, -epoch_len:, :]
+        scale = np.maximum(
+            np.maximum(reference.std(axis=1), epoch.std(axis=1)),
+            1e-3 * np.maximum(np.abs(reference.mean(axis=1)), 1.0),
+        )
+        zs = np.abs(epoch.mean(axis=1) - reference.mean(axis=1)) / scale
+        top = float(zs.max())
         if top < 2.0:
             return {}
         # Implication cut-off: within 60% of the most deviant VM, but
@@ -891,7 +810,8 @@ class PrepareController:
         # culprit whose own deviation is merely large.
         cutoff = max(2.0, min(0.6 * top, 6.0))
         results: Dict[str, PredictionResult] = {}
-        for name, (score, z) in scores.items():
+        for name, z in zip(names, zs):
+            score = float(z.max())
             abnormal = score >= cutoff
             results[name] = PredictionResult(
                 abnormal=abnormal,

@@ -21,11 +21,12 @@ Every tier is bitwise-identical to the per-VM code path
 (:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
 classify_current`): the stacked einsum reductions are independent
 along the attribute axis, and per-VM reductions keep their shapes.
-The scorer falls back tier by tier — stacked chains with per-VM
-classification, then fully sequential — whenever stacking is
-impossible (mixed chain variants, naive classifiers) or any model was
-refit since stacking.  ``serve_check.py``, the replay harness and the
-controller equivalence tests assert the parity end to end.
+The tier is chosen from the fleet's contents — stacked chains with
+per-VM classification when a classifier is not TAN, fully sequential
+when chain variants are mixed.  A model refit since stacking never
+demotes the tier: :meth:`FleetScorer.sync` repairs the stack before
+every call.  ``serve_check.py``, the replay harness and the golden
+decision digests assert the parity end to end.
 """
 
 from __future__ import annotations
@@ -85,10 +86,14 @@ class FleetScorer:
     def __init__(self, predictors: Dict[str, AnomalyPredictor]) -> None:
         if not predictors:
             raise ValueError("need at least one predictor")
-        for vm, predictor in predictors.items():
+        self.predictors = dict(predictors)
+        self._build()
+
+    def _build(self) -> None:
+        """Stack the fleet from the predictors' current models."""
+        for vm, predictor in self.predictors.items():
             if not predictor.trained:
                 raise ValueError(f"predictor for VM {vm!r} is not trained")
-        self.predictors = dict(predictors)
         self._slices: Dict[str, np.ndarray] = {}
         chains = []
         offset = 0
@@ -171,6 +176,21 @@ class FleetScorer:
             disc_refs=[(disc, disc._bins) for disc in discretizers],
         )
 
+    def sync(self) -> None:
+        """Bring a stale stack up to date before it is scored with.
+
+        Repairs just the refit VMs' rows when :meth:`refresh` can, and
+        re-stacks the whole fleet otherwise.  A fleet that never
+        stacked (mixed chain variants) reads its predictors live and
+        has nothing to repair.
+        """
+        if self._stacked is None:
+            return
+        if self.stacked and (self._fast is None or self._fast.current()):
+            return
+        if not self.refresh():
+            self._build()
+
     def refresh(self) -> bool:
         """Incrementally re-stack VMs whose models were refit in place.
 
@@ -182,7 +202,7 @@ class FleetScorer:
         returns ``True`` when the scorer is fully current afterwards.
         ``False`` means incremental repair is impossible (membership,
         shape or variant changed, or the fleet was never stacked) and
-        the caller should build a fresh scorer.
+        the stack must be rebuilt (:meth:`sync` does both).
         """
         if self._stacked is None:
             return False
@@ -330,9 +350,8 @@ class FleetScorer:
         Each result is bitwise-identical to
         ``predictors[vm].predict(recent, steps)``.
         """
-        if not self.stacked or not all(
-            self.predictors[vm].vectorized for vm, _, _ in batch
-        ):
+        self.sync()
+        if self._stacked is None:
             return [
                 self.predictors[vm].predict(recent, steps)
                 for vm, recent, steps in batch
@@ -341,13 +360,10 @@ class FleetScorer:
         by_steps: Dict[int, List[int]] = {}
         for i, (_, _, steps) in enumerate(batch):
             by_steps.setdefault(steps, []).append(i)
-        fast = self._fast if (
-            self._fast is not None and self._fast.current()
-        ) else None
         for steps, positions in by_steps.items():
             if steps < 1:
                 raise ValueError(f"steps must be >= 1, got {steps}")
-            if fast is not None:
+            if self._fast is not None:
                 self._score_fast(batch, positions, steps, results)
             else:
                 self._score_stacked(batch, positions, steps, results)
@@ -367,9 +383,8 @@ class FleetScorer:
         reduce the same contiguous 13-element rows the scalar
         ``log_odds`` path reduces.
         """
-        fast = self._fast if (
-            self._fast is not None and self._fast.current()
-        ) else None
+        self.sync()
+        fast = self._fast
         if fast is None:
             return [
                 self.predictors[vm].classify_current(values)

@@ -21,9 +21,7 @@ tensor contraction per step, and the classifiers score with
 precomputed log-CPT tensors (see ``docs/performance.md``).  The
 pre-vectorization code path is preserved as
 :meth:`AnomalyPredictor.predict_reference` for equivalence tests and
-benchmark baselines, and the scalar per-attribute loop remains as an
-exact-equivalence fallback whenever the stacked operator cannot be
-used (mixed chain kinds, externally mutated models).
+benchmark baselines.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ class BatchedAttributeChains:
 
     The operator snapshots each model's training version at build
     time; :meth:`fresh` reports whether any underlying chain has been
-    refit/updated since, in which case callers fall back to the scalar
-    per-model path (which is exactly equivalent) and rebuild.
+    refit/updated since, in which case callers rebuild (or
+    :meth:`restack`) before propagating.
     """
 
     def __init__(self, models: Sequence[MarkovModel]) -> None:
@@ -214,24 +212,7 @@ class BatchedAttributeChains:
                 f"need {self.history_needed} trailing states, "
                 f"got {histories.shape[0]}"
             )
-        a, n = self.n_attrs, self.n_states
-        out = np.empty((steps, a, n))
-        attrs = np.arange(a)
-        if self.two_dependent:
-            combined = np.zeros((a, n, n))
-            combined[attrs, histories[-2], histories[-1]] = 1.0
-            for k in range(steps):
-                combined = np.einsum(
-                    "apc,apcx->acx", combined, self._tensor
-                )
-                out[k] = combined.sum(axis=1)
-        else:
-            dist = np.zeros((a, n))
-            dist[attrs, histories[-1]] = 1.0
-            for k in range(steps):
-                dist = np.einsum("ac,acx->ax", dist, self._tensor)
-                out[k] = dist
-        return out
+        return self._propagate(self._tensor, histories, steps)
 
     def predict_subset(
         self, histories: np.ndarray, attrs_idx: np.ndarray, steps: int
@@ -259,8 +240,18 @@ class BatchedAttributeChains:
                 f"need {self.history_needed} trailing states, "
                 f"got {histories.shape[0]}"
             )
-        a, n = attrs_idx.shape[0], self.n_states
-        tensor = self._tensor[attrs_idx]
+        return self._propagate(self._tensor[attrs_idx], histories, steps)
+
+    def _propagate(
+        self, tensor: np.ndarray, histories: np.ndarray, steps: int
+    ) -> np.ndarray:
+        """The look-ahead recurrence over ``tensor``'s attribute rows.
+
+        The einsum reductions are independent along the attribute
+        axis, so any row subset of the stack propagates to the same
+        bits as the full stack.
+        """
+        a, n = tensor.shape[0], self.n_states
         out = np.empty((steps, a, n))
         attrs = np.arange(a)
         if self.two_dependent:
@@ -324,9 +315,6 @@ class AnomalyPredictor:
         self.discretizer = Discretizer(n_bins=n_bins)
         self.value_models: List[MarkovModel] = []
         self.robust = robust
-        #: False forces the scalar per-attribute fallback even when the
-        #: stacked operator is available (equivalence testing, bench).
-        self.vectorized = True
         self._batched: Optional[BatchedAttributeChains] = None
         # The exact window the model was last trained on (values,
         # labels, normalized segment ids).  partial_train() compares
@@ -536,22 +524,17 @@ class AnomalyPredictor:
 
     def _distributions_all(self, binned: np.ndarray, steps: int) -> np.ndarray:
         """(steps, n_attrs, n_bins) attribute distributions at every
-        horizon — stacked-tensor operator when available, scalar
-        per-chain loop (exactly equivalent) otherwise."""
+        horizon, through the stacked-tensor operator."""
         batched = self._batched
         if (
-            self.vectorized
-            and batched is not None
-            and batched.fresh()
-            and batched.n_attrs == len(self.value_models)
+            batched is None
+            or not batched.fresh()
+            or batched.n_attrs != len(self.value_models)
         ):
-            return batched.predict_all(binned, steps)
-        out = np.empty((steps, len(self.value_models), self.n_bins))
-        for j, model in enumerate(self.value_models):
-            out[:, j, :] = model.predict_distributions(
-                binned[:, j].tolist(), steps
-            )
-        return out
+            # A chain was updated behind the operator's back: re-stack
+            # from the live models rather than propagate stale rows.
+            batched = self._batched = BatchedAttributeChains(self.value_models)
+        return batched.predict_all(binned, steps)
 
     def predict(self, recent_values: np.ndarray, steps: int) -> PredictionResult:
         """Classify the *predicted* state ``steps`` samples ahead.

@@ -48,6 +48,34 @@ class TestWiring:
         assert not managed.controller.config.prediction_enabled
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("retrain_every", 0),
+        ("lookahead_seconds", 0.0),
+        ("lookahead_seconds", -5.0),
+        ("lookahead_seconds", float("inf")),
+        ("lookahead_seconds", float("nan")),
+        ("n_bins", 1),
+        ("min_training_samples", 1),
+        ("reactive_confirmations", 0),
+        ("drift_window", 1),
+        ("action_cooldown", -1.0),
+        ("action_cooldown", float("nan")),
+        ("post_action_grace", -0.5),
+        ("post_action_grace", float("inf")),
+    ])
+    def test_rejects_value_that_would_break_the_loop(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PrepareConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        PrepareConfig(
+            retrain_every=1, lookahead_seconds=0.5, n_bins=2,
+            min_training_samples=2, reactive_confirmations=1,
+            drift_window=2, action_cooldown=0.0, post_action_grace=0.0,
+        )
+
+
 class TestOnlineLearning:
     def test_no_training_without_anomalies(self):
         testbed, managed = deploy()

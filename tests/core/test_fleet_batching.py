@@ -1,112 +1,81 @@
-"""Byte-identical equivalence of the fleet-batched controller hot path.
+"""The fleet-batched controller hot path and its scorer.
 
-The campaign overhaul routes the controller's predictive, reactive and
-deviation stages through one :class:`repro.core.fleet.FleetScorer`
-call per tick (``PrepareConfig.fleet_batching``) instead of a per-VM
-loop.  That switch is only allowed to change *speed*: these tests run
-complete experiments under both settings — with and without
-infrastructure chaos — and require every observable decision (alert
-funnel, action log, validation outcomes, SLO accounting, telemetry
-counters) to match exactly, plus unit-level parity and incremental
-repair (``refresh``/``restack``) coverage for the scorer itself.
+The controller's predictive, reactive and deviation stages run through
+one :class:`repro.core.fleet.FleetScorer` call per tick.  What that
+loop *decides* is pinned by ``test_golden_decisions.py``; this file
+covers the scorer's unit-level parity with the per-VM predictor calls,
+its incremental repair (``sync``/``refresh``/``restack``) and how the
+controller holds on to it across retrains.
 """
 
 import numpy as np
 import pytest
 
+from repro.core.bayes import NaiveBayesClassifier
 from repro.core.controller import PrepareConfig
 from repro.core.fleet import FleetScorer
 from repro.core.predictor import AnomalyPredictor
-from repro.experiments.runner import ExperimentConfig, run_experiment
+from repro.experiments.scenarios import RUBIS, build_testbed, make_fault
+from repro.experiments.schemes import deploy_scheme
 from repro.faults.base import FaultKind
 
 N_ATTRS = 9
 
 
-def _run_cell(batched, chaos=None):
-    config = ExperimentConfig(
-        app="fleet8",
-        fault=FaultKind.MEMORY_LEAK,
-        scheme="prepare",
-        seed=7,
-        duration=1500.0,
-        telemetry=True,
-        controller=PrepareConfig(fleet_batching=batched),
-        chaos=chaos,
+class TestControllerScorerLifetime:
+    @staticmethod
+    def _tick(testbed, controller):
+        """Advance one monitoring tick that is not a retrain tick."""
+        every = controller.config.retrain_every
+        while True:
+            testbed.sim.run_until(testbed.sim.now + testbed.monitor.interval)
+            if controller._rounds % every:
+                return
+
+    def test_refit_refreshes_membership_change_replaces(self):
+        testbed = build_testbed(RUBIS, seed=7, duration_hint=1600)
+        controller = deploy_scheme(testbed, "prepare").controller
+        testbed.injector.inject(
+            make_fault(testbed, FaultKind.MEMORY_LEAK), 200.0, 300.0
+        )
+        testbed.app.start()
+        testbed.monitor.start(start_at=5.0)
+        testbed.sim.run_until(700.0)
+        self._tick(testbed, controller)
+        scorer = controller._scorer
+        assert list(scorer.predictors) == ["vm_db"]
+        stack = scorer._stacked
+
+        # An in-place refit swaps vm_db's chains and classifier
+        # tensors: the next tick repairs the same scorer's rows.
+        trained = controller.predictors["vm_db"]
+        window = (trained._last_values, trained._last_labels,
+                  trained._last_segments)
+        trained.train(*window)
+        assert not scorer.stacked
+        self._tick(testbed, controller)
+        assert controller._scorer is scorer
+        assert scorer._stacked is stack
+        assert scorer.stacked
+
+        # A second VM gaining a model changes trained membership: the
+        # stack's row layout is different, so the scorer is replaced.
+        controller.predictors["vm_web"].train(*window)
+        self._tick(testbed, controller)
+        assert controller._scorer is not scorer
+        assert list(controller._scorer.predictors) == ["vm_web", "vm_db"]
+
+
+class TestRemovedSwitches:
+    @pytest.mark.parametrize(
+        "kwargs", [{"fleet_batching": False}, {"horizon_sweep": True}]
     )
-    return run_experiment(config)
+    def test_config_rejects_removed_fields(self, kwargs):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            PrepareConfig(**kwargs)
 
-
-def _behaviour(result):
-    """Everything the control loop decided, as one comparable value."""
-    return {
-        "violation_time": result.violation_time,
-        "per_injection": tuple(result.per_injection_violation),
-        "proactive": result.proactive_actions,
-        "actions": tuple(
-            (a.timestamp, a.vm, a.verb, str(a.resource), a.metric,
-             a.proactive, a.completed, a.effective, a.attempts)
-            for a in result.actions
-        ),
-        "trace": (tuple(result.trace_times), tuple(result.trace_values)),
-        "labels": tuple(result.sample_labels),
-    }
-
-
-def _counters(result):
-    """Telemetry counters, minus host-time-dependent stage latencies."""
-    telemetry = result.telemetry.to_dict()
-    telemetry.pop("stage_latency", None)
-    telemetry.pop("trace", None)
-    telemetry.get("meta", {}).pop("wall_seconds", None)
-    return telemetry
-
-
-CHAOS = {
-    "seed": 3,
-    "metric": {"corrupt_rate": 0.05, "blackout_rate": 0.01,
-               "blackout_duration": 40.0},
-    "verbs": {"failure_rate": 0.15, "late_rate": 0.1},
-}
-
-
-class TestControllerEquivalence:
-    @pytest.fixture(scope="class")
-    def clean(self):
-        return _run_cell(True), _run_cell(False)
-
-    @pytest.fixture(scope="class")
-    def chaotic(self):
-        return _run_cell(True, chaos=CHAOS), _run_cell(False, chaos=CHAOS)
-
-    def test_clean_behaviour_identical(self, clean):
-        batched, per_vm = clean
-        assert _behaviour(batched) == _behaviour(per_vm)
-
-    def test_clean_telemetry_identical(self, clean):
-        batched, per_vm = clean
-        assert _counters(batched) == _counters(per_vm)
-
-    def test_clean_run_acts(self, clean):
-        # Guard against vacuous equality: the cell must actually
-        # exercise the predictive path.
-        batched, _ = clean
-        assert batched.actions
-        assert batched.proactive_actions >= 1
-
-    def test_chaos_behaviour_identical(self, chaotic):
-        batched, per_vm = chaotic
-        assert _behaviour(batched) == _behaviour(per_vm)
-
-    def test_chaos_telemetry_identical(self, chaotic):
-        batched, per_vm = chaotic
-        assert _counters(batched) == _counters(per_vm)
-
-    def test_chaos_run_degraded_inputs(self, chaotic):
-        # The chaos cell must actually stress the sanitize/imputation
-        # path the batched stages consume.
-        batched, _ = chaotic
-        assert batched.resilience is not None
+    def test_predictor_has_no_scalar_switch(self):
+        assert not hasattr(AnomalyPredictor(["a"]), "vectorized")
 
 
 def _train_predictor(seed, n_attrs=N_ATTRS):
@@ -242,6 +211,30 @@ class TestIncrementalRefresh:
             [f"m{i}" for i in range(N_ATTRS)], n_bins=6, markov="2dep"
         )
         assert scorer.refresh() is False
+
+    def test_sync_fails_by_name_on_retired_model(self):
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        predictors["vm1"].train(traces["vm1"][:200], [0, 1] * 100)
+        predictors["vm1"].invalidate()
+        with pytest.raises(ValueError, match="'vm1' is not trained"):
+            scorer.score([("vm0", traces["vm0"][50:60], 4)])
+
+    def test_sync_rebuilds_when_rows_cannot_be_repaired(self):
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        assert scorer._fast is not None
+        # vm1 comes back from a refit with a naive classifier: its rows
+        # of the TAN fast-tier tensors cannot be repaired, so sync
+        # re-stacks the fleet (now on the per-VM classification tier).
+        refit = predictors["vm1"]
+        refit.classifier = NaiveBayesClassifier(n_bins=refit.n_bins)
+        refit.train(traces["vm1"][:200], [0, 1] * 100)
+        assert scorer.refresh() is False
+        batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
+        for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
+            _assert_result_equal(got, predictors[vm].predict(recent, steps))
+        assert scorer.stacked and scorer._fast is None
 
     def test_refresh_without_stack_is_false(self):
         # Mixed chain variants cannot stack into one fleet operator;

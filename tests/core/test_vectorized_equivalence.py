@@ -275,6 +275,20 @@ class TestClassifierEquivalence:
 # ----------------------------------------------------------------------
 # Predictor layer
 # ----------------------------------------------------------------------
+def _per_chain_predict(predictor, recent, steps):
+    """Oracle for ``predict``: every chain propagated on its own with
+    :meth:`MarkovModel.predict_distributions`, then the classifier."""
+    binned = predictor.discretizer.transform(np.asarray(recent, dtype=float))
+    final = np.stack([
+        model.predict_distributions(binned[:, j].tolist(), steps)[-1]
+        for j, model in enumerate(predictor.value_models)
+    ])
+    bins = tuple(int(b) for b in expected_bins(final))
+    if predictor.prediction_mode == "hard":
+        return predictor._classify(bins, steps=steps)
+    return predictor._classify_soft(list(final), bins, steps)
+
+
 class TestPredictorEquivalence:
     @pytest.mark.parametrize("markov", ["2dep", "simple"])
     @pytest.mark.parametrize("classifier", ["tan", "naive"])
@@ -293,11 +307,8 @@ class TestPredictorEquivalence:
         recent = values[-3:]
         for steps in (1, 4, 8):
             vectorized = predictor.predict(recent, steps)
-            predictor.vectorized = False
-            scalar = predictor.predict(recent, steps)
-            predictor.vectorized = True
-            # Stacked operator vs scalar fallback: bitwise.
-            assert vectorized == scalar
+            # Stacked operator vs per-chain propagation: bitwise.
+            assert vectorized == _per_chain_predict(predictor, recent, steps)
             # Horizon sweep entry k is the single-horizon prediction.
             horizon = predictor.predict_horizons(recent, steps)[-1]
             assert horizon.score == vectorized.score
@@ -316,7 +327,7 @@ class TestPredictorEquivalence:
                 rtol=1e-9, atol=1e-12,
             )
 
-    def test_fallback_used_after_chain_update(self):
+    def test_stale_operator_is_rebuilt(self):
         rng = np.random.default_rng(5)
         n, a = 200, 4
         values = rng.normal(size=(n, a))
@@ -325,14 +336,17 @@ class TestPredictorEquivalence:
         predictor.train(values, labels)
         assert predictor._batched is not None and predictor._batched.fresh()
         # Mutate one chain behind the operator's back; the predictor
-        # must detect staleness and still answer correctly.
+        # must detect staleness, re-stack and answer from the live
+        # chains.
         predictor.value_models[0].update([0, 1, 2, 3, 2, 1])
-        assert not predictor._batched.fresh()
+        stale = predictor._batched
+        assert not stale.fresh()
         recent = values[-2:]
-        stale_safe = predictor.predict(recent, steps=3)
-        predictor.vectorized = False
-        scalar = predictor.predict(recent, steps=3)
-        assert stale_safe == scalar
+        assert predictor.predict(recent, steps=3) == _per_chain_predict(
+            predictor, recent, steps=3
+        )
+        assert predictor._batched is not stale
+        assert predictor._batched.fresh()
 
 
 # ----------------------------------------------------------------------

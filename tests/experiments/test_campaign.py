@@ -244,6 +244,21 @@ class TestFailureHandling:
         # Only the good job was checkpointed; resume retries the bad one.
         assert len(read_campaign_records(tmp_path)) == 1
 
+    def test_bad_controller_sweep_value_fails_job_by_field_name(self):
+        spec = CampaignSpec(
+            name="bad-sweep-value",
+            base={"app": "rubis", "fault": "cpu_hog", "scheme": "prepare",
+                  **FAST},
+            axes={"controller.retrain_every": [12, 0]},
+        )
+        report = run_campaign(spec)
+        assert len(report.executed) == 1
+        # Rejected when the job builds its config, naming the field —
+        # not a ZeroDivisionError out of the control loop mid-run.
+        assert list(report.failed.values()) == [
+            "ValueError: retrain_every must be finite and >= 1, got 0"
+        ]
+
     def test_progress_callback_sees_every_job(self):
         seen = []
         spec = small_spec(scheme="none", seeds=(5,))

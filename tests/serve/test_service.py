@@ -203,6 +203,8 @@ class TestFleetScorerTiers:
         assert_results_bitwise_equal(
             batch, scorer.score(batch), predictors
         )
+        # Repaired, not bypassed: the call left the stack current.
+        assert scorer.stacked
 
     def test_rejects_empty_and_untrained(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -9,7 +9,6 @@ import pytest
 from repro.bench import (
     compare_results,
     format_results,
-    interleave_calls,
     read_results,
     time_call,
     write_results,
@@ -39,39 +38,6 @@ class TestTimeCall:
             time_call(lambda: None, repeats=0)
         with pytest.raises(ValueError):
             time_call(lambda: None, warmup=-1)
-
-
-class TestInterleaveCalls:
-    def test_times_every_callable(self):
-        calls = {"a": 0, "b": 0}
-
-        def bump(name):
-            calls[name] += 1
-
-        stats = interleave_calls(
-            {"a": lambda: bump("a"), "b": lambda: bump("b")},
-            repeats=3, warmup=2,
-        )
-        assert calls == {"a": 5, "b": 5}  # warmup + repeats all execute
-        assert set(stats) == {"a", "b"}
-        for entry in stats.values():
-            assert set(entry) == {"median_s", "min_s", "mean_s", "repeats"}
-            assert entry["repeats"] == 3
-            assert 0.0 <= entry["min_s"] <= entry["median_s"]
-
-    def test_rounds_are_interleaved(self):
-        order = []
-        interleave_calls(
-            {"a": lambda: order.append("a"), "b": lambda: order.append("b")},
-            repeats=3, warmup=0,
-        )
-        assert order == ["a", "b"] * 3  # round-robin, not a,a,a,b,b,b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            interleave_calls({"a": lambda: None}, repeats=0)
-        with pytest.raises(ValueError):
-            interleave_calls({"a": lambda: None}, warmup=-1)
 
 
 class TestResultFiles:
