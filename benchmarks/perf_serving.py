@@ -118,7 +118,7 @@ def run_engine(
             for vm, recent, st in batch:
                 predictors[vm].predict(recent, st)
 
-        score_batched()  # warm the horizon-operator cache before timing
+        score_batched()  # fill the horizon-table rows before timing
         results[f"{key}/batched"] = time_call(score_batched, repeats=repeats)
         results[f"{key}/single"] = time_call(score_single, repeats=repeats)
     return results

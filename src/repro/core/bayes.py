@@ -25,7 +25,7 @@ class NotTrainedError(RuntimeError):
 
 
 #: Cap on the magnitude of the log prior-odds term under the "capped"
-#: policy (see :func:`_class_log_prior`).
+#: policy (see :func:`_class_log_prior_from_counts`).
 PRIOR_ODDS_CAP = 1.0
 
 #: Clip on per-bin log-likelihood-ratios inside the *soft* (expected)
@@ -78,8 +78,10 @@ def select_attributes(
     return (utility >= min_utility) & (utility >= 2.0 * se)
 
 
-def _class_log_prior(y: np.ndarray, class_prior: str, smoothing: float) -> np.ndarray:
-    """Log class prior vector.
+def _class_log_prior_from_counts(
+    counts: np.ndarray, n_samples: int, class_prior: str, smoothing: float
+) -> np.ndarray:
+    """Log class prior vector from the ``(2,)`` class counts.
 
     * ``"empirical"`` — Eq. (1) verbatim; with the heavily
       normal-skewed online training sets this swamps the attribute
@@ -91,19 +93,10 @@ def _class_log_prior(y: np.ndarray, class_prior: str, smoothing: float) -> np.nd
       ``[-PRIOR_ODDS_CAP, 0]``: uninvolved VMs lean mildly normal
       while genuine attribute evidence (log-odds of a few nats) still
       dominates.
-    """
-    counts = np.array([np.sum(y == NORMAL), np.sum(y == ABNORMAL)], dtype=float)
-    return _class_log_prior_from_counts(counts, y.size, class_prior, smoothing)
 
-
-def _class_log_prior_from_counts(
-    counts: np.ndarray, n_samples: int, class_prior: str, smoothing: float
-) -> np.ndarray:
-    """:func:`_class_log_prior` from accumulated class counts.
-
-    Class counts are integer-valued floats, so counts accumulated over
-    incremental chunks equal the batch counts exactly and this function
-    returns bitwise the same prior either way.
+    Class counts are integer-valued, so counts accumulated over
+    incremental chunks equal the batch counts exactly and the prior is
+    bitwise the same either way.
     """
     if class_prior == "balanced":
         return np.zeros(2)
@@ -259,15 +252,14 @@ class NaiveBayesClassifier:
         return self._rebuild()
 
     def _accumulate(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add one chunk's raw bin counts and class counts."""
-        for label in (NORMAL, ABNORMAL):
-            rows = X[y == label]
-            self._class_counts[label] += rows.shape[0]
-            for j in range(self.n_attributes):
-                if rows.size:
-                    self._raw_counts[j, label, :] += np.bincount(
-                        rows[:, j], minlength=self.n_bins
-                    )
+        """Add one chunk's raw bin counts and class counts (one
+        bincount over the combined ``(attribute, class, bin)`` index)."""
+        a, b = self.n_attributes, self.n_bins
+        index = np.arange(a) * (2 * b) + (y * b)[:, None] + X
+        self._raw_counts += np.bincount(
+            index.ravel(), minlength=2 * a * b
+        ).reshape(a, 2, b)
+        self._class_counts += np.bincount(y, minlength=2)
 
     def _rebuild(self) -> "NaiveBayesClassifier":
         """Derive every fitted tensor from the accumulated statistics

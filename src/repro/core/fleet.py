@@ -13,9 +13,10 @@ This is the shared engine behind both consumers of fleet batching:
 chains into a single :class:`~repro.core.predictor.
 BatchedAttributeChains` (``total_attrs = Σ n_attrs``) and — when every
 VM carries a TAN classifier — also stacks the discretizer edges and
-classifier tensors, precomputing a k-step *horizon operator* per
-look-ahead so a mixed-VM batch is scored with a handful of fleet-wide
-gathers and einsums instead of one full pipeline pass per sample.
+classifier tensors and keeps a lazily filled *horizon table* per
+look-ahead depth, so a mixed-VM batch is scored with a handful of
+fleet-wide gathers and einsums instead of one full pipeline pass per
+sample.
 
 Every tier is bitwise-identical to the per-VM code path
 (:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
@@ -27,12 +28,18 @@ when chain variants are mixed.  A model refit since stacking never
 demotes the tier: :meth:`FleetScorer.sync` repairs the stack before
 every call.  ``serve_check.py``, the replay harness and the golden
 decision digests assert the parity end to end.
+
+Staleness rule: current = the objects the predictor holds now, not
+refit since — chains, classifier and discretizer are each compared by
+identity with what the predictor holds *and* by the marker a refit
+replaces (chain version, ``_diff_soft``, the ``_bins`` list).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +54,10 @@ from repro.core.tan import TANClassifier
 
 __all__ = ["FleetScorer"]
 
+#: Look-ahead depths a scorer keeps a horizon table for (LRU by
+#: ``steps``; a controller or service uses one or two).
+HORIZON_TABLES = 4
+
 
 @dataclass
 class _FastTensors:
@@ -56,7 +67,7 @@ class _FastTensors:
     attribute axis (``A = Σ per-VM attrs``): discretizer edges for the
     batched transform, the per-attribute TAN difference tensors and
     tree metadata for stacked classification, and the identity of the
-    source arrays so a refit anywhere invalidates the stack.
+    source objects and arrays (see the module's staleness rule).
     """
 
     edges: np.ndarray        # (A, n_bins - 1)
@@ -70,11 +81,18 @@ class _FastTensors:
     clf_refs: List[Tuple[object, object]]  # (classifier, _diff_soft)
     disc_refs: List[Tuple[object, object]]  # (discretizer, _bins)
 
-    def current(self) -> bool:
-        """True while no source classifier/discretizer was refit."""
-        return all(
-            clf._diff_soft is ref for clf, ref in self.clf_refs
-        ) and all(disc._bins is ref for disc, ref in self.disc_refs)
+    def stale(self, predictors: Iterable[AnomalyPredictor]) -> List[int]:
+        """Row blocks that no longer mirror their predictor (given in
+        fleet order)."""
+        return [
+            i for i, (p, (clf, diff_soft), (disc, bins)) in enumerate(
+                zip(predictors, self.clf_refs, self.disc_refs)
+            )
+            if not (
+                clf is p.classifier and clf._diff_soft is diff_soft
+                and disc is p.discretizer and disc._bins is bins
+            )
+        ]
 
 
 class FleetScorer:
@@ -110,13 +128,15 @@ class FleetScorer:
             self._stacked = None
         # fresh() only catches in-place chain updates; a retrain swaps
         # in brand-new model objects, so identity must be tracked too.
+        # (Chains compare by identity, so list equality is "same objects".)
         self._chain_refs = [
-            (self.predictors[vm], tuple(self.predictors[vm].value_models))
+            (self.predictors[vm], list(self.predictors[vm].value_models))
             for vm in sorted(self.predictors)
         ]
         self._fast = self._build_fast() if self._stacked is not None else None
-        #: steps -> (A, [p0,] c0, x) final-horizon transition operator
-        self._horizon_cache: Dict[int, np.ndarray] = {}
+        #: steps -> (table (A * start states, x), valid (A * start
+        #: states,)); see :meth:`_horizon_rows`.
+        self._horizon_cache: OrderedDict = OrderedDict()
 
     @property
     def n_vms(self) -> int:
@@ -135,8 +155,7 @@ class FleetScorer:
             self._stacked is not None
             and self._stacked.fresh()
             and all(
-                len(predictor.value_models) == len(ref)
-                and all(a is b for a, b in zip(predictor.value_models, ref))
+                predictor.value_models == ref
                 for predictor, ref in self._chain_refs
             )
         )
@@ -186,7 +205,9 @@ class FleetScorer:
         """
         if self._stacked is None:
             return
-        if self.stacked and (self._fast is None or self._fast.current()):
+        if self.stacked and not (self._fast and self._fast.stale(
+            predictor for predictor, _chains in self._chain_refs
+        )):
             return
         if not self.refresh():
             self._build()
@@ -195,11 +216,11 @@ class FleetScorer:
         """Incrementally re-stack VMs whose models were refit in place.
 
         The online controller retrains a handful of VMs every few
-        ticks; rebuilding the whole fleet stack (and its horizon
-        operators) each time would cost more than the batching saves.
-        This repairs only the stale VMs' tensor rows — chains, fast-
-        tier classifier slices and any cached horizon operators — and
-        returns ``True`` when the scorer is fully current afterwards.
+        ticks; rebuilding the whole fleet stack each time would cost
+        more than the batching saves.  This repairs only the stale
+        VMs' tensor rows — chains and fast-tier classifier slices —
+        clears their horizon-table mask rows, and returns ``True``
+        when the scorer is fully current afterwards.
         ``False`` means incremental repair is impossible (membership,
         shape or variant changed, or the fleet was never stacked) and
         the stack must be rebuilt (:meth:`sync` does both).
@@ -208,15 +229,15 @@ class FleetScorer:
             return False
         order = sorted(self.predictors)
         stale: List[int] = []
+        fast_stale = self._fast.stale(
+            self.predictors[vm] for vm in order
+        ) if self._fast is not None else ()
         for i, vm in enumerate(order):
             predictor = self.predictors[vm]
             _, chain_ref = self._chain_refs[i]
             sl_vm = self._slices[vm]
             chains_current = (
-                len(predictor.value_models) == len(chain_ref)
-                and all(
-                    a is b for a, b in zip(predictor.value_models, chain_ref)
-                )
+                predictor.value_models == chain_ref
                 # Identity alone misses incremental updates: partial_fit
                 # mutates the chain in place (same object, bumped
                 # version), leaving the stacked tensor rows stale.
@@ -224,15 +245,7 @@ class FleetScorer:
                     int(sl_vm[0]), int(sl_vm[-1]) + 1
                 )
             )
-            fast_current = self._fast is None or (
-                self._fast.clf_refs[i][0] is predictor.classifier
-                and self._fast.clf_refs[i][0]._diff_soft
-                is self._fast.clf_refs[i][1]
-                and self._fast.disc_refs[i][0] is predictor.discretizer
-                and self._fast.disc_refs[i][0]._bins
-                is self._fast.disc_refs[i][1]
-            )
-            if chains_current and fast_current:
+            if chains_current and i not in fast_stale:
                 continue
             if not predictor.trained:
                 return False
@@ -249,15 +262,15 @@ class FleetScorer:
                 self._stacked.restack(start, predictor.value_models)
             except ValueError:
                 return False
-            self._chain_refs[i] = (predictor, tuple(predictor.value_models))
+            self._chain_refs[i] = (predictor, list(predictor.value_models))
             if self._fast is not None and not self._refresh_fast(
                 i, vm, predictor, start, stop
             ):
                 return False
-            for steps, operator in self._horizon_cache.items():
-                operator[start:stop] = self._horizon_for(
-                    self._stacked._tensor[start:stop], steps
-                )
+            # Whatever the tables hold for this VM came from chains it
+            # no longer has; the next batch refills what it visits.
+            for _table, valid in self._horizon_cache.values():
+                valid.reshape(self._stacked.n_attrs, -1)[start:stop] = False
         return True
 
     def _refresh_fast(
@@ -294,53 +307,42 @@ class FleetScorer:
         fast.disc_refs[i] = (disc, disc._bins)
         return True
 
-    def _horizon_operator(self, steps: int) -> np.ndarray:
-        """Final-horizon transition operator for every stacked chain.
+    def _horizon_rows(
+        self, steps: int, sel: np.ndarray, bins: np.ndarray
+    ) -> np.ndarray:
+        """State distributions ``steps`` ticks ahead, ``(len(sel), n)``,
+        for stacked chains ``sel`` observed in states ``bins``
+        (``(history_needed, len(sel))``, oldest first).
 
-        For 2-dependent chains, ``F[a, p0, c0, x]`` is the probability
-        of state ``x`` exactly ``steps`` ticks after observing the
-        combined state ``(p0, c0)`` — i.e. the whole iterated
-        propagation folded into one gather table.  Built by running
-        the *same* einsum recurrence :meth:`BatchedAttributeChains.
-        predict_all` runs, once per start state, so the gathered row
-        is bitwise-identical to propagating live.
+        A per-``steps`` table remembers the row of every ``(chain,
+        start state)`` already propagated, behind a validity mask.
+        Rows this batch visits and the table lacks are filled by one
+        :meth:`BatchedAttributeChains.predict_subset` call — the live
+        recurrence :meth:`AnomalyPredictor.predict` itself runs, so a
+        gathered row is bitwise what propagating live gives.
+        :meth:`refresh` only clears a refit VM's mask rows; nothing is
+        recomputed until a batch asks for it.
         """
-        cached = self._horizon_cache.get(steps)
-        if cached is not None:
-            return cached
-        operator = self._horizon_for(self._stacked._tensor, steps)
-        self._horizon_cache[steps] = operator
-        return operator
-
-    def _horizon_for(self, tensor: np.ndarray, steps: int) -> np.ndarray:
-        """The horizon recurrence over any contiguous tensor slice.
-
-        The einsum reductions are independent along the attribute
-        axis, so running the recurrence over a slice yields the same
-        rows as running it fleet-wide — which is what lets
-        :meth:`refresh` repair one retrained VM's rows of a cached
-        operator without touching the rest.
-        """
-        a, n = tensor.shape[0], self._stacked.n_states
-        idx = np.arange(n)
-        if self._stacked.two_dependent:
-            # G[a, p0, c0, c, x]: the live path's dense combined-state
-            # matrix after each step, for every (p0, c0) start.
-            combined = np.zeros((a, n, n, n, n))
-            combined[:, :, idx, idx, :] = tensor
-            for _ in range(steps - 1):
-                combined = np.einsum(
-                    "aspc,apcx->ascx",
-                    combined.reshape(a, n * n, n, n),
-                    tensor,
-                ).reshape(a, n, n, n, n)
-            operator = combined.sum(axis=3)
+        shape = self._stacked._tensor.shape   # (A, [p0,] c0, x)
+        entry = self._horizon_cache.get(steps)
+        if entry is None:
+            total = int(np.prod(shape[:-1]))
+            entry = (np.empty((total, shape[-1])), np.zeros(total, dtype=bool))
+            self._horizon_cache[steps] = entry
+            if len(self._horizon_cache) > HORIZON_TABLES:
+                self._horizon_cache.popitem(last=False)
         else:
-            dist = tensor.copy()
-            for _ in range(steps - 1):
-                dist = np.einsum("asc,acx->asx", dist, tensor)
-            operator = dist
-        return operator
+            self._horizon_cache.move_to_end(steps)
+        table, valid = entry
+        rows = np.ravel_multi_index((sel, *bins), shape[:-1])
+        seen = valid.take(rows)
+        if not seen.all():
+            missing = np.flatnonzero(~seen)
+            table[rows[missing]] = self._stacked.predict_subset(
+                bins[:, missing], sel[missing], steps
+            )[-1]
+            valid[rows[missing]] = True
+        return table.take(rows, axis=0)
 
     def score(
         self, batch: Sequence[Tuple[str, np.ndarray, int]]
@@ -472,17 +474,13 @@ class FleetScorer:
         steps: int,
         results: List[Optional[PredictionResult]],
     ) -> None:
-        """TAN fast tier: one batched transform, one horizon-operator
+        """TAN fast tier: one batched transform, one horizon-table
         gather, and two fleet-wide classifier einsums per group."""
         fast = self._fast
         values, sel, bounds = self._gather_group(batch, positions)
         # searchsorted(side="right") == count of edges <= value.
         bins = (fast.edges[sel][None, :, :] <= values[:, :, None]).sum(axis=2)
-        operator = self._horizon_operator(steps)
-        if self._stacked.two_dependent:
-            final = operator[sel, bins[-2], bins[-1]]
-        else:
-            final = operator[sel, bins[-1]]
+        final = self._horizon_rows(steps, sel, bins)
         rel_parent = fast.rel_parent[sel]
         parent_local = rel_parent + np.repeat(
             bounds[:-1], np.diff(bounds)

@@ -393,22 +393,29 @@ class AnomalyPredictor:
             if ids.shape != (values.shape[0],):
                 raise ValueError("segment_ids must match values rows")
             segments = [np.flatnonzero(ids == seg) for seg in np.unique(ids)]
-        self.discretizer.fit(values)
-        binned = self.discretizer.transform(values)
-        self.value_models = []
+        # Fit into locals and commit together: a window that cannot be
+        # trained on must leave the previous model scoring as it did.
+        discretizer = Discretizer(
+            n_bins=self.n_bins, strategy=self.discretizer.strategy
+        ).fit(values)
+        binned = discretizer.transform(values)
+        chains: List[MarkovModel] = []
         for j in range(len(self.attributes)):
             model = self._new_markov()
             for rows in segments:
                 model.update(binned[rows, j])
-            self.value_models.append(model)
-        if not all(m._trained for m in self.value_models):
+            chains.append(model)
+        if not all(m._trained for m in chains):
             raise ValueError(
                 "training window yields no state transitions (every "
                 "segment shorter than the chain history); need longer "
                 "contiguous runs"
             )
-        self._batched = BatchedAttributeChains(self.value_models)
+        batched = BatchedAttributeChains(chains)
+        # The classifier validates before it mutates, so it goes first.
         self.classifier.fit(binned, labels)
+        self.discretizer, self.value_models = discretizer, chains
+        self._batched = batched
         self._trained = True
         self._last_values = values.copy()
         self._last_labels = labels.copy()

@@ -23,13 +23,13 @@ Classification implements Eq. (1):
 and :meth:`attribute_strengths` returns the per-attribute terms L_i of
 Eq. (2) used for metric attribution (Fig. 3).
 
-Performance notes (see ``docs/performance.md``): fit-time counting
-runs as one-hot tensor contractions instead of per-pair
-``np.add.at`` loops, and the per-attribute log-likelihood-ratio
-tables are flattened at fit time into dense ``(n_attrs, n_bins,
-n_bins)`` difference tensors so scoring is a single vectorized gather
-(hard path) or contraction (soft path).  Batch variants
-(:meth:`log_odds_batch`, :meth:`strengths_batch`,
+Performance notes (see ``docs/performance.md``): every fit-time count
+comes from one integer ``np.bincount`` over a combined ``(class, i, j,
+bin_i, bin_j)`` index, all CPTs are built in one pass, and the
+per-attribute log-likelihood-ratio tables are flattened at fit time
+into dense ``(n_attrs, n_bins, n_bins)`` difference tensors so scoring
+is a single vectorized gather (hard path) or contraction (soft path).
+Batch variants (:meth:`log_odds_batch`, :meth:`strengths_batch`,
 :meth:`expected_strengths_batch`) score many samples/horizons at
 once; the scalar methods route through them, so single-sample and
 batch results are bitwise-identical.  The pre-vectorization scoring
@@ -49,7 +49,6 @@ from repro.core.bayes import (
     ORDINAL_KERNEL_WEIGHT,
     STRENGTH_CLIP,
     NotTrainedError,
-    _class_log_prior,
     _class_log_prior_from_counts,
     check_training_data,
     ordinal_smooth,
@@ -108,14 +107,11 @@ class TANClassifier:
         # Incremental-training state.  The retained training set is
         # kept from fit() on (attribute selection averages per-sample
         # strengths, which only matches the batch fit when rescored
-        # over the full history); the pairwise sufficient statistics
-        # are big — (2, a, a, b, b) — so they are materialized lazily
-        # on the first partial_fit() rather than on every fit().
+        # over the full history); the (2, a, a, b, b) joint counts are
+        # a local of fit() and retained from the first partial_fit() on.
         self._train_X: Optional[np.ndarray] = None
         self._train_y: Optional[np.ndarray] = None
-        self._joint_counts: Optional[np.ndarray] = None   # (2, a, a, b, b)
-        self._marg_counts: Optional[np.ndarray] = None    # (2, a, b)
-        self._class_counts: Optional[np.ndarray] = None   # (2,)
+        self._joint_counts: Optional[np.ndarray] = None
         #: How many partial_fit() calls re-selected a different tree
         #: (CMI rankings changed); CPT counts accumulate in place
         #: either way.
@@ -135,70 +131,45 @@ class TANClassifier:
     # ------------------------------------------------------------------
     # Structure learning
     # ------------------------------------------------------------------
-    def _conditional_mutual_information(
-        self, X: np.ndarray, y: np.ndarray,
-        onehot: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """I(a_i; a_j | C) matrix estimated with smoothed counts.
+    def _count_joint(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Class-conditional pairwise bin counts, ``(2, a, a, b, b)``.
 
-        All pairwise joint counts come from one one-hot contraction
-        instead of a per-pair ``np.add.at`` loop; the count and term
-        arithmetic is element-for-element the same as the reference
-        implementation, and the matrix is mirrored from the upper
-        triangle exactly as the reference fills it.
+        ``[c, i, j, p, q]`` counts the class-``c`` samples with
+        ``a_i = p`` and ``a_j = q``, from one integer ``np.bincount``
+        over the combined index.  Every count the fit needs is a slice
+        of it: the diagonal blocks ``[c, i, i, p, p]`` are the
+        marginals and ``[c, parent, child]`` any tree's pair counts.
         """
-        n_attrs = X.shape[1]
-        b = self.n_bins
-        if onehot is None:
-            onehot = (X[:, :, None] == np.arange(b)).astype(float)
-        cmi = np.zeros((n_attrs, n_attrs))
-        upper = np.triu(np.ones((n_attrs, n_attrs), dtype=bool), k=1)
-        for label in (NORMAL, ABNORMAL):
-            oh = onehot[y == label]
-            if oh.shape[0] == 0:
-                continue
-            class_weight = oh.shape[0] / X.shape[0]
-            marg = oh.sum(axis=0) + self.smoothing            # (a, b)
-            marg /= marg.sum(axis=1, keepdims=True)
-            joint = np.einsum("mip,mjq->ijpq", oh, oh) + self.smoothing
-            joint /= joint.sum(axis=(2, 3), keepdims=True)
-            denom = np.einsum("ip,jq->ijpq", marg, marg)
-            terms = np.sum(
-                joint * (np.log(joint) - np.log(denom)), axis=(2, 3)
-            )
-            contribution = class_weight * np.maximum(terms, 0.0)
-            contribution = np.where(upper, contribution, 0.0)
-            cmi += contribution + contribution.T
-        return cmi
+        a, b = X.shape[1], self.n_bins
+        block = a * b * b
+        left = (y * (a * block))[:, None] + np.arange(a) * block + X * b
+        right = np.arange(a) * (b * b) + X
+        index = left[:, :, None] + right[:, None, :]
+        return np.bincount(
+            index.ravel(), minlength=2 * a * block
+        ).reshape(2, a, a, b, b)
 
-    def _conditional_mutual_information_reference(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """The pre-vectorization per-pair CMI loop (equivalence
-        reference)."""
-        n_attrs = X.shape[1]
-        b = self.n_bins
-        cmi = np.zeros((n_attrs, n_attrs))
-        for label in (NORMAL, ABNORMAL):
-            rows = X[y == label]
-            if rows.shape[0] == 0:
-                continue
-            class_weight = rows.shape[0] / X.shape[0]
-            # Per-attribute marginals under this class.
-            marg = np.empty((n_attrs, b))
-            for i in range(n_attrs):
-                counts = np.bincount(rows[:, i], minlength=b) + self.smoothing
-                marg[i] = counts / counts.sum()
-            for i in range(n_attrs):
-                for j in range(i + 1, n_attrs):
-                    joint = np.full((b, b), self.smoothing, dtype=float)
-                    np.add.at(joint, (rows[:, i], rows[:, j]), 1.0)
-                    joint /= joint.sum()
-                    denom = np.outer(marg[i], marg[j])
-                    term = float(np.sum(joint * (np.log(joint) - np.log(denom))))
-                    contribution = class_weight * max(term, 0.0)
-                    cmi[i, j] += contribution
-                    cmi[j, i] += contribution
+    def _conditional_mutual_information(self, joint: np.ndarray) -> np.ndarray:
+        """I(a_i; a_j | C) matrix from the joint counts, smoothed.
+
+        Only the ``i < j`` pairs are evaluated and the matrix is
+        mirrored from them; each pair reduces its own contiguous
+        ``b * b`` block, exactly as a lone pair would.  A class
+        without samples has weight zero.
+        """
+        a = joint.shape[1]
+        iu, ju = np.triu_indices(a, k=1)
+        class_counts = joint[:, 0, 0].sum(axis=(1, 2))
+        weight = class_counts / class_counts.sum()
+        marg = np.einsum("ciipp->cip", joint) + self.smoothing
+        marg /= marg.sum(axis=2, keepdims=True)
+        pairs = joint[:, iu, ju] + self.smoothing             # (2, P, b, b)
+        pairs /= pairs.sum(axis=(2, 3), keepdims=True)
+        denom = marg[:, iu, :, None] * marg[:, ju, None, :]
+        terms = np.sum(pairs * (np.log(pairs) - np.log(denom)), axis=(2, 3))
+        contribution = weight[:, None] * np.maximum(terms, 0.0)
+        cmi = np.zeros((a, a))
+        cmi[iu, ju] = cmi[ju, iu] = contribution[NORMAL] + contribution[ABNORMAL]
         return cmi
 
     @staticmethod
@@ -227,99 +198,92 @@ class TANClassifier:
     # ------------------------------------------------------------------
     def fit(self, X: Sequence[Sequence[int]], y: Sequence[int]) -> "TANClassifier":
         X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        n_samples, n_attrs = X.shape
-        self.n_attributes = n_attrs
+        self.n_attributes = X.shape[1]
         self._train_X = X.copy()
         self._train_y = y.copy()
-        # Pairwise statistics are rebuilt lazily on the next partial_fit.
+        # partial_fit recounts the retained history on its first call.
         self._joint_counts = None
-        self._marg_counts = None
-        self._class_counts = None
+        return self._fit_from_counts(self._count_joint(X, y), X, y)
 
-        onehot = (X[:, :, None] == np.arange(self.n_bins)).astype(float)
-        cmi = self._conditional_mutual_information(X, y, onehot)
-        self.parents = self._maximum_spanning_tree(cmi)
-
-        self._log_prior = _class_log_prior(y, self.class_prior, self.smoothing)
-
-        parent_or_self = np.where(
-            self.parents >= 0, self.parents, np.arange(n_attrs)
+    def _fit_from_counts(
+        self, joint: np.ndarray, X: np.ndarray, y: np.ndarray
+    ) -> "TANClassifier":
+        """Tree, prior, CPTs and attribute selection from the joint
+        counts of the training set ``(X, y)`` — the one copy of the fit
+        arithmetic behind :meth:`fit` and :meth:`partial_fit` (the
+        counts are integers, so accumulated chunks equal a batch
+        recount exactly)."""
+        a = self.n_attributes
+        self.parents = self._maximum_spanning_tree(
+            self._conditional_mutual_information(joint)
         )
-        # Class-conditional marginal and (parent, child) pair counts for
-        # every attribute, from one contraction per class.
-        marg_counts = np.zeros((2, n_attrs, self.n_bins))
-        pair_counts = np.zeros((2, n_attrs, self.n_bins, self.n_bins))
-        for label in (NORMAL, ABNORMAL):
-            oh = onehot[y == label]
-            if oh.shape[0]:
-                marg_counts[label] = oh.sum(axis=0)
-                pair_counts[label] = np.einsum(
-                    "map,mac->apc", oh[:, parent_or_self], oh
-                )
-        self._fit_tables(parent_or_self, marg_counts, pair_counts)
+        self._log_prior = _class_log_prior_from_counts(
+            joint[:, 0, 0].sum(axis=(1, 2)).astype(float), y.size,
+            self.class_prior, self.smoothing,
+        )
+        parent_or_self = np.where(self.parents >= 0, self.parents, np.arange(a))
+        self._fit_tables(
+            parent_or_self,
+            np.einsum("ciipp->cip", joint).astype(float),
+            joint[:, parent_or_self, np.arange(a)].astype(float),
+        )
         # Attribute selection (as in Cohen et al. [12]): keep only
         # attributes whose strengths separate the classes on the
         # training set itself.
-        self.attribute_mask = np.ones(n_attrs, dtype=bool)
+        self.attribute_mask = np.ones(a, dtype=bool)
         if self.robust:
-            sample_strengths = self._raw_strengths_batch(X)
-            self.attribute_mask = select_attributes(sample_strengths, y)
+            self.attribute_mask = select_attributes(
+                self._raw_strengths_batch(X), y
+            )
         return self
 
     def _fit_tables(
         self, parent_or_self: np.ndarray,
         marg_counts: np.ndarray, pair_counts: np.ndarray,
     ) -> None:
-        """Build the CPTs, supports and scoring tensors from raw
-        marginal/pair counts (shared by fit and partial_fit — the
-        counts are integer-valued floats, so accumulated statistics
-        produce bitwise the same tables as a batch recount)."""
-        n_attrs = self.n_attributes
-        cpts: List[np.ndarray] = []
-        supports: List[np.ndarray] = []
-        for i in range(n_attrs):
-            parent = self.parents[i]
-            marg_raw = marg_counts[:, i, :].copy()
-            if self.robust:
-                marg_raw = ordinal_smooth(marg_raw, axis=1)
-            marginal = marg_raw + self.smoothing
-            marginal /= marginal.sum(axis=1, keepdims=True)
-            if parent < 0:
-                table = marginal
-                if self.robust:
-                    supports.append(
-                        marg_raw.sum(axis=0) >= ORDINAL_KERNEL_WEIGHT
-                    )
-                else:
-                    supports.append(np.ones(self.n_bins, dtype=bool))
-            else:
-                raw = pair_counts[:, i, :, :]
-                if self.robust:
-                    raw = ordinal_smooth(ordinal_smooth(raw, axis=2), axis=1)
-                cond = raw + self.smoothing
-                cond /= cond.sum(axis=2, keepdims=True)
-                # Hierarchical shrinkage: blend each (class, parent-
-                # value) row toward the class marginal by how often the
-                # parent value was actually observed in that class.
-                row_counts = raw.sum(axis=2, keepdims=True)
-                backoff = CPT_BACKOFF if self.robust else 0.0
-                lam = row_counts / (row_counts + backoff) if backoff else 1.0
-                lam = np.broadcast_to(np.asarray(lam), cond.shape) if np.isscalar(lam) else lam
-                table = lam * cond + (1.0 - lam) * marginal[:, np.newaxis, :]
-                # Support follows the marginal: the blended evidence is
-                # meaningful wherever the child bin itself was observed.
-                if self.robust:
-                    child_support = (
-                        marg_raw.sum(axis=0) >= ORDINAL_KERNEL_WEIGHT
-                    )
-                else:
-                    child_support = np.ones(self.n_bins, dtype=bool)
-                supports.append(
-                    np.broadcast_to(child_support, (self.n_bins, self.n_bins)).copy()
-                )
-            cpts.append(np.log(table))
-        self._log_cpt = cpts
-        self._support = supports
+        """Every attribute's CPT, support and scoring tensors from the
+        raw ``(2, a, b)`` marginal and ``(2, a, parent, child)`` pair
+        counts, in one pass.
+
+        Each ``[class, attribute]`` block keeps the memory layout a
+        lone ``(2, b, b)`` table has (after the two ordinal smoothings
+        the *parent* axis is innermost), so every row sum adds in the
+        order a per-attribute build adds and the entries are bitwise
+        the same.
+        """
+        marg_raw, raw = marg_counts, pair_counts
+        if self.robust:
+            marg_raw = ordinal_smooth(marg_raw, axis=2)
+            raw = ordinal_smooth(ordinal_smooth(raw, axis=3), axis=2)
+            # Open-world support follows the marginal: evidence is
+            # meaningful wherever the child bin itself was observed.
+            observed = marg_raw.sum(axis=0) >= ORDINAL_KERNEL_WEIGHT  # (a, b)
+        else:
+            observed = np.ones(marg_raw.shape[1:], dtype=bool)
+        marginal = marg_raw + self.smoothing
+        marginal /= marginal.sum(axis=2, keepdims=True)
+        cond = raw + self.smoothing
+        cond /= cond.sum(axis=3, keepdims=True)
+        if self.robust:
+            # Hierarchical shrinkage: blend each (class, parent-value)
+            # row toward the class marginal by how often the parent
+            # value was actually observed in that class.
+            row_counts = raw.sum(axis=3, keepdims=True)
+            lam = row_counts / (row_counts + CPT_BACKOFF)
+        else:
+            lam = 1.0
+        child = np.log(lam * cond + (1.0 - lam) * marginal[:, :, np.newaxis, :])
+        root = np.log(marginal)
+        is_root = self.parents < 0
+        self._log_cpt = [
+            root[:, i] if is_root[i] else child[:, i]
+            for i in range(self.n_attributes)
+        ]
+        self._support = [
+            observed[i] if is_root[i]
+            else np.tile(observed[i], (self.n_bins, 1))
+            for i in range(self.n_attributes)
+        ]
         self._build_scoring_tensors(parent_or_self)
 
     # ------------------------------------------------------------------
@@ -330,19 +294,16 @@ class TANClassifier:
     ) -> "TANClassifier":
         """Fold additional samples into the fitted classifier.
 
-        Bitwise-identical to :meth:`fit` on the concatenated data.
-        The class/marginal/pairwise one-hot counts are integer-valued
-        float sums — exact in any accumulation order — and the CMI
-        matrix, tree, CPTs, prior and scoring tensors are recomputed
-        from those totals with the very same batch expressions.  The
-        tree is re-selected from the updated CMI each call, but its
-        structure only actually changes when the CMI rankings change
-        (tracked in :attr:`structure_changes`); otherwise the CPT
-        counts simply accumulate in place under the existing parents.
-        The incremental win is skipping the O(m·a²·b²) pairwise
-        contraction over the historical samples; attribute selection
-        still rescores the retained history because sample-mean
-        reductions are not order-independent.
+        Bitwise-identical to :meth:`fit` on the concatenated data: the
+        joint counts are integers — exact in any accumulation order —
+        and the tree, CPTs, prior and scoring tensors are recomputed
+        from the totals by the same :meth:`_fit_from_counts`.  The
+        tree is re-selected each call, but only changes when the CMI
+        rankings change (tracked in :attr:`structure_changes`).  The
+        incremental win is skipping the recount of the historical
+        samples; attribute selection still rescores the retained
+        history because sample-mean reductions are not
+        order-independent.
         """
         if not self.trained:
             return self.fit(X, y)
@@ -357,77 +318,14 @@ class TANClassifier:
                 f"expected {self.n_attributes} attributes, got {X.shape[1]}"
             )
         if self._joint_counts is None:
-            self._init_stats()
-        self._accumulate_stats(X, y)
+            self._joint_counts = self._count_joint(self._train_X, self._train_y)
+        self._joint_counts += self._count_joint(X, y)
         self._train_X = np.concatenate([self._train_X, X])
         self._train_y = np.concatenate([self._train_y, y])
-        return self._rebuild_from_stats()
-
-    def _init_stats(self) -> None:
-        """Materialize the sufficient statistics from the retained
-        history (one pairwise contraction; paid once, on the first
-        incremental update)."""
-        a, b = self.n_attributes, self.n_bins
-        self._joint_counts = np.zeros((2, a, a, b, b))
-        self._marg_counts = np.zeros((2, a, b))
-        self._class_counts = np.zeros(2)
-        self._accumulate_stats(self._train_X, self._train_y)
-
-    def _accumulate_stats(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add one chunk's one-hot class/marginal/pairwise counts."""
-        onehot = (X[:, :, None] == np.arange(self.n_bins)).astype(float)
-        for label in (NORMAL, ABNORMAL):
-            oh = onehot[y == label]
-            if oh.shape[0] == 0:
-                continue
-            self._class_counts[label] += oh.shape[0]
-            self._marg_counts[label] += oh.sum(axis=0)
-            self._joint_counts[label] += np.einsum("mip,mjq->ijpq", oh, oh)
-
-    def _rebuild_from_stats(self) -> "TANClassifier":
-        """Recompute every fitted tensor from the accumulated
-        statistics, with the batch-fit arithmetic element for
-        element."""
-        a = self.n_attributes
-        n_total = self._train_y.size
-        cmi = np.zeros((a, a))
-        upper = np.triu(np.ones((a, a), dtype=bool), k=1)
-        for label in (NORMAL, ABNORMAL):
-            n_label = self._class_counts[label]
-            if n_label == 0:
-                continue
-            class_weight = n_label / n_total
-            marg = self._marg_counts[label] + self.smoothing
-            marg /= marg.sum(axis=1, keepdims=True)
-            joint = self._joint_counts[label] + self.smoothing
-            joint /= joint.sum(axis=(2, 3), keepdims=True)
-            denom = np.einsum("ip,jq->ijpq", marg, marg)
-            terms = np.sum(
-                joint * (np.log(joint) - np.log(denom)), axis=(2, 3)
-            )
-            contribution = class_weight * np.maximum(terms, 0.0)
-            contribution = np.where(upper, contribution, 0.0)
-            cmi += contribution + contribution.T
-        parents = self._maximum_spanning_tree(cmi)
+        parents = self.parents
+        self._fit_from_counts(self._joint_counts, self._train_X, self._train_y)
         if not np.array_equal(parents, self.parents):
             self.structure_changes += 1
-        self.parents = parents
-
-        self._log_prior = _class_log_prior_from_counts(
-            self._class_counts, n_total, self.class_prior, self.smoothing
-        )
-        parent_or_self = np.where(parents >= 0, parents, np.arange(a))
-        # Pair counts for any tree are slices of the full pairwise
-        # tensor: joint[label, parent, child] — the same integers the
-        # batch einsum over the concatenated one-hots would produce.
-        pair_counts = self._joint_counts[:, parent_or_self, np.arange(a)]
-        self._fit_tables(parent_or_self, self._marg_counts, pair_counts)
-        self.attribute_mask = np.ones(a, dtype=bool)
-        if self.robust:
-            sample_strengths = self._raw_strengths_batch(self._train_X)
-            self.attribute_mask = select_attributes(
-                sample_strengths, self._train_y
-            )
         return self
 
     def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:
@@ -444,14 +342,10 @@ class TANClassifier:
         n_attrs, b = self.n_attributes, self.n_bins
         diff = np.empty((n_attrs, b, b))
         support = np.empty((n_attrs, b, b), dtype=bool)
-        for i in range(n_attrs):
-            table = self._log_cpt[i]
-            if self.parents[i] < 0:
-                diff[i] = table[ABNORMAL] - table[NORMAL]   # broadcast (b,)
-                support[i] = self._support[i]
-            else:
-                diff[i] = table[ABNORMAL] - table[NORMAL]
-                support[i] = self._support[i]
+        for i, table in enumerate(self._log_cpt):
+            # A root's (b,) row broadcasts along the parent axis.
+            diff[i] = table[ABNORMAL] - table[NORMAL]
+            support[i] = self._support[i]
         self._parent_or_self = parent_or_self
         self._diff_hard = np.where(support, diff, 0.0)
         self._diff_soft = np.where(

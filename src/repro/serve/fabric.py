@@ -62,6 +62,7 @@ from repro.serve.protocol import (
     MAX_BATCH_SAMPLES,
     PROTOCOL_VERSION,
     ProtocolError,
+    check_steps,
     decode_line,
     encode_message,
 )
@@ -113,6 +114,9 @@ class FabricConfig:
     compact_factor: int = 8
     #: supervision policy
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
+
+    def __post_init__(self) -> None:
+        check_steps(self.steps)
 
 
 def shard_ring(

@@ -7,7 +7,8 @@ directions.  Requests carry an ``op``:
     ``{"op": "sample", "vm": "web-0", "values": [...], "id": 7,
     "steps": 4}`` — one metric vector for one VM.  ``id`` (optional)
     is echoed in the reply so clients can correlate out-of-band;
-    ``steps`` (optional) overrides the service's look-ahead.
+    ``steps`` (optional, at most :data:`MAX_STEPS`) overrides the
+    service's look-ahead.
 ``observe``
     Same shape as ``sample`` but the vector only extends the VM's
     trailing history — it is never scored.  This is how the serving
@@ -46,7 +47,9 @@ from typing import Dict, List, Union
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_BATCH_SAMPLES",
+    "MAX_STEPS",
     "ProtocolError",
+    "check_steps",
     "decode_line",
     "encode_message",
 ]
@@ -64,6 +67,11 @@ BATCHABLE_OPS = frozenset({"sample", "observe"})
 
 #: Hard cap on ``samples`` per ``batch`` request.
 MAX_BATCH_SAMPLES = 1024
+
+#: Deepest look-ahead a request or a service default may ask for.  A
+#: horizon-table miss runs ``steps`` contractions inside the event
+#: loop, so the wire bounds it; the paper's windows are tens of steps.
+MAX_STEPS = 256
 
 
 class ProtocolError(ValueError):
@@ -109,6 +117,17 @@ def decode_line(line: Union[str, bytes]) -> Dict:
     return message
 
 
+def check_steps(steps: object) -> None:
+    """Raise :class:`ProtocolError` unless ``steps`` is an integer in
+    ``[1, MAX_STEPS]`` (requests and service defaults alike)."""
+    if isinstance(steps, bool) or not isinstance(steps, int) or not (
+        1 <= steps <= MAX_STEPS
+    ):
+        raise ProtocolError(
+            f"'steps' must be an integer in [1, {MAX_STEPS}], got {steps!r}"
+        )
+
+
 def _validate_sample(message: Dict) -> None:
     vm = message.get("vm")
     if not isinstance(vm, str) or not vm:
@@ -127,10 +146,8 @@ def _validate_sample(message: Dict) -> None:
             raise ProtocolError(f"sample value {v!r} is not finite")
         floats.append(f)
     message["values"] = floats
-    steps = message.get("steps")
-    if steps is not None:
-        if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-            raise ProtocolError(f"'steps' must be a positive integer, got {steps!r}")
+    if message.get("steps") is not None:
+        check_steps(message["steps"])
 
 
 def _validate_batch(message: Dict) -> None:

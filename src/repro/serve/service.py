@@ -56,6 +56,7 @@ from repro.serve.alarms import AlarmManager
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    check_steps,
     decode_line,
     encode_message,
 )
@@ -85,6 +86,9 @@ class ServiceConfig:
     #: seconds a connection may sit idle before it is closed as
     #: half-open (0 disables the timeout)
     read_timeout: float = 900.0
+
+    def __post_init__(self) -> None:
+        check_steps(self.steps)
 
 
 class _BatchReply:

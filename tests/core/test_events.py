@@ -1,12 +1,23 @@
 """Tests for the controller event log."""
 
+import inspect
+import re
+
 import pytest
 
-from repro.core.events import ControllerEvent, EventLog
+from repro.core import controller
+from repro.core.events import KINDS, ControllerEvent, EventLog
 from repro.experiments import ExperimentConfig, RUBIS
 from repro.experiments.scenarios import build_testbed, make_fault
 from repro.experiments.schemes import deploy_scheme
 from repro.faults import FaultKind
+
+
+def test_kinds_lists_exactly_what_the_controller_emits():
+    emitted = re.findall(
+        r'\.emit\(\s*[^,]+,\s*"(\w+)"', inspect.getsource(controller)
+    )
+    assert set(emitted) == set(KINDS) and len(set(KINDS)) == len(KINDS) == 11
 
 
 class TestEventLog:

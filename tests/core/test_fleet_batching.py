@@ -124,7 +124,7 @@ class TestIncrementalRefresh:
         predictors, traces = _make_fleet()
         scorer = FleetScorer(predictors)
         batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
-        scorer.score(batch)  # populate the horizon-operator cache
+        scorer.score(batch)  # fill horizon-table rows
 
         # Refit one VM on different data (new chain/classifier tensors).
         refit = "vm2"
@@ -184,7 +184,7 @@ class TestIncrementalRefresh:
 
         scorer = FleetScorer(predictors)
         batch = [(vm, traces[vm][0][50:60], 4) for vm in sorted(predictors)]
-        scorer.score(batch)  # populate the horizon-operator cache
+        scorer.score(batch)  # fill horizon-table rows
 
         updated = "vm2"
         values, labels = traces[updated]
@@ -235,6 +235,53 @@ class TestIncrementalRefresh:
         for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
             _assert_result_equal(got, predictors[vm].predict(recent, steps))
         assert scorer.stacked and scorer._fast is None
+
+    def test_failed_retrain_keeps_the_old_model(self):
+        """A window with no state transitions raises out of ``train``;
+        the predictor must go on scoring with the model it had, and
+        the scorer stacked over it must not notice anything."""
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        victim = predictors["vm1"]
+        recent = traces["vm1"][50:60]
+        before = victim.predict(recent, 4), victim.classify_current(recent[-1])
+        held = victim.discretizer, list(victim.value_models)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="no state transitions"):
+            # Re-cut bins, one-row segments: nothing to count.
+            victim.train(
+                40.0 + 9.0 * rng.normal(size=(60, N_ATTRS)),
+                [0, 1] * 30, segment_ids=np.arange(60),
+            )
+        assert victim.trained
+        assert victim.discretizer is held[0]
+        assert victim.value_models == held[1]
+        assert before == (
+            victim.predict(recent, 4), victim.classify_current(recent[-1])
+        )
+        assert scorer.stacked
+        _assert_result_equal(scorer.score([("vm1", recent, 4)])[0], before[0])
+        _assert_result_equal(
+            scorer.classify_batch([("vm1", recent[-1])])[0], before[1]
+        )
+
+    def test_swapped_classifier_object_is_stale(self):
+        """Current means the objects the predictor holds *now*: a
+        classifier swapped in behind an untouched chain stack must not
+        be answered from the retired classifier's tensors."""
+        predictors, traces = _make_fleet(n_vms=2)
+        scorer = FleetScorer(predictors)
+        swapped = predictors["vm0"]
+        values = traces["vm0"][:200]
+        swapped.classifier = NaiveBayesClassifier(n_bins=swapped.n_bins).fit(
+            swapped.discretizer.transform(values),
+            (values[:, 0] > np.median(values[:, 0])).astype(int),
+        )
+        assert swapped.classifier.attribute_mask.any()
+        recent = values[50:60]
+        _assert_result_equal(
+            scorer.score([("vm0", recent, 4)])[0], swapped.predict(recent, 4)
+        )
 
     def test_refresh_without_stack_is_false(self):
         # Mixed chain variants cannot stack into one fleet operator;

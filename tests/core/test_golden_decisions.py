@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.core.events import KINDS, EventLog
 from repro.experiments.runner import ExperimentConfig, run_experiment
 from repro.faults.base import FaultKind
 
@@ -131,8 +132,18 @@ def describe_mismatch(name, result) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
-def test_decisions_match_golden_digest(name):
+def test_decisions_match_golden_digest(name, monkeypatch):
+    recorded = set()
+    emit = EventLog.emit
+
+    def recording_emit(log, timestamp, kind, *args, **detail):
+        recorded.add(kind)
+        emit(log, timestamp, kind, *args, **detail)
+
+    monkeypatch.setattr(EventLog, "emit", recording_emit)
     result = run_cell(name)
+    # The event vocabulary is closed: every kind a cell records is declared.
+    assert recorded and recorded <= set(KINDS), recorded - set(KINDS)
     # Guard against a vacuous pin: every cell must actually act, and
     # chaos must actually have reached the loop.
     assert result.actions

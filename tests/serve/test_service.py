@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from repro.core.predictor import AnomalyPredictor
+from repro.serve.fabric import FabricConfig
 from repro.serve.protocol import (
     MAX_BATCH_SAMPLES,
+    MAX_STEPS,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_line,
@@ -81,6 +83,21 @@ class TestProtocol:
                       {"steps": "four"}):
             with pytest.raises(ProtocolError):
                 decode_line(encode_message({**base, **patch}))
+
+    def test_steps_are_bounded_on_the_wire_and_in_configs(self):
+        base = {"op": "sample", "vm": "a", "values": [1.0]}
+        assert decode_line(encode_message({**base, "steps": MAX_STEPS}))
+        for message in (
+            {**base, "steps": MAX_STEPS + 1},
+            {"op": "batch", "samples": [{**base, "steps": 1_000_000}]},
+        ):
+            with pytest.raises(ProtocolError, match=str(MAX_STEPS)):
+                decode_line(encode_message(message))
+        for config in (ServiceConfig, FabricConfig):
+            assert config(steps=MAX_STEPS).steps == MAX_STEPS
+            for bad in (0, MAX_STEPS + 1, 4.0):
+                with pytest.raises(ProtocolError, match=str(MAX_STEPS)):
+                    config(steps=bad)
 
     def test_rejects_nul_bytes(self):
         with pytest.raises(ProtocolError, match="NUL"):
@@ -389,6 +406,25 @@ class TestPredictionService:
 
         reply = run_service_test(scenario, predictors)
         assert reply["kind"] == "error"
+
+    def test_unbounded_steps_refused_and_connection_survives(self):
+        """``{"op":"sample","steps":1000000}`` used to build a
+        million-step operator inside the event loop."""
+        predictors, traces = make_fleet(1)
+
+        async def scenario(service, sock):
+            async with _Client(sock) as client:
+                row = [float(v) for v in traces["vm0"][0]]
+                refused = await asyncio.wait_for(client.request({
+                    "op": "sample", "vm": "vm0", "values": row,
+                    "steps": 1_000_000,
+                }), timeout=5.0)
+                return refused, await client.request({"op": "ping"})
+
+        refused, pong = run_service_test(scenario, predictors)
+        assert refused["kind"] == "error"
+        assert str(MAX_STEPS) in refused["error"]
+        assert pong["kind"] == "pong"
 
     def test_observe_extends_history_without_scoring(self):
         predictors, traces = make_fleet(1)
