@@ -368,8 +368,8 @@ class PrepareController:
     # ------------------------------------------------------------------
     def _on_samples(self, batch: List[MetricSample]) -> None:
         now = self._sim.now
-        batch = self._sanitize_batch(batch, now)
         with self.obs.span(STAGE_INGEST) as span:
+            batch = self._sanitize_batch(batch, now)
             for sample in batch:
                 buffer = self.buffers.get(sample.vm)
                 if buffer is not None:
@@ -568,15 +568,15 @@ class PrepareController:
         # aligned majority and leave the lagging VM out rather than
         # feeding the localizer misaligned label rows.
         ref_len = max(sizes)
-        per_vm_values: Dict[str, np.ndarray] = {}
-        labels = None
-        for name, buffer in self.buffers.items():
-            if len(buffer) != ref_len:
-                continue
-            X, y, _t = buffer.matrices()
-            per_vm_values[name] = X
-            labels = y  # identical across VMs (same SLO log + timestamps)
-        if labels is None or not labels.any() or labels.all():
+        per_vm_values = {
+            name: buffer.recent_values(ref_len)
+            for name, buffer in self.buffers.items()
+            if len(buffer) == ref_len
+        }
+        # Aligned buffers share one timestamp vector (imputed rows take
+        # the batch's timestamp), so the SLO labels resolve once.
+        _X, labels, _t = self.buffers[next(iter(per_vm_values))].matrices()
+        if not labels.any() or labels.all():
             return
         per_vm_allocations = {
             name: self.buffers[name].allocations() for name in per_vm_values
@@ -954,7 +954,6 @@ class PrepareController:
         return dataclasses.replace(result, strengths=mean)
 
     def _watch_action(self, action: PreventionAction, now: float) -> None:
-        buffer = self.buffers[action.vm]
         column = self._metric_column(action.vm, action.metric)
         self.validator.watch(action, column, now)
 

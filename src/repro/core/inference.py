@@ -19,7 +19,7 @@ citing the PAL localization work [13]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -46,12 +46,26 @@ def detect_change_point(
     values = np.asarray(window, dtype=float)
     if values.ndim != 1 or values.size < min_samples:
         return False
-    half = values.size // 2
-    first, second = values[:half], values[half:]
-    pooled = np.sqrt(0.5 * (first.var() + second.var()))
-    scale = max(pooled, 1e-3 * max(abs(values.mean()), 1.0))
-    shift = abs(second.mean() - first.mean())
-    return bool(shift > threshold * scale / np.sqrt(half))
+    return bool(_mean_shift(values, threshold))
+
+
+def _mean_shift(columns: np.ndarray, threshold: float) -> np.ndarray:
+    """The half-split mean-shift test along the last (time) axis.
+
+    ``columns`` must keep time innermost and contiguous: every
+    reduction then sums one 1-D run pairwise, exactly as a lone column
+    does, so a stacked ``(component, attribute, time)`` array decides
+    bitwise what each column would alone.  The ``np.where`` forms are
+    Python's ``max(a, b)`` (``a`` unless ``b > a``), NaN included.
+    """
+    half = columns.shape[-1] // 2
+    first, second = columns[..., :half], columns[..., half:]
+    pooled = np.sqrt(0.5 * (first.var(axis=-1) + second.var(axis=-1)))
+    level = np.abs(columns.mean(axis=-1))
+    floor = 1e-3 * np.where(1.0 > level, 1.0, level)
+    scale = np.where(floor > pooled, floor, pooled)
+    shift = np.abs(second.mean(axis=-1) - first.mean(axis=-1))
+    return shift > threshold * scale / np.sqrt(half)
 
 
 @dataclass(frozen=True)
@@ -140,20 +154,21 @@ def _fraction_changed(
 
     Returns -1.0 (never passes a fraction test) when there are no
     windows or any window is too short/misshapen — a partial view must
-    not be mistaken for fleet-wide agreement.
+    not be mistaken for fleet-wide agreement.  Windows of one shape are
+    scanned together as one ``(component, attribute, time)`` stack.
     """
     if not recent_windows:
         return -1.0
-    changed = 0
+    groups: Dict[Tuple[int, ...], List[np.ndarray]] = {}
     for window in recent_windows.values():
         matrix = np.asarray(window, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] < min_samples:
             return -1.0
-        if any(
-            detect_change_point(matrix[:, j], threshold)
-            for j in range(matrix.shape[1])
-        ):
-            changed += 1
+        groups.setdefault(matrix.shape, []).append(matrix)
+    changed = 0
+    for group in groups.values():
+        columns = np.ascontiguousarray(np.stack(group).transpose(0, 2, 1))
+        changed += int(_mean_shift(columns, threshold).any(axis=1).sum())
     return changed / len(recent_windows)
 
 

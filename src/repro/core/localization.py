@@ -13,7 +13,8 @@ each contiguous violation epoch it scores every VM by how far its
 metric means deviate from that VM's own normal profile (in units of
 the normal-period spread) and implicates the VMs whose deviation is
 within a factor of the most deviant one.  Samples of non-implicated
-VMs keep their *normal* label for that epoch.
+VMs keep their *normal* label for that epoch.  Each epoch is scored for
+the whole fleet at once, from one ``(vm, rows, attr)`` block.
 """
 
 from __future__ import annotations
@@ -24,21 +25,54 @@ import numpy as np
 
 __all__ = ["DeviationLocalizer", "violation_epochs"]
 
+#: Samples before an epoch where the onset scan starts.
+ONSET_LEAD = 24
+
 
 def violation_epochs(y: np.ndarray) -> List[Tuple[int, int]]:
     """Half-open index ranges [start, end) of contiguous ``y == 1`` runs."""
-    y = np.asarray(y, dtype=np.intp)
-    epochs: List[Tuple[int, int]] = []
-    start = None
-    for i, label in enumerate(y):
-        if label and start is None:
-            start = i
-        elif not label and start is not None:
-            epochs.append((start, i))
-            start = None
-    if start is not None:
-        epochs.append((start, len(y)))
-    return epochs
+    flags = np.asarray(y, dtype=np.intp) != 0
+    padded = np.concatenate(([False], flags, [False])).view(np.int8)
+    edges = np.flatnonzero(np.diff(padded)).tolist()
+    return list(zip(edges[::2], edges[1::2]))
+
+
+def _mean_std(rows: np.ndarray, keep) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-VM mean/std over axis 1 of a ``(vm, rows, attr)`` block.
+
+    ``keep`` is True or a ``(vm, rows)`` mask of the rows that count.
+    ``attr`` stays innermost, so each VM's column sums add its rows
+    sequentially — what ``matrix[kept].mean(axis=0)`` does for one VM.
+    """
+    if keep is True:
+        count = rows.shape[1]
+    else:
+        count = keep.sum(axis=1)[:, np.newaxis]
+        keep = keep[:, :, np.newaxis]
+    mean = np.add.reduce(rows, axis=1, where=keep) / count
+    dev = rows - mean[:, np.newaxis, :]
+    dev *= dev
+    return mean, np.sqrt(np.add.reduce(dev, axis=1, where=keep) / count)
+
+
+def _floor(mean: np.ndarray) -> np.ndarray:
+    """Relative scale floor: a flat metric must not make noise astronomic."""
+    return 1e-3 * np.maximum(np.abs(mean), 1.0)
+
+
+def _deviation(epoch, reference) -> np.ndarray:
+    """Max-over-attributes z of epoch means against reference stats."""
+    (epoch_mean, epoch_std), (mean, std) = epoch, reference
+    scale = np.maximum(np.maximum(std, epoch_std), _floor(mean))
+    return (np.abs(epoch_mean - mean) / scale).max(axis=-1)
+
+
+def _same_allocation(alloc: np.ndarray, at: int) -> np.ndarray:
+    """``(vm, rows)`` mask: rows within 2 % of each VM's allocation at
+    row ``at`` (``max(a, 1e-9)`` spelled so NaN behaves as in Python)."""
+    base = alloc[:, at, np.newaxis]
+    tol = 0.02 * np.where(1e-9 > base, 1e-9, base)
+    return np.abs(alloc - base) <= tol
 
 
 class DeviationLocalizer:
@@ -103,14 +137,8 @@ class DeviationLocalizer:
         """
         if epoch_values.size == 0:
             return 0.0
-        epoch_mean = epoch_values.mean(axis=0)
-        epoch_std = epoch_values.std(axis=0)
-        scale = np.maximum(
-            np.maximum(normal_std, epoch_std),
-            1e-3 * np.maximum(np.abs(normal_mean), 1.0),
-        )
-        z = np.abs(epoch_mean - normal_mean) / scale
-        return float(z.max())
+        epoch = _mean_std(np.asarray(epoch_values)[np.newaxis], True)
+        return float(_deviation(epoch, (normal_mean, normal_std))[0])
 
     def localize(
         self,
@@ -146,66 +174,25 @@ class DeviationLocalizer:
                     f"{name}: {matrix.shape[0]} samples vs {labels.shape[0]} labels"
                 )
             matrices[name] = matrix
-        out = {name: np.zeros_like(labels) for name in names}
+        out = dict(zip(names, np.zeros((len(names), labels.size), np.intp)))
         epochs = violation_epochs(labels)
         if not epochs:
             return out
 
+        allocations = None if per_vm_allocations is None else [
+            per_vm_allocations[name] for name in names
+        ]
         for start, end in epochs:
-            # Reference: a window shortly before the epoch, separated
-            # by a gap that skips the gradual pre-violation build-up.
-            # This is deliberately *local* (a change-point view, as in
-            # PAL [13]): global normal statistics would mix
-            # measurements from different allocation regimes and
-            # dilute the z-score of exactly the VM that was recently
-            # scaled.
-            ref_end = max(0, start - self.reference_gap)
-            ref_start = max(0, ref_end - self.reference_window)
-            scores = {}
-            ref_stats: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
-            for name in names:
-                matrix = matrices[name]
-                # Slices (views) replace the original arange-based fancy
-                # indexing wherever no allocation filter applies — the
-                # selected rows, and therefore every statistic, are
-                # identical either way.
-                epoch_vals = matrix[start:end]
-                reference = matrix[ref_start:ref_end]
-                if per_vm_allocations is not None:
-                    cpu, mem = per_vm_allocations[name]
-                    cpu0, mem0 = cpu[start], mem[start]
-                    cpu_tol = 0.02 * max(cpu0, 1e-9)
-                    mem_tol = 0.02 * max(mem0, 1e-9)
-                    same = (
-                        np.abs(cpu[start:end] - cpu0) <= cpu_tol
-                    ) & (np.abs(mem[start:end] - mem0) <= mem_tol)
-                    if same.any() and not same.all():
-                        epoch_vals = epoch_vals[same]
-                    ref_same = (
-                        np.abs(cpu[ref_start:ref_end] - cpu0) <= cpu_tol
-                    ) & (np.abs(mem[ref_start:ref_end] - mem0) <= mem_tol)
-                    if ref_same.sum() >= 3 and not ref_same.all():
-                        reference = reference[ref_same]
-                if reference.shape[0] < 3:
-                    scores[name] = float("inf")
-                    ref_stats[name] = None
-                else:
-                    ref_stats[name] = (
-                        reference.mean(axis=0), reference.std(axis=0)
-                    )
-                    scores[name] = self.deviation_score(
-                        epoch_vals, *ref_stats[name]
-                    )
+            score_row, onset_row = self._epoch_evidence(
+                list(matrices.values()), allocations, start, end
+            )
+            scores = dict(zip(names, score_row.tolist()))
             # Propagation awareness (the heart of PAL [13]): the root
             # cause manifests *before* the components it starves, so
             # among sufficiently deviant VMs prefer the earliest onset.
-            onsets = {
-                name: self._onset_index(
-                    matrices[name], ref_stats[name], start, end
-                )
-                for name in names
+            finite = {
+                n: o for n, o in zip(names, onset_row.tolist()) if o >= 0
             }
-            finite = {n: o for n, o in onsets.items() if o is not None}
             if finite:
                 earliest = min(finite.values())
                 implicated = [
@@ -243,7 +230,7 @@ class DeviationLocalizer:
                     out[name][start:end] = 1
                     continue
                 mean, std = profile
-                scale = np.maximum(std, 1e-3 * np.maximum(np.abs(mean), 1.0))
+                scale = np.maximum(std, _floor(mean))
                 z = np.abs(matrices[name][start:end] - mean) / scale
                 per_sample = z.max(axis=1)
                 # Gate relative to the epoch's own peak: a sample whose
@@ -271,29 +258,69 @@ class DeviationLocalizer:
         rows = matrix[normal]
         return rows.mean(axis=0), rows.std(axis=0)
 
-    def _onset_index(
+    def _epoch_evidence(
         self,
-        matrix: np.ndarray,
-        ref: Optional[Tuple[np.ndarray, np.ndarray]],
+        matrices: Sequence[np.ndarray],
+        allocations: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]],
         start: int,
         end: int,
-        lead: int = 24,
-    ) -> Optional[int]:
-        """First index with a sustained deviation near the epoch.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Deviation score and onset index (-1: none) of every VM.
 
-        Scans from ``lead`` samples before the epoch (faults manifest
-        in system metrics before the SLO breaks) to the epoch's end;
-        returns the first index where the per-sample max-z against the
-        reference stays above :attr:`onset_threshold` for two
-        consecutive samples, or ``None``.
+        One ``(vm, rows, attr)`` block holds the rows the epoch needs:
+        the reference window, the onset scan and the epoch itself.
         """
-        if ref is None:
-            return None
-        mean, std = ref
-        scale = np.maximum(std, 1e-3 * np.maximum(np.abs(mean), 1.0))
-        scan_start = max(0, start - lead)
-        z = np.abs(matrix[scan_start:end] - mean) / scale
-        above = z.max(axis=1) > self.onset_threshold
-        sustained = above[:-1] & above[1:]
-        hits = np.flatnonzero(sustained)
-        return int(scan_start + hits[0]) if hits.size else None
+        # Reference: a window shortly before the epoch, separated by a
+        # gap that skips the gradual pre-violation build-up.  This is
+        # deliberately *local* (a change-point view, as in PAL [13]):
+        # global normal statistics would mix measurements from
+        # different allocation regimes and dilute the z-score of
+        # exactly the VM that was recently scaled.
+        ref_end = max(0, start - self.reference_gap)
+        ref_start = max(0, ref_end - self.reference_window)
+        if ref_end - ref_start < 3:
+            n_vms = len(matrices)
+            return np.full(n_vms, np.inf), np.full(n_vms, -1)
+        # The onset scan starts ONSET_LEAD samples early: faults
+        # manifest in system metrics before the SLO breaks.
+        scan_start = max(0, start - ONSET_LEAD)
+        lo = min(ref_start, scan_start)
+        shape = (len(matrices), end - lo, -1)
+        block = np.concatenate([m[lo:end] for m in matrices]).reshape(shape)
+        ref_rows = slice(ref_start - lo, ref_end - lo)
+        ref_keep = epoch_keep = True
+        if allocations is not None:
+            # Evidence counts only under the epoch's *starting*
+            # allocation — where enough rows of it are left to count.
+            cpu, mem = (
+                np.concatenate([pair[k][lo:end] for pair in allocations])
+                .reshape(shape[:2])
+                for k in (0, 1)
+            )
+            same = _same_allocation(cpu, start - lo) & _same_allocation(
+                mem, start - lo
+            )
+            epoch_same, ref_same = same[:, start - lo:], same[:, ref_rows]
+            epoch_keep = epoch_same | ~epoch_same.any(axis=1)[:, np.newaxis]
+            ref_keep = ref_same | (ref_same.sum(axis=1) < 3)[:, np.newaxis]
+        mean, std = reference = _mean_std(block[:, ref_rows], ref_keep)
+        scores = _deviation(
+            _mean_std(block[:, start - lo:], epoch_keep), reference
+        )
+        # Onset: the first row whose max-z against the reference stays
+        # above onset_threshold for two consecutive samples.  The z
+        # block is laid out (attr, vm, rows) so the max — exact in any
+        # order — runs over whole planes, not 13-element rows.
+        scale = np.maximum(std, _floor(mean)).T[:, :, np.newaxis]
+        z = np.subtract(
+            block[:, scan_start - lo:].transpose(2, 0, 1),
+            mean.T[:, :, np.newaxis], order="C",
+        )
+        z = np.abs(z, out=z)
+        z /= scale
+        above = np.maximum.reduce(z, axis=0) > self.onset_threshold
+        sustained = above[:, :-1] & above[:, 1:]
+        onsets = np.where(
+            sustained.any(axis=1), scan_start + sustained.argmax(axis=1), -1
+        )
+        return scores, onsets

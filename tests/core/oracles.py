@@ -1,13 +1,20 @@
-"""The loops the refit path replaced, kept verbatim as test oracles.
+"""The loops the refit and diagnosis paths replaced, kept verbatim as
+test oracles.
 
 ``src/`` counts with one integer ``np.bincount`` and fills the horizon
 table lazily; these are the one-hot TAN fit, the per-pair CMI, the
 per-attribute naive-Bayes counts and the eager k-step horizon operator
 as they stood before.  ``test_refit_kernels.py`` demands bitwise
 equality with them.
+
+``src/`` scans change points as one ``(component, attribute, time)``
+stack and scores each violation epoch from one ``(vm, rows, attr)``
+block; the per-column scan, the per-VM localizer epoch loop and the
+looped ``violation_epochs`` below are what it replaced.
+``test_diagnosis_kernels.py`` demands bitwise equality with them.
 """
 
-from typing import List
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from repro.core.bayes import (
     ordinal_smooth,
     select_attributes,
 )
+from repro.core.localization import DeviationLocalizer
 from repro.core.tan import CPT_BACKOFF, TANClassifier
 
 
@@ -193,3 +201,211 @@ def oracle_horizon_operator(tensor, steps, n, two_dependent) -> np.ndarray:
     for _ in range(steps - 1):
         dist = np.einsum("asc,acx->asx", dist, tensor)
     return dist
+
+
+# ----------------------------------------------------------------------
+# Diagnosis path
+# ----------------------------------------------------------------------
+def oracle_detect_change_point(
+    window: np.ndarray, threshold: float = 4.5, min_samples: int = 6
+) -> bool:
+    values = np.asarray(window, dtype=float)
+    if values.ndim != 1 or values.size < min_samples:
+        return False
+    half = values.size // 2
+    first, second = values[:half], values[half:]
+    pooled = np.sqrt(0.5 * (first.var() + second.var()))
+    scale = max(pooled, 1e-3 * max(abs(values.mean()), 1.0))
+    shift = abs(second.mean() - first.mean())
+    return bool(shift > threshold * scale / np.sqrt(half))
+
+
+def oracle_boundary(column: np.ndarray) -> float:
+    """The threshold at which ``oracle_detect_change_point`` flips for
+    this column, in the oracle's own arithmetic."""
+    values = np.asarray(column, dtype=float)
+    half = values.size // 2
+    first, second = values[:half], values[half:]
+    pooled = np.sqrt(0.5 * (first.var() + second.var()))
+    scale = max(pooled, 1e-3 * max(abs(values.mean()), 1.0))
+    shift = abs(second.mean() - first.mean())
+    return float(shift * np.sqrt(half) / scale)
+
+
+def oracle_fraction_changed(
+    recent_windows: Mapping[str, np.ndarray],
+    threshold: float,
+    min_samples: int,
+) -> float:
+    if not recent_windows:
+        return -1.0
+    changed = 0
+    for window in recent_windows.values():
+        matrix = np.asarray(window, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] < min_samples:
+            return -1.0
+        if any(
+            oracle_detect_change_point(matrix[:, j], threshold)
+            for j in range(matrix.shape[1])
+        ):
+            changed += 1
+    return changed / len(recent_windows)
+
+
+def oracle_violation_epochs(y: np.ndarray) -> List[Tuple[int, int]]:
+    y = np.asarray(y, dtype=np.intp)
+    epochs: List[Tuple[int, int]] = []
+    start = None
+    for i, label in enumerate(y):
+        if label and start is None:
+            start = i
+        elif not label and start is not None:
+            epochs.append((start, i))
+            start = None
+    if start is not None:
+        epochs.append((start, len(y)))
+    return epochs
+
+
+class LoopLocalizer(DeviationLocalizer):
+    """:class:`DeviationLocalizer` with the per-VM epoch loop it used to
+    have.  ``evidence`` records each epoch's ``(scores, onsets)``; the
+    implicated-VM labelling (``_normal_profile``) is inherited."""
+
+    @staticmethod
+    def deviation_score(
+        epoch_values: np.ndarray,
+        normal_mean: np.ndarray,
+        normal_std: np.ndarray,
+    ) -> float:
+        if epoch_values.size == 0:
+            return 0.0
+        epoch_mean = epoch_values.mean(axis=0)
+        epoch_std = epoch_values.std(axis=0)
+        scale = np.maximum(
+            np.maximum(normal_std, epoch_std),
+            1e-3 * np.maximum(np.abs(normal_mean), 1.0),
+        )
+        z = np.abs(epoch_mean - normal_mean) / scale
+        return float(z.max())
+
+    def localize(
+        self,
+        per_vm_values: Mapping[str, np.ndarray],
+        labels: np.ndarray,
+        per_vm_allocations: Optional[
+            Mapping[str, Tuple[np.ndarray, np.ndarray]]
+        ] = None,
+    ) -> Dict[str, np.ndarray]:
+        self.evidence = []
+        labels = np.asarray(labels, dtype=np.intp)
+        names = list(per_vm_values)
+        matrices = {}
+        for name in names:
+            matrix = np.asarray(per_vm_values[name], dtype=float)
+            if matrix.shape[0] != labels.shape[0]:
+                raise ValueError(
+                    f"{name}: {matrix.shape[0]} samples vs {labels.shape[0]} labels"
+                )
+            matrices[name] = matrix
+        out = {name: np.zeros_like(labels) for name in names}
+        epochs = oracle_violation_epochs(labels)
+        if not epochs:
+            return out
+
+        for start, end in epochs:
+            ref_end = max(0, start - self.reference_gap)
+            ref_start = max(0, ref_end - self.reference_window)
+            scores = {}
+            ref_stats: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+            for name in names:
+                matrix = matrices[name]
+                epoch_vals = matrix[start:end]
+                reference = matrix[ref_start:ref_end]
+                if per_vm_allocations is not None:
+                    cpu, mem = per_vm_allocations[name]
+                    cpu0, mem0 = cpu[start], mem[start]
+                    cpu_tol = 0.02 * max(cpu0, 1e-9)
+                    mem_tol = 0.02 * max(mem0, 1e-9)
+                    same = (
+                        np.abs(cpu[start:end] - cpu0) <= cpu_tol
+                    ) & (np.abs(mem[start:end] - mem0) <= mem_tol)
+                    if same.any() and not same.all():
+                        epoch_vals = epoch_vals[same]
+                    ref_same = (
+                        np.abs(cpu[ref_start:ref_end] - cpu0) <= cpu_tol
+                    ) & (np.abs(mem[ref_start:ref_end] - mem0) <= mem_tol)
+                    if ref_same.sum() >= 3 and not ref_same.all():
+                        reference = reference[ref_same]
+                if reference.shape[0] < 3:
+                    scores[name] = float("inf")
+                    ref_stats[name] = None
+                else:
+                    ref_stats[name] = (
+                        reference.mean(axis=0), reference.std(axis=0)
+                    )
+                    scores[name] = self.deviation_score(
+                        epoch_vals, *ref_stats[name]
+                    )
+            onsets = {
+                name: self._onset_index(
+                    matrices[name], ref_stats[name], start, end
+                )
+                for name in names
+            }
+            self.evidence.append((scores, onsets))
+            finite = {n: o for n, o in onsets.items() if o is not None}
+            if finite:
+                earliest = min(finite.values())
+                implicated = [
+                    n for n, o in finite.items()
+                    if o <= earliest + self.onset_slack
+                    and scores[n] >= self.min_score
+                ]
+                if not implicated:
+                    implicated = [min(finite, key=finite.get)]
+            else:
+                top = max(scores.values())
+                if top < self.min_score or not np.isfinite(top):
+                    implicated = [n for n, s in scores.items() if s == top]
+                else:
+                    implicated = [
+                        n for n, s in scores.items()
+                        if s >= self.share_of_max * top and s >= self.min_score
+                    ]
+            for name in implicated:
+                profile = self._normal_profile(
+                    matrices[name], labels,
+                    None if per_vm_allocations is None
+                    else (per_vm_allocations[name], start),
+                )
+                if profile is None:
+                    out[name][start:end] = 1
+                    continue
+                mean, std = profile
+                scale = np.maximum(std, 1e-3 * np.maximum(np.abs(mean), 1.0))
+                z = np.abs(matrices[name][start:end] - mean) / scale
+                per_sample = z.max(axis=1)
+                cutoff = max(self.min_score, 0.1 * float(per_sample.max()))
+                deviant = per_sample >= cutoff
+                out[name][start:end] = deviant.astype(out[name].dtype)
+        return out
+
+    def _onset_index(
+        self,
+        matrix: np.ndarray,
+        ref: Optional[Tuple[np.ndarray, np.ndarray]],
+        start: int,
+        end: int,
+        lead: int = 24,
+    ) -> Optional[int]:
+        if ref is None:
+            return None
+        mean, std = ref
+        scale = np.maximum(std, 1e-3 * np.maximum(np.abs(mean), 1.0))
+        scan_start = max(0, start - lead)
+        z = np.abs(matrix[scan_start:end] - mean) / scale
+        above = z.max(axis=1) > self.onset_threshold
+        sustained = above[:-1] & above[1:]
+        hits = np.flatnonzero(sustained)
+        return int(scan_start + hits[0]) if hits.size else None
