@@ -3,10 +3,12 @@
 :class:`ChaosEngine` turns a :class:`~repro.chaos.policies.ChaosSpec`
 into live misbehaviour inside one simulated run:
 
-* it intercepts the monitor's sample delivery
+* it intercepts the monitor's block delivery
   (:meth:`~repro.sim.monitor.VMMonitor.set_delivery_interceptor`) to
-  drop whole batches, delay them (FIFO — late but never reordered),
-  corrupt individual attributes to NaN, and black out single VMs;
+  drop whole rounds, delay them (FIFO — late but never reordered),
+  corrupt individual attributes to NaN, and black out single VMs; it
+  degrades a copy of each block, so the monitor's trace keeps what was
+  measured;
 * it installs a verb-fate oracle on the hypervisor
   (:meth:`~repro.sim.hypervisor.Hypervisor.set_verb_chaos`) so scale
   and migrate calls can be rejected, lose their completion, or finish
@@ -23,7 +25,7 @@ counted in the ``prepare_chaos_events_total`` metric family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,7 +35,7 @@ from repro.obs import NULL_OBS
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
-from repro.sim.monitor import ATTRIBUTES, MetricSample, VMMonitor
+from repro.sim.monitor import ATTRIBUTES, SampleBlock, VMMonitor
 from repro.sim.resources import RESOURCE_EPSILON, ResourceSpec
 
 __all__ = ["ChaosEngine", "ChaosEvent"]
@@ -75,8 +77,8 @@ class ChaosEngine:
             "Infrastructure faults injected by the chaos engine", ("kind",))
         #: Per-VM monitor-blackout end times (sim seconds).
         self._blackout_until: Dict[str, float] = {}
-        #: Release time of the most recently delayed batch — later
-        #: batches are never delivered before it (FIFO delivery).
+        #: Release time of the most recently delayed round — later
+        #: rounds are never delivered before it (FIFO delivery).
         self._last_release = 0.0
         self._flapping: Dict[str, ResourceSpec] = {}
 
@@ -86,7 +88,7 @@ class ChaosEngine:
     def attach(self, monitor: Optional[VMMonitor], cluster: Optional[Cluster]) -> None:
         """Install every enabled policy onto the run's components."""
         if monitor is not None and self.spec.metric.enabled:
-            monitor.set_delivery_interceptor(self._intercept_batch)
+            monitor.set_delivery_interceptor(self._intercept_block)
         if cluster is not None and self.spec.verbs.enabled:
             cluster.hypervisor.set_verb_chaos(self)
         if cluster is not None and self.spec.hosts.enabled:
@@ -111,35 +113,44 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Metric-stream degradation
     # ------------------------------------------------------------------
-    def _intercept_batch(
+    def _intercept_block(
         self,
-        batch: List[MetricSample],
-        dispatch: Callable[[List[MetricSample]], None],
+        block: SampleBlock,
+        dispatch: Callable[[SampleBlock], None],
     ) -> None:
+        """Degrade one round on its way to the listeners.
+
+        The rolls come in the per-sample order: the round's drop roll,
+        then for each present row a blackout roll and a corrupt roll,
+        then the round's delay roll.
+        """
         policy = self.spec.metric
         now = self._sim.now
         rng = self._metric_rng
         if policy.drop_batch_rate > 0.0 and rng.random() < policy.drop_batch_rate:
-            self._note("batch_dropped", f"{len(batch)} samples at t={now:g}")
+            self._note(
+                "batch_dropped", f"{int(block.present.sum())} samples at t={now:g}"
+            )
             return
-        out: List[MetricSample] = []
-        for sample in batch:
-            blacked = self._blackout_until.get(sample.vm, -1.0) > now
+        out = block.copy()
+        for i in np.flatnonzero(out.present).tolist():
+            vm = out.vms[i]
+            blacked = self._blackout_until.get(vm, -1.0) > now
             if not blacked and policy.blackout_rate > 0.0:
                 if rng.random() < policy.blackout_rate:
-                    self._blackout_until[sample.vm] = now + policy.blackout_duration
+                    self._blackout_until[vm] = now + policy.blackout_duration
                     self._note(
                         "blackout_start",
-                        f"{sample.vm} until t={now + policy.blackout_duration:g}",
+                        f"{vm} until t={now + policy.blackout_duration:g}",
                     )
                     blacked = True
             if blacked:
+                out.present[i] = False
                 continue
             if policy.corrupt_rate > 0.0 and rng.random() < policy.corrupt_rate:
-                sample = self._corrupt(sample, rng)
-            out.append(sample)
-        # An all-blacked-out round still delivers an (empty) batch: the
-        # controller's imputation keeps its per-VM buffers aligned.
+                self._corrupt(out, i, rng)
+        # An all-blacked-out round is still delivered (nothing present):
+        # the controller's imputation keeps its training windows aligned.
         delay = 0.0
         if policy.delay_rate > 0.0 and rng.random() < policy.delay_rate:
             delay = policy.delay_seconds
@@ -154,17 +165,16 @@ class ChaosEngine:
             )
 
     def _corrupt(
-        self, sample: MetricSample, rng: np.random.Generator
-    ) -> MetricSample:
+        self, block: SampleBlock, row: int, rng: np.random.Generator
+    ) -> None:
+        """Set 1..``corrupt_attributes`` of one row's values to NaN."""
         count = int(rng.integers(1, self.spec.metric.corrupt_attributes + 1))
         picked = rng.choice(len(ATTRIBUTES), size=min(count, len(ATTRIBUTES)),
                             replace=False)
-        values = dict(sample.values)
-        names = [ATTRIBUTES[i] for i in sorted(int(i) for i in picked)]
-        for name in names:
-            values[name] = float("nan")
-        self._note("sample_corrupted", f"{sample.vm}: {', '.join(names)}")
-        return replace(sample, values=values)
+        columns = sorted(int(i) for i in picked)
+        block.values[row, columns] = np.nan
+        names = [ATTRIBUTES[j] for j in columns]
+        self._note("sample_corrupted", f"{block.vms[row]}: {', '.join(names)}")
 
     # ------------------------------------------------------------------
     # Hypervisor verb fates (oracle installed via set_verb_chaos)

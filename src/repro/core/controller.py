@@ -2,8 +2,9 @@
 
 Wires the four modules of Fig. 1 together on the monitoring cadence:
 
-1. **VM monitoring** delivers a batch of per-VM samples every sampling
-   interval; each lands in that VM's labelled training buffer.
+1. **VM monitoring** delivers one ``(vm, attr)`` block of samples every
+   sampling interval; it lands as one column of the fleet's labelled
+   training ring.
 2. **Online anomaly prediction** — once models are trained, each VM's
    predictor classifies the Markov-predicted state one look-ahead
    window ahead; raw alerts stream through the per-VM k-of-W filter.
@@ -48,7 +49,7 @@ from repro.core.events import EventLog
 from repro.core.filtering import DEFAULT_K, DEFAULT_W, MajorityVoteFilter
 from repro.core.fleet import FleetScorer
 from repro.core.inference import CauseInference, Diagnosis, DriftDetector
-from repro.core.labeling import TrainingBuffer
+from repro.core.labeling import TrainingBuffer, TrainingRing
 from repro.core.localization import DeviationLocalizer, violation_epochs
 from repro.core.predictor import AnomalyPredictor, PredictionResult
 from repro.obs import (
@@ -63,7 +64,7 @@ from repro.obs import (
 )
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
-from repro.sim.monitor import ATTRIBUTES, MetricSample, VMMonitor
+from repro.sim.monitor import ATTRIBUTES, SampleBlock, VMMonitor
 
 __all__ = ["PrepareConfig", "PrepareController", "AlertRecord"]
 
@@ -222,9 +223,15 @@ class PrepareController:
         self._alarm_kinds: Dict[str, str] = {}
 
         vm_names = [vm.name for vm in app.vms]
-        self.buffers: Dict[str, TrainingBuffer] = {
-            name: TrainingBuffer(app.slo, self.attributes) for name in vm_names
-        }
+        #: The fleet's training windows: one ring, one row per VM per
+        #: monitoring round, and a :class:`TrainingBuffer` view per VM.
+        self._ring = TrainingRing(app.slo, vm_names, self.attributes)
+        self.buffers: Dict[str, TrainingBuffer] = self._ring.buffers()
+        self._index = {name: i for i, name in enumerate(vm_names)}
+        #: Ring row of each row of the last block layout seen (-1: not
+        #: a managed VM); None when the block lists the ring's VMs.
+        self._block_vms: Optional[Tuple[str, ...]] = None
+        self._block_rows: Optional[np.ndarray] = None
         self.predictors: Dict[str, AnomalyPredictor] = {
             name: AnomalyPredictor(
                 self.attributes,
@@ -303,13 +310,11 @@ class PrepareController:
         self._rounds = 0
         self._violated_ticks = 0
         self._attached = False
-        # -- graceful-degradation state (engages only on NaN/missing
-        # samples, so a clean run never touches it) -------------------
-        #: Timestamp of each VM's last *real* (non-imputed) sample.
-        self._last_real: Dict[str, float] = {}
-        #: Last-known-good attribute values / allocations per VM.
-        self._last_values: Dict[str, Dict[str, float]] = {}
-        self._last_alloc: Dict[str, Tuple[float, float]] = {}
+        # -- graceful-degradation state -------------------------------
+        #: Timestamp of each VM's last *real* (non-imputed) sample, in
+        #: ring order (NaN: none yet).  The last-known-good values and
+        #: allocations are the ring's newest row.
+        self._last_real = np.full(len(vm_names), np.nan)
         #: Flat degradation counters, merged into run telemetry.
         self.resilience_stats: Dict[str, int] = {
             "imputed_samples": 0,
@@ -347,7 +352,7 @@ class PrepareController:
         """Subscribe to the monitor's sample stream."""
         if self._attached:
             raise RuntimeError("controller already attached")
-        self.monitor.add_listener(self._on_samples)
+        self.monitor.add_listener(self._on_block)
         self._attached = True
 
     @property
@@ -366,16 +371,9 @@ class PrepareController:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _on_samples(self, batch: List[MetricSample]) -> None:
+    def _on_block(self, block: SampleBlock) -> None:
         now = self._sim.now
-        with self.obs.span(STAGE_INGEST) as span:
-            batch = self._sanitize_batch(batch, now)
-            for sample in batch:
-                buffer = self.buffers.get(sample.vm)
-                if buffer is not None:
-                    buffer.append(sample)
-            span.set("samples", len(batch))
-        self._m_samples.inc(len(batch))
+        self._ingest(block, now)
         self._rounds += 1
         self._refresh_suppressions(now)
 
@@ -444,80 +442,86 @@ class PrepareController:
     # ------------------------------------------------------------------
     # Degraded-input handling (chaos: NaN corruption, monitor blackouts)
     # ------------------------------------------------------------------
-    def _sanitize_batch(
-        self, batch: List[MetricSample], now: float
-    ) -> List[MetricSample]:
-        """Repair a degraded batch so every VM buffer stays aligned.
+    def _ingest(self, block: SampleBlock, now: float) -> None:
+        """Land one round in the training ring as one column.
+
+        A clean round — every managed VM present with finite values —
+        is one assignment per ring array.  Anything else goes through
+        :meth:`_ingest_degraded`.
+        """
+        with self.obs.span(STAGE_INGEST) as span:
+            if block.vms is not self._block_vms:
+                self._block_vms = block.vms
+                self._block_rows = None if block.vms == self._ring.vms else (
+                    np.array([self._index.get(n, -1) for n in block.vms],
+                             dtype=np.intp)
+                )
+            if (
+                self._block_rows is None
+                and block.present.all()
+                and np.isfinite(block.values).all()
+            ):
+                self._last_real.fill(block.timestamp)
+                self._ring.push(
+                    block.timestamp, block.values, block.cpu, block.mem, False
+                )
+                count = len(block.vms)
+            else:
+                count = self._ingest_degraded(block, now)
+            span.set("samples", count)
+        self._m_samples.inc(count)
+
+    def _ingest_degraded(self, block: SampleBlock, now: float) -> int:
+        """Repair a degraded round so every VM's window stays aligned.
 
         NaN-corrupted attributes are replaced with the VM's last-known-
-        good values; VMs missing from the batch entirely (monitor
-        blackout) get a synthesized sample at the batch's timestamp.
-        Repaired/synthesized rows are flagged ``imputed`` — training
-        excludes them, and the staleness bound
-        (:attr:`PrepareConfig.imputation_max_staleness`) governs when
-        prediction stops trusting the imputed stream.  A VM that has
-        never delivered a real sample cannot be imputed; its buffer
-        simply lags and :meth:`_retrain` leaves it out.
+        good values; VMs missing from the round (monitor blackout) get
+        their last-known-good row again, at the round's timestamp — or
+        at delivery time when nothing arrived.  Repaired and repeated
+        rows are flagged imputed: training excludes them, and the
+        staleness bound (:attr:`PrepareConfig.imputation_max_staleness`)
+        governs when prediction stops trusting the imputed stream.  A
+        VM that has never delivered a sample cannot be imputed; it gets
+        no row, its window lags, and :meth:`_retrain` leaves it out.
+        Returns the samples ingested: the round's present rows plus the
+        repeated ones.
         """
-        ts = batch[0].timestamp if batch else now
-        out: List[MetricSample] = []
-        seen = set()
-        buffers = self.buffers
-        last_values = self._last_values
-        for sample in batch:
-            vm = sample.vm
-            if vm in buffers:
-                seen.add(vm)
-                # A C-level sum is non-finite iff any addend is (NaN
-                # propagates; +/-inf cannot cancel to a finite value and
-                # the bounded metric ranges cannot overflow), so one
-                # isfinite on the sum replaces a per-attribute scan.
-                if math.isfinite(sum(sample.values.values())):
-                    self._last_real[vm] = sample.timestamp
-                else:
-                    last = last_values.get(vm, {})
-                    fixed = {
-                        name: value if math.isfinite(value)
-                        else last.get(name, 0.0)
-                        for name, value in sample.values.items()
-                    }
-                    sample = dataclasses.replace(
-                        sample, values=fixed, imputed=True
-                    )
-                    self.resilience_stats["imputed_samples"] += 1
-                    self._m_imputed.inc(vm=vm)
-                # Sample value dicts are never mutated after delivery,
-                # so last-known-good can alias them instead of copying
-                # 13 entries per VM per tick.
-                last_values[vm] = sample.values
-                self._last_alloc[vm] = (
-                    sample.cpu_allocated, sample.mem_allocated_mb
-                )
-            out.append(sample)
-        for name in self.buffers:
-            if name in seen:
-                continue
-            last = self._last_values.get(name)
-            if last is None:
-                continue  # no real contact yet: nothing to impute from
-            cpu, mem = self._last_alloc[name]
-            out.append(
-                MetricSample(
-                    vm=name, timestamp=ts, values=dict(last),
-                    cpu_allocated=cpu, mem_allocated_mb=mem,
-                    stale=True, imputed=True,
-                )
-            )
+        ring = self._ring
+        names = ring.vms
+        rows = self._block_rows
+        if rows is None:
+            rows = np.arange(len(names))
+        had_rows = ring.has_rows()
+        values, cpu, mem = ring.latest()
+        mine = block.present & (rows >= 0)
+        idx = rows[mine]
+        fresh = block.values[mine]
+        finite = np.isfinite(fresh).all(axis=1)
+        for j in np.flatnonzero(~finite).tolist():
+            broken = ~np.isfinite(fresh[j])
+            fresh[j, broken] = values[idx[j], broken]
             self.resilience_stats["imputed_samples"] += 1
-            self._m_imputed.inc(vm=name)
-        return out
+            self._m_imputed.inc(vm=names[idx[j]])
+        values[idx] = fresh
+        cpu[idx] = block.cpu[mine]
+        mem[idx] = block.mem[mine]
+        self._last_real[idx[finite]] = block.timestamp
+        missing = had_rows.copy()
+        missing[idx] = False
+        for i in np.flatnonzero(missing).tolist():
+            self.resilience_stats["imputed_samples"] += 1
+            self._m_imputed.inc(vm=names[i])
+        imputed = missing.copy()
+        imputed[idx] = ~finite
+        had_rows[idx] = True
+        timestamp = block.timestamp if block.present.any() else now
+        ring.push(timestamp, values, cpu, mem, imputed, rows=had_rows)
+        return int(block.present.sum()) + int(missing.sum())
 
     def _blacked_out(self, name: str, now: float) -> bool:
-        last_real = self._last_real.get(name)
-        return (
-            last_real is not None
-            and now - last_real > self.config.imputation_max_staleness
-        )
+        # NaN (no real sample yet) compares False: never blacked out.
+        last_real = self._last_real[self._index[name]]
+        return now - last_real > self.config.imputation_max_staleness
 
     # ------------------------------------------------------------------
     # Post-operation alert suppression
@@ -560,29 +564,30 @@ class PrepareController:
         as abnormal — the rest keep a normal label and therefore never
         alert for someone else's fault.
         """
-        sizes = {len(buffer) for buffer in self.buffers.values()}
-        if not sizes or max(sizes) < self.config.min_training_samples:
+        ring = self._ring
+        lengths = ring.lengths()
+        if not lengths.size or lengths.max() < self.config.min_training_samples:
             return
-        # Imputation keeps buffers aligned, but a VM blacked out since
-        # before its first real sample has a shorter buffer — train the
+        # Imputation keeps windows aligned, but a VM blacked out since
+        # before its first real sample has a shorter window — train the
         # aligned majority and leave the lagging VM out rather than
         # feeding the localizer misaligned label rows.
-        ref_len = max(sizes)
-        per_vm_values = {
-            name: buffer.recent_values(ref_len)
-            for name, buffer in self.buffers.items()
-            if len(buffer) == ref_len
-        }
-        # Aligned buffers share one timestamp vector (imputed rows take
-        # the batch's timestamp), so the SLO labels resolve once.
-        _X, labels, _t = self.buffers[next(iter(per_vm_values))].matrices()
+        ref_len = int(lengths.max())
+        aligned = np.flatnonzero(lengths == ref_len)
+        names = [ring.vms[i] for i in aligned]
+        # Aligned windows are the same ring columns and share the time
+        # vector, so the SLO labels resolve once and the localizer reads
+        # one (vm, rows, attr) block — a view when no VM lags.
+        _X, labels, _t = self.buffers[names[0]].matrices()
         if not labels.any() or labels.all():
             return
-        per_vm_allocations = {
-            name: self.buffers[name].allocations() for name in per_vm_values
-        }
-        per_vm_labels = self.localizer.localize(
-            per_vm_values, labels, per_vm_allocations=per_vm_allocations
+        vms = slice(None) if aligned.size == lengths.size else aligned
+        window = slice(ring.end - ref_len, ring.end)
+        block = ring.values[vms, window]
+        per_vm_values = dict(zip(names, block))
+        per_vm_labels = self.localizer.localize_block(
+            names, block, labels,
+            allocations=(ring.cpu[vms, window], ring.mem[vms, window]),
         )
         for name, y_vm in per_vm_labels.items():
             if not y_vm.any():
@@ -775,24 +780,18 @@ class PrepareController:
         """
         epoch_len, gap, ref_len = 4, 4, 12
         needed = epoch_len + gap + ref_len
-        names: List[str] = []
-        windows: List[np.ndarray] = []
-        for name, buffer in self.buffers.items():
-            values = buffer.recent_values(needed)
-            if values.shape[0] < needed:
-                # A VM that joined late (or lost samples) cannot be
-                # diagnosed yet — but it must not disable the
-                # fallback for the whole cluster: skip it, diagnose
-                # the rest.
-                continue
-            names.append(name)
-            windows.append(values)
-        if not names:
+        ring = self._ring
+        # A VM that joined late (or lost samples) cannot be diagnosed
+        # yet — but it must not disable the fallback for the whole
+        # cluster: skip it, diagnose the rest.
+        ready = np.flatnonzero(ring.lengths() >= needed)
+        if not ready.size:
             return {}
-        # One stacked (n_vms, window, attrs) reduction; each VM's
-        # reduction keeps its own axis, so every z row is what that
-        # VM's window alone would give.
-        stacked = np.stack(windows)
+        names = [ring.vms[i] for i in ready]
+        # One (n_vms, window, attrs) block; each VM's reduction keeps
+        # its own axis, so every z row is what that VM's window alone
+        # would give.
+        stacked = ring.values[ready, ring.end - needed:ring.end]
         reference = stacked[:, :ref_len, :]
         epoch = stacked[:, -epoch_len:, :]
         scale = np.maximum(

@@ -2,34 +2,39 @@
 
 "PREPARE supports automatic runtime data labeling by matching the
 timestamps of system-level metric measurements and SLO violation
-logs."  :class:`TrainingBuffer` accumulates one VM's metric samples and
-pairs each with the application's SLO state at the sample's timestamp,
+logs."  A :class:`TrainingRing` accumulates a fleet's measured rows and
+pairs each with the application's SLO state at the row's timestamp,
 yielding the labelled matrices the supervised models train on.
 
-Samples are immutable once appended, so the buffer keeps per-sample
-derived state (value vector, timestamp, allocations, imputed flag) in
-contiguous numpy arrays filled at append time.  A retrain then reads
-its matrices as array *views* instead of re-walking every sample's
-value dict and re-stacking 2000 rows — at campaign scale that rebuild
-(50 VMs x 2000 samples x 13 attributes, every retrain round) used to
-dominate the whole run.  The storage is a grow-and-compact window:
-rows append at the tail, the window start slides forward on eviction,
-and when the tail hits physical capacity the live window is copied
-back to the front (amortized O(1) per append).  Views handed out are
-consumed synchronously within a controller tick, before any later
-append can compact the storage under them.
+The ring holds the whole fleet in contiguous arrays: values
+``(vm, 2 * max_samples, attr)``, allocation and imputed flags
+``(vm, 2 * max_samples)``, and one time vector shared by every VM — a
+monitoring round is one column for all of them, ingested with one
+assignment per array.  A VM's rows run from its first contact to the
+shared tail, so each VM's window is a C-contiguous ``[i, lo:hi]``
+slice, and VMs with windows of one length share one ``[:, lo:hi]``
+block.  Storage is grow-and-compact: rows append at the tail, a window
+holds at most ``max_samples`` rows, and when the tail hits physical
+capacity the live rows are copied back to the front (amortized O(1)
+per round).  A :class:`TrainingBuffer` is one VM's view of a ring; a
+standalone buffer is a one-VM ring.  Views handed out are consumed
+synchronously within a controller tick, before any later round can
+compact the storage under them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.slo import SLOTracker
 from repro.sim.monitor import ATTRIBUTES, MetricSample
 
-__all__ = ["TrainingBuffer", "label_samples"]
+__all__ = ["TrainingBuffer", "TrainingRing", "label_samples"]
+
+#: First-row marker of a VM that has no rows yet.
+_NO_ROWS = 1 << 62
 
 
 def label_samples(
@@ -54,14 +59,138 @@ def label_samples(
     return X, y, t
 
 
+class TrainingRing:
+    """Sliding labelled training windows of a fleet, one row per VM per
+    round.
+
+    :meth:`push` appends one round.  Every VM that already has rows gets
+    a row in every later round (the controller imputes what did not
+    arrive), so each VM's rows are a contiguous run ending at the shared
+    tail; a VM's run starts at its first row.  Labels are resolved
+    lazily, so late-arriving SLO records still label earlier rows
+    correctly.
+    """
+
+    def __init__(
+        self,
+        slo: SLOTracker,
+        vms: Sequence[str],
+        attributes: Sequence[str] = ATTRIBUTES,
+        max_samples: int = 2000,
+    ) -> None:
+        if max_samples < 2:
+            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
+        self.slo = slo
+        self.vms: Tuple[str, ...] = tuple(vms)
+        self.attributes = tuple(attributes)
+        self.max_samples = max_samples
+        n_vms, capacity = len(self.vms), 2 * max_samples
+        self.values = np.empty((n_vms, capacity, len(self.attributes)))
+        self.times = np.empty(capacity)
+        self.cpu = np.empty((n_vms, capacity))
+        self.mem = np.empty((n_vms, capacity))
+        self.imputed = np.empty((n_vms, capacity), dtype=bool)
+        #: One past the newest row, shared by every VM.
+        self.end = 0
+        self._first = [_NO_ROWS] * n_vms
+        self._waiting = n_vms > 0
+
+    def push(
+        self,
+        timestamp: float,
+        values: np.ndarray,
+        cpu: np.ndarray,
+        mem: np.ndarray,
+        imputed,
+        rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Append one round: row ``i`` of each argument goes to VM ``i``.
+
+        ``rows`` marks the VMs that get a row (``None``: all of them);
+        it must include every VM that already has rows.  The other
+        VMs' rows are written but never read.
+        """
+        end = self.end
+        if end == self.times.shape[0]:
+            end = self._compact()
+        self.values[:, end] = values
+        self.times[end] = timestamp
+        self.cpu[:, end] = cpu
+        self.mem[:, end] = mem
+        self.imputed[:, end] = imputed
+        if self._waiting:
+            first = self._first
+            joined = range(len(first)) if rows is None else np.flatnonzero(rows)
+            for i in joined:
+                if first[i] == _NO_ROWS:
+                    first[i] = end
+            self._waiting = _NO_ROWS in first
+        self.end = end + 1
+
+    def _compact(self) -> int:
+        """Copy the newest ``max_samples`` rows back to the front.
+
+        Only called with the tail at physical capacity (``2 *
+        max_samples``), where the rows kept cannot overlap their
+        destination.  Returns the new tail.
+        """
+        shift = self.end - self.max_samples
+        kept = slice(shift, self.end)
+        n = self.max_samples
+        self.values[:, :n] = self.values[:, kept]
+        self.times[:n] = self.times[kept]
+        self.cpu[:, :n] = self.cpu[:, kept]
+        self.mem[:, :n] = self.mem[:, kept]
+        self.imputed[:, :n] = self.imputed[:, kept]
+        self._first = [
+            f if f == _NO_ROWS else max(f - shift, 0) for f in self._first
+        ]
+        self.end = n
+        return n
+
+    def window(self, i: int) -> Tuple[int, int]:
+        """``(lo, hi)`` ring rows of VM ``i``'s current window."""
+        end = self.end
+        lo = max(self._first[i], end - self.max_samples)
+        return min(lo, end), end
+
+    def lengths(self) -> np.ndarray:
+        """Rows in each VM's window."""
+        end = self.end
+        first = np.array(self._first)
+        return np.clip(end - np.maximum(first, end - self.max_samples), 0, None)
+
+    def has_rows(self) -> np.ndarray:
+        """Which VMs have a row yet."""
+        return np.array(self._first) != _NO_ROWS
+
+    def latest(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the newest row's ``(values, cpu, mem)``, zero for
+        VMs without rows."""
+        newest = self.end - 1  # before the first round every VM is blank
+        blank = ~self.has_rows()
+        out = (self.values[:, newest].copy(), self.cpu[:, newest].copy(),
+               self.mem[:, newest].copy())
+        for column in out:
+            column[blank] = 0.0
+        return out
+
+    def buffers(self) -> Dict[str, "TrainingBuffer"]:
+        """One :class:`TrainingBuffer` view per VM."""
+        return {
+            name: TrainingBuffer.view(self, i) for i, name in enumerate(self.vms)
+        }
+
+
 class TrainingBuffer:
     """Sliding labelled-training-set for one VM's prediction model.
 
-    Samples are appended as monitoring delivers them; labels are
-    resolved lazily at :meth:`matrices` time so late-arriving SLO
-    records still label earlier samples correctly.  ``max_samples``
-    bounds memory (oldest samples are dropped), matching the paper's
-    periodically-updated models.
+    A view of one VM's row of a :class:`TrainingRing`; constructed
+    directly it owns a one-VM ring and fills through :meth:`append`.
+    Labels are resolved lazily at :meth:`matrices` time so
+    late-arriving SLO records still label earlier samples correctly.
+    ``max_samples`` bounds memory (oldest samples are dropped), matching
+    the paper's periodically-updated models.
     """
 
     def __init__(
@@ -70,84 +199,60 @@ class TrainingBuffer:
         attributes: Sequence[str] = ATTRIBUTES,
         max_samples: int = 2000,
     ) -> None:
-        if max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
-        self._slo = slo
-        self.attributes = tuple(attributes)
-        self.max_samples = max_samples
-        # Contiguous storage, twice the window so eviction is a pointer
-        # bump and compaction (copying the live window to the front)
-        # amortizes to O(1) per append.
-        capacity = 2 * max_samples
-        n_attrs = len(self.attributes)
-        self._values_buf = np.empty((capacity, n_attrs))
-        self._times_buf = np.empty(capacity)
-        self._cpu_buf = np.empty(capacity)
-        self._mem_buf = np.empty(capacity)
-        self._imputed_buf = np.empty(capacity, dtype=bool)
-        self._start = 0
-        self._end = 0
+        self._bind(TrainingRing(slo, ("",), attributes, max_samples), 0)
+
+    @classmethod
+    def view(cls, ring: TrainingRing, index: int) -> "TrainingBuffer":
+        """VM ``index``'s window of ``ring``."""
+        buffer = cls.__new__(cls)
+        buffer._bind(ring, index)
+        return buffer
+
+    def _bind(self, ring: TrainingRing, index: int) -> None:
+        self._ring = ring
+        self._i = index
+        self._slo = ring.slo
+        self.attributes = ring.attributes
+        self.max_samples = ring.max_samples
 
     def __len__(self) -> int:
-        return self._end - self._start
+        lo, hi = self._ring.window(self._i)
+        return hi - lo
 
     def append(self, sample: MetricSample) -> None:
-        if self._end == self._values_buf.shape[0]:
-            self._compact()
-        i = self._end
-        self._values_buf[i] = sample.vector(self.attributes)
-        self._times_buf[i] = sample.timestamp
-        self._cpu_buf[i] = sample.cpu_allocated
-        self._mem_buf[i] = sample.mem_allocated_mb
-        self._imputed_buf[i] = sample.imputed
-        self._end = i + 1
-        if self._end - self._start > self.max_samples:
-            self._start = self._end - self.max_samples
-
-    def _compact(self) -> None:
-        """Copy the live window back to the front of the storage.
-
-        Only triggered with the tail at physical capacity, where the
-        window (at most ``max_samples`` rows of a ``2 * max_samples``
-        buffer) cannot overlap its destination.
-        """
-        n = self._end - self._start
-        sl = slice(self._start, self._end)
-        self._values_buf[:n] = self._values_buf[sl]
-        self._times_buf[:n] = self._times_buf[sl]
-        self._cpu_buf[:n] = self._cpu_buf[sl]
-        self._mem_buf[:n] = self._mem_buf[sl]
-        self._imputed_buf[:n] = self._imputed_buf[sl]
-        self._start = 0
-        self._end = n
+        """Add one sample to a standalone (one-VM) buffer."""
+        if len(self._ring.vms) != 1:
+            raise TypeError(
+                "append() fills a standalone buffer; a fleet ring "
+                "ingests whole rounds through TrainingRing.push"
+            )
+        self._ring.push(
+            sample.timestamp, sample.vector(self.attributes),
+            sample.cpu_allocated, sample.mem_allocated_mb, sample.imputed,
+        )
 
     def recent_values(self, count: int) -> np.ndarray:
         """Value matrix of the most recent ``count`` samples (a view)."""
+        lo, hi = self._ring.window(self._i)
         if count > 0:
-            lo = max(self._start, self._end - count)
+            lo = max(lo, hi - count)
         else:
             # Mirror list[-count:] semantics for the degenerate cases
             # (0 selects the whole window).
-            lo = min(self._end, self._start - count)
-        return self._values_buf[lo:self._end]
+            lo = min(hi, lo - count)
+        return self._ring.values[self._i, lo:hi]
 
     def matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Labelled ``(X, y, t)`` for everything currently buffered."""
-        if self._end == self._start:
-            return (
-                np.empty((0, len(self.attributes))),
-                np.empty(0, dtype=np.intp),
-                np.empty(0),
-            )
-        X = self._values_buf[self._start:self._end]
-        t = self._times_buf[self._start:self._end]
+        lo, hi = self._ring.window(self._i)
+        t = self._ring.times[lo:hi]
         y = self._slo.violated_at_many(t).astype(np.intp)
-        return X, y, t
+        return self._ring.values[self._i, lo:hi], y, t
 
     def allocations(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-sample (CPU cores, memory MB) allocations at sample time."""
-        sl = slice(self._start, self._end)
-        return self._cpu_buf[sl], self._mem_buf[sl]
+        lo, hi = self._ring.window(self._i)
+        return self._ring.cpu[self._i, lo:hi], self._ring.mem[self._i, lo:hi]
 
     def regime_mask(
         self, cpu_allocated: float, mem_allocated_mb: float,
@@ -174,12 +279,12 @@ class TrainingBuffer:
         (controller last-known-good repair) rather than measured —
         training must exclude them, or frozen repeats of one reading
         masquerade as a stable regime."""
-        return self._imputed_buf[self._start:self._end]
+        lo, hi = self._ring.window(self._i)
+        return self._ring.imputed[self._i, lo:hi]
 
     def has_both_classes(self) -> bool:
         """True once the buffer holds normal *and* abnormal samples —
         the precondition for training the supervised classifier."""
-        if self._end == self._start:
-            return False
-        y = self._slo.violated_at_many(self._times_buf[self._start:self._end])
+        lo, hi = self._ring.window(self._i)
+        y = self._slo.violated_at_many(self._ring.times[lo:hi])
         return bool(y.any()) and bool((~y).any())

@@ -166,25 +166,54 @@ class DeviationLocalizer:
         """
         labels = np.asarray(labels, dtype=np.intp)
         names = list(per_vm_values)
-        matrices = {}
+        matrices = []
         for name in names:
             matrix = np.asarray(per_vm_values[name], dtype=float)
             if matrix.shape[0] != labels.shape[0]:
                 raise ValueError(
                     f"{name}: {matrix.shape[0]} samples vs {labels.shape[0]} labels"
                 )
-            matrices[name] = matrix
+            matrices.append(matrix)
+        if not names:
+            return {}
+        allocations = None if per_vm_allocations is None else tuple(
+            np.stack([per_vm_allocations[name][k] for name in names])
+            for k in (0, 1)
+        )
+        return self.localize_block(
+            names, np.stack(matrices), labels, allocations
+        )
+
+    def localize_block(
+        self,
+        names: Sequence[str],
+        values: np.ndarray,
+        labels: np.ndarray,
+        allocations: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """:meth:`localize` over one ``(vm, rows, attr)`` block.
+
+        Row ``k`` of ``values`` belongs to ``names[k]``; ``allocations``
+        is the matching ``(cpu, mem)`` pair of ``(vm, rows)`` arrays.
+        Each epoch reads a ``[:, lo:end]`` slice of the block.
+        """
+        labels = np.asarray(labels, dtype=np.intp)
+        if values.shape[1] != labels.shape[0]:
+            raise ValueError(
+                f"{values.shape[1]} samples vs {labels.shape[0]} labels"
+            )
         out = dict(zip(names, np.zeros((len(names), labels.size), np.intp)))
         epochs = violation_epochs(labels)
         if not epochs:
             return out
 
-        allocations = None if per_vm_allocations is None else [
-            per_vm_allocations[name] for name in names
-        ]
+        matrices = dict(zip(names, values))
+        per_vm_allocations = None if allocations is None else dict(
+            zip(names, zip(*allocations))
+        )
         for start, end in epochs:
             score_row, onset_row = self._epoch_evidence(
-                list(matrices.values()), allocations, start, end
+                values, allocations, start, end
             )
             scores = dict(zip(names, score_row.tolist()))
             # Propagation awareness (the heart of PAL [13]): the root
@@ -260,15 +289,16 @@ class DeviationLocalizer:
 
     def _epoch_evidence(
         self,
-        matrices: Sequence[np.ndarray],
-        allocations: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]],
+        values: np.ndarray,
+        allocations: Optional[Tuple[np.ndarray, np.ndarray]],
         start: int,
         end: int,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Deviation score and onset index (-1: none) of every VM.
 
-        One ``(vm, rows, attr)`` block holds the rows the epoch needs:
-        the reference window, the onset scan and the epoch itself.
+        One ``[:, lo:end]`` slice of the ``(vm, rows, attr)`` block holds
+        the rows the epoch needs: the reference window, the onset scan
+        and the epoch itself.
         """
         # Reference: a window shortly before the epoch, separated by a
         # gap that skips the gradual pre-violation build-up.  This is
@@ -279,24 +309,19 @@ class DeviationLocalizer:
         ref_end = max(0, start - self.reference_gap)
         ref_start = max(0, ref_end - self.reference_window)
         if ref_end - ref_start < 3:
-            n_vms = len(matrices)
+            n_vms = values.shape[0]
             return np.full(n_vms, np.inf), np.full(n_vms, -1)
         # The onset scan starts ONSET_LEAD samples early: faults
         # manifest in system metrics before the SLO breaks.
         scan_start = max(0, start - ONSET_LEAD)
         lo = min(ref_start, scan_start)
-        shape = (len(matrices), end - lo, -1)
-        block = np.concatenate([m[lo:end] for m in matrices]).reshape(shape)
+        block = values[:, lo:end]
         ref_rows = slice(ref_start - lo, ref_end - lo)
         ref_keep = epoch_keep = True
         if allocations is not None:
             # Evidence counts only under the epoch's *starting*
             # allocation — where enough rows of it are left to count.
-            cpu, mem = (
-                np.concatenate([pair[k][lo:end] for pair in allocations])
-                .reshape(shape[:2])
-                for k in (0, 1)
-            )
+            cpu, mem = (a[:, lo:end] for a in allocations)
             same = _same_allocation(cpu, start - lo) & _same_allocation(
                 mem, start - lo
             )

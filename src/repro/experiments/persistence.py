@@ -94,18 +94,15 @@ def save_result(result: ExperimentResult, path: _PathLike) -> Path:
     }
     json_path.write_text(json.dumps(summary, indent=1))
 
+    trace = result.samples
     arrays: Dict[str, np.ndarray] = {
         "sample_labels": np.asarray(result.sample_labels, dtype=np.intp),
     }
-    for vm, samples in result.samples.items():
-        arrays[f"values::{vm}"] = np.stack([s.vector() for s in samples])
-        arrays[f"times::{vm}"] = np.array([s.timestamp for s in samples])
-        arrays[f"alloc_cpu::{vm}"] = np.array(
-            [s.cpu_allocated for s in samples]
-        )
-        arrays[f"alloc_mem::{vm}"] = np.array(
-            [s.mem_allocated_mb for s in samples]
-        )
+    for i, vm in enumerate(trace.vms):
+        arrays[f"values::{vm}"] = trace.readings[:, i]
+        arrays[f"times::{vm}"] = trace.times
+        arrays[f"alloc_cpu::{vm}"] = trace.cpu[:, i]
+        arrays[f"alloc_mem::{vm}"] = trace.mem[:, i]
     np.savez_compressed(npz_path, **arrays)
     return json_path
 

@@ -40,7 +40,7 @@ from repro.obs import Observability, RunTelemetry, build_run_telemetry
 from repro.faults.base import Fault, FaultKind
 from repro.experiments.scenarios import build_testbed, make_fault
 from repro.experiments.schemes import deploy_scheme
-from repro.sim.monitor import DEFAULT_SAMPLING_INTERVAL, MetricSample
+from repro.sim.monitor import DEFAULT_SAMPLING_INTERVAL, MonitorTrace
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "ReplicateSummary",
            "run_experiment", "run_replicates"]
@@ -114,8 +114,10 @@ class ExperimentResult:
     actions: List[PreventionAction]
     #: Count of proactive (prediction-triggered) actions.
     proactive_actions: int
-    #: Per-VM metric sample traces (for trace-driven accuracy work).
-    samples: Dict[str, List[MetricSample]]
+    #: What the monitor measured (for trace-driven accuracy work): the
+    #: run's trace arrays, and a mapping of VM name to its
+    #: :class:`~repro.sim.monitor.MetricSample` list, built on access.
+    samples: MonitorTrace
     #: SLO state at each monitoring timestamp (shared across VMs).
     sample_labels: List[int]
     #: Ground-truth injection windows.
@@ -238,8 +240,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     times, values = slo.metric_trace()
     actions = list(scheme.actuator.actions) if scheme.actuator else []
     proactive = sum(1 for a in actions if a.proactive)
-    any_trace = next(iter(testbed.monitor.traces.values()), [])
-    sample_labels = [int(slo.violated_at(s.timestamp)) for s in any_trace]
+    trace = testbed.monitor.traces
+    sample_labels = slo.violated_at_many(trace.times).astype(int).tolist()
     resilience_summary: Optional[Dict[str, object]] = None
     if chaos_engine is not None:
         fault_events = chaos_engine.event_counts()
@@ -276,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         trace_values=values,
         actions=actions,
         proactive_actions=proactive,
-        samples={vm: list(trace) for vm, trace in testbed.monitor.traces.items()},
+        samples=trace,
         sample_labels=sample_labels,
         injections=windows,
         slo_metric_name=testbed.app.slo_metric_name(),

@@ -7,22 +7,33 @@ that interface against the simulated VMs: :class:`VMMonitor` turns the
 instantaneous VM state into a noisy measurement vector over the exact
 same attribute list every sampling interval.
 
-All downstream PREPARE components consume only :class:`MetricSample`
-objects — they never peek at simulator internals — preserving the
-paper's black-box property.
+Each round measures the whole fleet at once and hands the listeners one
+:class:`SampleBlock`: the ``(vm, attr)`` matrix of measured values with
+per-VM allocations and present / stale masks.  The monitor also keeps
+every round it measured in the growable arrays of a
+:class:`MonitorTrace`.  Downstream PREPARE components consume only these
+measured values — they never peek at simulator internals — preserving
+the paper's black-box property.  :class:`MetricSample` (one VM, one
+round) stays the per-VM view: :meth:`VMMonitor.sample_vm` returns one,
+and a trace materialises them on access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.vm import CACHE_PRESSURE_MB, VirtualMachine
 
-__all__ = ["ATTRIBUTES", "MetricSample", "VMMonitor", "DEFAULT_SAMPLING_INTERVAL"]
+__all__ = [
+    "ATTRIBUTES", "MetricSample", "SampleBlock", "MonitorTrace", "VMMonitor",
+    "DEFAULT_SAMPLING_INTERVAL",
+]
 
 #: The 13 system-level attributes collected per VM (Table I: "VM
 #: monitoring (13 attributes)").  Names follow Fig. 3 of the paper where
@@ -118,6 +129,127 @@ class MetricSample:
         raise ValueError(f"sample for {self.vm} missing attributes: {sorted(missing)}")
 
 
+@dataclass(frozen=True)
+class SampleBlock:
+    """One monitoring round of a whole fleet, as arrays.
+
+    Row ``i`` of every array belongs to VM ``vms[i]``; ``values`` is the
+    ``(vm, attr)`` matrix in :data:`ATTRIBUTES` order, ``cpu`` / ``mem``
+    the allocations at sampling time.  ``present[i]`` is False when VM
+    ``i``'s reading never reached this consumer (a monitor blackout):
+    its row then carries no information.  ``stale[i]`` marks a
+    forward-filled repeat of the VM's previous reading (a dropped read).
+    Listeners treat the arrays as read-only; an interceptor that
+    degrades delivery works on a :meth:`copy`.
+    """
+
+    timestamp: float
+    vms: Tuple[str, ...]
+    values: np.ndarray
+    cpu: np.ndarray
+    mem: np.ndarray
+    present: np.ndarray
+    stale: np.ndarray
+
+    def copy(self) -> "SampleBlock":
+        return SampleBlock(
+            self.timestamp, self.vms, self.values.copy(), self.cpu.copy(),
+            self.mem.copy(), self.present.copy(), self.stale.copy(),
+        )
+
+
+class MonitorTrace(Mapping[str, List[MetricSample]]):
+    """Everything a monitor measured: one ``(vm, attr)`` block per round.
+
+    Rounds append to growable arrays (the capacity doubles), so a run's
+    trace is a few numpy arrays, not one object per VM per round:
+    ``times`` ``(rounds,)``, ``readings`` ``(rounds, vm, attr)``,
+    ``cpu`` / ``mem`` ``(rounds, vm)``, and the stale flags.  As a mapping it is
+    the per-VM view: ``trace[vm]`` builds that VM's :class:`MetricSample`
+    list on each access, and nothing but the arrays is kept.
+    """
+
+    def __init__(self, vms: Sequence[str]) -> None:
+        self.vms: Tuple[str, ...] = tuple(vms)
+        self._index = {name: i for i, name in enumerate(self.vms)}
+        n_vms = len(self.vms)
+        self._rounds = 0
+        self._times = np.empty(0)
+        self._readings = np.empty((0, n_vms, len(ATTRIBUTES)))
+        self._cpu = np.empty((0, n_vms))
+        self._mem = np.empty((0, n_vms))
+        self._stale = np.empty((0, n_vms), dtype=bool)
+
+    @property
+    def rounds(self) -> int:
+        return self._rounds
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._times[:self._rounds]
+
+    @property
+    def readings(self) -> np.ndarray:
+        return self._readings[:self._rounds]
+
+    @property
+    def cpu(self) -> np.ndarray:
+        return self._cpu[:self._rounds]
+
+    @property
+    def mem(self) -> np.ndarray:
+        return self._mem[:self._rounds]
+
+    def append(
+        self,
+        timestamp: float,
+        values: np.ndarray,
+        cpu: np.ndarray,
+        mem: np.ndarray,
+        stale: np.ndarray,
+    ) -> None:
+        """Record one round (rows in :attr:`vms` order)."""
+        r = self._rounds
+        if r == self._times.shape[0]:
+            self._grow()
+        self._times[r] = timestamp
+        self._readings[r] = values
+        self._cpu[r] = cpu
+        self._mem[r] = mem
+        self._stale[r] = stale
+        self._rounds = r + 1
+
+    def _grow(self) -> None:
+        capacity = max(16, 2 * self._times.shape[0])
+        n = self._rounds
+        for name in ("_times", "_readings", "_cpu", "_mem", "_stale"):
+            old = getattr(self, name)
+            new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+
+    def __getitem__(self, vm: str) -> List[MetricSample]:
+        i = self._index[vm]
+        n = self._rounds
+        return [
+            MetricSample(
+                vm=vm, timestamp=t, values=dict(zip(ATTRIBUTES, row)),
+                cpu_allocated=cpu, mem_allocated_mb=mem, stale=stale,
+            )
+            for t, row, cpu, mem, stale in zip(
+                self._times[:n].tolist(), self._readings[:n, i].tolist(),
+                self._cpu[:n, i].tolist(), self._mem[:n, i].tolist(),
+                self._stale[:n, i].tolist(),
+            )
+        ]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.vms)
+
+    def __len__(self) -> int:
+        return len(self.vms)
+
+
 class _LoadState:
     """Per-VM EWMA state for the load-average attributes."""
 
@@ -138,9 +270,9 @@ class _LoadState:
 class VMMonitor:
     """Samples the 13 attributes of a set of VMs on a fixed interval.
 
-    Samples are appended to an in-memory trace (one list per VM) and
-    optionally pushed to a callback — the hook the PREPARE controller
-    registers on.
+    Each round is recorded in :attr:`traces` and delivered to the
+    listeners as one :class:`SampleBlock` — the hook the PREPARE
+    controller registers on.
     """
 
     def __init__(
@@ -176,31 +308,32 @@ class VMMonitor:
         # lazily for the current VM count (a zero-copy broadcast view).
         self._noise_mat: Optional[np.ndarray] = None
         self._loads: Dict[str, _LoadState] = {vm.name: _LoadState() for vm in self._vms}
-        self.traces: Dict[str, List[MetricSample]] = {vm.name: [] for vm in self._vms}
-        self._listeners: List[Callable[[List[MetricSample]], None]] = []
+        self._names = tuple(vm.name for vm in self._vms)
+        self.traces = MonitorTrace(self._names)
+        self._listeners: List[Callable[[SampleBlock], None]] = []
         self._task: Optional[PeriodicTask] = None
         self._interceptor: Optional[
-            Callable[[List[MetricSample], Callable[[List[MetricSample]], None]], None]
+            Callable[[SampleBlock, Callable[[SampleBlock], None]], None]
         ] = None
 
     @property
     def vm_names(self) -> List[str]:
-        return [vm.name for vm in self._vms]
+        return list(self._names)
 
-    def add_listener(self, listener: Callable[[List[MetricSample]], None]) -> None:
-        """Register a callback invoked with each round of samples."""
+    def add_listener(self, listener: Callable[[SampleBlock], None]) -> None:
+        """Register a callback invoked with each round's block."""
         self._listeners.append(listener)
 
     def set_delivery_interceptor(
         self,
         interceptor: Optional[
-            Callable[[List[MetricSample], Callable[[List[MetricSample]], None]], None]
+            Callable[[SampleBlock, Callable[[SampleBlock], None]], None]
         ],
     ) -> None:
         """Install a hook between collection and listener delivery.
 
-        ``interceptor(batch, dispatch)`` decides what the listeners see:
-        call ``dispatch`` immediately (possibly with a modified batch),
+        ``interceptor(block, dispatch)`` decides what the listeners see:
+        call ``dispatch`` immediately (possibly with a modified copy),
         schedule it for later, or not at all — the seam the chaos engine
         uses to drop, delay, corrupt and black out the metric stream.
         The monitor's own ``traces`` always record what was *measured*;
@@ -232,11 +365,7 @@ class VMMonitor:
         that consumes the generator stream exactly like the thirteen
         per-attribute scalar draws it replaces.
         """
-        row, cpu_allocated, mem_allocated = self._raw_row(vm)
-        noisy = np.array(row) + self._rng.normal(0.0, self._noise_vec)
-        np.maximum(noisy, 0.0, out=noisy)
-        if noisy[0] > 100.0:
-            noisy[0] = 100.0
+        noisy, cpu_allocated, mem_allocated = self._measure(vm)
         return MetricSample(
             vm=vm.name,
             timestamp=timestamp,
@@ -244,6 +373,15 @@ class VMMonitor:
             cpu_allocated=cpu_allocated,
             mem_allocated_mb=mem_allocated,
         )
+
+    def _measure(self, vm: VirtualMachine) -> Tuple[np.ndarray, float, float]:
+        """One VM's noisy row, from its own gaussian draw, and allocations."""
+        row, cpu_allocated, mem_allocated = self._raw_row(vm)
+        noisy = np.array(row) + self._rng.normal(0.0, self._noise_vec)
+        np.maximum(noisy, 0.0, out=noisy)
+        if noisy[0] > 100.0:
+            noisy[0] = 100.0
+        return noisy, cpu_allocated, mem_allocated
 
     def _raw_row(self, vm: VirtualMachine) -> Tuple[List[float], float, float]:
         """Raw (pre-noise) attribute row plus the VM's allocations.
@@ -310,38 +448,26 @@ class VMMonitor:
         return row, cpu_allocated, mem_allocated
 
     def _collect(self, now: float) -> None:
-        if self.drop_rate == 0.0 and self._vms:
-            self._collect_batched(now)
-            return
-        batch = []
-        for vm in self._vms:
-            trace = self.traces[vm.name]
-            dropped = (
-                self.drop_rate > 0.0
-                and trace
-                and self._rng.random() < self.drop_rate
-            )
-            if dropped:
-                previous = trace[-1]
-                sample = MetricSample(
-                    vm=previous.vm,
-                    timestamp=now,
-                    values=dict(previous.values),
-                    cpu_allocated=previous.cpu_allocated,
-                    mem_allocated_mb=previous.mem_allocated_mb,
-                    stale=True,
-                )
-            else:
-                sample = self.sample_vm(vm, now)
-            trace.append(sample)
-            batch.append(sample)
-        if self._interceptor is None:
-            self._dispatch(batch)
+        """One round: measure every VM, record the round in
+        :attr:`traces`, and deliver it as one :class:`SampleBlock`."""
+        n = len(self._vms)
+        stale = np.zeros(n, dtype=bool)
+        if self.drop_rate == 0.0:
+            noisy, cpu, mem = self._measure_fleet()
         else:
-            self._interceptor(batch, self._dispatch)
+            noisy, cpu, mem = self._measure_with_drops(stale)
+        cpu, mem = np.array(cpu, dtype=float), np.array(mem, dtype=float)
+        self.traces.append(now, noisy, cpu, mem, stale)
+        block = SampleBlock(
+            now, self._names, noisy, cpu, mem, np.ones(n, dtype=bool), stale
+        )
+        if self._interceptor is None:
+            self._dispatch(block)
+        else:
+            self._interceptor(block, self._dispatch)
 
-    def _collect_batched(self, now: float) -> None:
-        """One collection round as a single fleet-wide noise draw.
+    def _measure_fleet(self) -> Tuple[np.ndarray, List[float], List[float]]:
+        """Every VM's noisy row from a single fleet-wide noise draw.
 
         With ``drop_rate == 0`` the generator is consumed strictly in
         VM-major, attribute-minor order, so one ``(n_vms, 13)`` gaussian
@@ -349,41 +475,52 @@ class VMMonitor:
         broadcast fill walks the output in C order) while paying the
         numpy dispatch cost once per round instead of once per VM.
         """
-        vms = self._vms
         rows = []
-        allocs = []
-        for vm in vms:
+        cpu = []
+        mem = []
+        for vm in self._vms:
             row, cpu_allocated, mem_allocated = self._raw_row(vm)
             rows.append(row)
-            allocs.append((cpu_allocated, mem_allocated))
+            cpu.append(cpu_allocated)
+            mem.append(mem_allocated)
         noise = self._noise_mat
-        if noise is None or noise.shape[0] != len(vms):
+        if noise is None or noise.shape[0] != len(rows):
             noise = self._noise_mat = np.broadcast_to(
-                self._noise_vec, (len(vms), self._noise_vec.size)
+                self._noise_vec, (len(rows), self._noise_vec.size)
             )
-        noisy = np.array(rows) + self._rng.normal(0.0, noise)
+        noisy = np.array(rows, dtype=float).reshape(-1, self._noise_vec.size)
+        noisy += self._rng.normal(0.0, noise)
         np.maximum(noisy, 0.0, out=noisy)
         cpu_col = noisy[:, 0]
         np.minimum(cpu_col, 100.0, out=cpu_col)
-        batch = []
-        traces = self.traces
-        for vm, (cpu_allocated, mem_allocated), values in zip(
-            vms, allocs, noisy.tolist()
-        ):
-            sample = MetricSample(
-                vm=vm.name,
-                timestamp=now,
-                values=dict(zip(ATTRIBUTES, values)),
-                cpu_allocated=cpu_allocated,
-                mem_allocated_mb=mem_allocated,
-            )
-            traces[vm.name].append(sample)
-            batch.append(sample)
-        if self._interceptor is None:
-            self._dispatch(batch)
-        else:
-            self._interceptor(batch, self._dispatch)
+        return noisy, cpu, mem
 
-    def _dispatch(self, batch: List[MetricSample]) -> None:
+    def _measure_with_drops(
+        self, stale: np.ndarray
+    ) -> Tuple[np.ndarray, List[float], List[float]]:
+        """Every VM's row when reads can fail.
+
+        The drop roll and the noise draw interleave per VM, so each VM
+        keeps its own draw.  A failed read repeats the VM's previous
+        round (flagged in ``stale``); the first round never fails.
+        """
+        trace = self.traces
+        last = trace.rounds - 1
+        noisy = np.empty((len(self._vms), self._noise_vec.size))
+        cpu = []
+        mem = []
+        for i, vm in enumerate(self._vms):
+            if last >= 0 and self._rng.random() < self.drop_rate:
+                noisy[i] = trace._readings[last, i]
+                cpu.append(trace._cpu[last, i])
+                mem.append(trace._mem[last, i])
+                stale[i] = True
+            else:
+                noisy[i], cpu_allocated, mem_allocated = self._measure(vm)
+                cpu.append(cpu_allocated)
+                mem.append(mem_allocated)
+        return noisy, cpu, mem
+
+    def _dispatch(self, block: SampleBlock) -> None:
         for listener in self._listeners:
-            listener(batch)
+            listener(block)

@@ -1,24 +1,29 @@
 """Tests for the chaos engine: metric, verb, and host fault injection."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.chaos import ChaosEngine, ChaosSpec
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
-from repro.sim.monitor import ATTRIBUTES, MetricSample, VMMonitor
+from repro.sim.monitor import ATTRIBUTES, SampleBlock, VMMonitor
 from repro.sim.resources import ResourceSpec
 
 VM_SPEC = ResourceSpec(1.0, 1024.0)
 
 
-def sample(vm="vm1", t=0.0):
-    return MetricSample(
-        vm=vm, timestamp=t, values={a: 1.0 for a in ATTRIBUTES},
-        cpu_allocated=1.0, mem_allocated_mb=1024.0,
+def block(*vms, t=0.0):
+    """One round in which every named VM (default: vm1) reported."""
+    vms = vms or ("vm1",)
+    n = len(vms)
+    return SampleBlock(
+        t, tuple(vms), np.ones((n, len(ATTRIBUTES))), np.ones(n),
+        np.full(n, 1024.0), np.ones(n, dtype=bool), np.zeros(n, dtype=bool),
     )
+
+
+def arrived(b):
+    return [vm for vm, present in zip(b.vms, b.present) if present]
 
 
 def engine(sim=None, run_seed=0, **spec_kwargs):
@@ -31,36 +36,39 @@ class TestMetricChaos:
     def test_batch_dropped(self):
         eng = engine(metric={"drop_batch_rate": 1.0})
         delivered = []
-        eng._intercept_batch([sample()], delivered.append)
+        eng._intercept_block(block(), delivered.append)
         assert delivered == []
         assert eng.event_counts() == {"batch_dropped": 1}
 
     def test_corruption_nans_attributes(self):
         eng = engine(metric={"corrupt_rate": 1.0, "corrupt_attributes": 2})
         delivered = []
-        eng._intercept_batch([sample()], delivered.append)
-        (batch,) = delivered
-        (out,) = batch
-        nan_count = sum(
-            1 for v in out.values.values() if math.isnan(v)
-        )
+        measured = block()
+        eng._intercept_block(measured, delivered.append)
+        (out,) = delivered
+        nan_count = int(np.isnan(out.values[0]).sum())
         assert 1 <= nan_count <= 2
+        assert arrived(out) == ["vm1"]
+        # The engine degrades a copy: what was measured stays intact.
+        assert np.isfinite(measured.values).all()
         assert eng.event_counts()["sample_corrupted"] == 1
 
     def test_blackout_filters_vm_but_still_delivers(self):
         eng = engine(metric={"blackout_rate": 1.0, "blackout_duration": 60.0})
         delivered = []
-        eng._intercept_batch([sample("vm1"), sample("vm2")], delivered.append)
-        # Both VMs black out immediately; an *empty* batch still arrives
-        # so the controller's imputation keeps buffers aligned.
-        assert delivered == [[]]
+        eng._intercept_block(block("vm1", "vm2"), delivered.append)
+        # Both VMs black out immediately; a round with nothing present
+        # still arrives so the controller's imputation keeps windows
+        # aligned.
+        (out,) = delivered
+        assert out.vms == ("vm1", "vm2") and arrived(out) == []
         assert eng.event_counts()["blackout_start"] == 2
 
     def test_blackout_expires(self):
         sim = Simulator()
         eng = engine(sim, metric={"blackout_rate": 1.0,
                                   "blackout_duration": 5.0})
-        eng._intercept_batch([sample()], lambda b: None)
+        eng._intercept_block(block(), lambda b: None)
         sim.run_until(6.0)
         # Expired blackout: the next draw starts a new one (rate 1.0),
         # but with rate 0 the sample would pass — exercise via engine
@@ -72,12 +80,12 @@ class TestMetricChaos:
         eng = engine(sim, metric={"delay_rate": 1.0, "delay_seconds": 10.0})
         seen = []
 
-        def dispatch(batch):
-            seen.append((sim.now, [s.vm for s in batch]))
+        def dispatch(b):
+            seen.append((sim.now, arrived(b)))
 
-        eng._intercept_batch([sample("vm1")], dispatch)
+        eng._intercept_block(block("vm1"), dispatch)
         sim.run_until(3.0)
-        eng._intercept_batch([sample("vm2")], dispatch)
+        eng._intercept_block(block("vm2"), dispatch)
         sim.run_until(30.0)
         # First batch released at t=10, second at t=13 — order preserved.
         assert seen == [(10.0, ["vm1"]), (13.0, ["vm2"])]
@@ -87,10 +95,10 @@ class TestMetricChaos:
         sim = Simulator()
         eng = engine(sim, metric={"delay_rate": 1.0, "delay_seconds": 10.0})
         release_times = []
-        eng._intercept_batch([sample("vm1")], lambda b: release_times.append(sim.now))
+        eng._intercept_block(block("vm1"), lambda b: release_times.append(sim.now))
         # Second batch "arrives" immediately after — its natural release
         # (0 + 10) equals the first's; FIFO clamps it to >= the first.
-        eng._intercept_batch([sample("vm2")], lambda b: release_times.append(sim.now))
+        eng._intercept_block(block("vm2"), lambda b: release_times.append(sim.now))
         sim.run_until(30.0)
         assert release_times == sorted(release_times)
 
@@ -125,7 +133,7 @@ class TestVerbChaos:
             seen = []
             for i in range(40):
                 delivered = []
-                eng._intercept_batch([sample(t=float(i))], delivered.append)
+                eng._intercept_block(block(t=float(i)), delivered.append)
                 seen.append(bool(delivered))
             return seen
 

@@ -12,9 +12,18 @@ stack and scores each violation epoch from one ``(vm, rows, attr)``
 block; the per-column scan, the per-VM localizer epoch loop and the
 looped ``violation_epochs`` below are what it replaced.
 ``test_diagnosis_kernels.py`` demands bitwise equality with them.
+
+``src/`` hands the controller one ``(vm, attr)`` block per monitoring
+round and keeps the fleet's training windows in one ring;
+:class:`ListMonitor`, :class:`OracleTrainingBuffer` and
+:class:`OracleIngest` are the per-sample collection, the per-VM buffer
+and ``_sanitize_batch`` it replaced.  ``test_ingest_kernels.py``
+demands bitwise equality with them.
 """
 
-from typing import Dict, List, Mapping, Optional, Tuple
+import dataclasses
+import math
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +38,7 @@ from repro.core.bayes import (
 )
 from repro.core.localization import DeviationLocalizer
 from repro.core.tan import CPT_BACKOFF, TANClassifier
+from repro.sim.monitor import ATTRIBUTES, MetricSample, VMMonitor
 
 
 def oracle_cmi_per_pair(X, y, n_bins, smoothing) -> np.ndarray:
@@ -409,3 +419,219 @@ class LoopLocalizer(DeviationLocalizer):
         sustained = above[:-1] & above[1:]
         hits = np.flatnonzero(sustained)
         return int(scan_start + hits[0]) if hits.size else None
+
+
+# ----------------------------------------------------------------------
+# Ingest path
+# ----------------------------------------------------------------------
+class ListMonitor(VMMonitor):
+    """:class:`VMMonitor` with the per-sample collection it used to have:
+    one :class:`MetricSample` per VM per round, kept in per-VM lists
+    (``traces``) and dispatched to listeners as a list."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.traces = {vm.name: [] for vm in self._vms}
+
+    def _collect(self, now: float) -> None:
+        if self.drop_rate == 0.0 and self._vms:
+            self._collect_batched(now)
+            return
+        batch = []
+        for vm in self._vms:
+            trace = self.traces[vm.name]
+            dropped = (
+                self.drop_rate > 0.0
+                and trace
+                and self._rng.random() < self.drop_rate
+            )
+            if dropped:
+                previous = trace[-1]
+                sample = MetricSample(
+                    vm=previous.vm,
+                    timestamp=now,
+                    values=dict(previous.values),
+                    cpu_allocated=previous.cpu_allocated,
+                    mem_allocated_mb=previous.mem_allocated_mb,
+                    stale=True,
+                )
+            else:
+                sample = self.sample_vm(vm, now)
+            trace.append(sample)
+            batch.append(sample)
+        if self._interceptor is None:
+            self._dispatch(batch)
+        else:
+            self._interceptor(batch, self._dispatch)
+
+    def _collect_batched(self, now: float) -> None:
+        vms = self._vms
+        rows = []
+        allocs = []
+        for vm in vms:
+            row, cpu_allocated, mem_allocated = self._raw_row(vm)
+            rows.append(row)
+            allocs.append((cpu_allocated, mem_allocated))
+        noise = self._noise_mat
+        if noise is None or noise.shape[0] != len(vms):
+            noise = self._noise_mat = np.broadcast_to(
+                self._noise_vec, (len(vms), self._noise_vec.size)
+            )
+        noisy = np.array(rows) + self._rng.normal(0.0, noise)
+        np.maximum(noisy, 0.0, out=noisy)
+        cpu_col = noisy[:, 0]
+        np.minimum(cpu_col, 100.0, out=cpu_col)
+        batch = []
+        traces = self.traces
+        for vm, (cpu_allocated, mem_allocated), values in zip(
+            vms, allocs, noisy.tolist()
+        ):
+            sample = MetricSample(
+                vm=vm.name,
+                timestamp=now,
+                values=dict(zip(ATTRIBUTES, values)),
+                cpu_allocated=cpu_allocated,
+                mem_allocated_mb=mem_allocated,
+            )
+            traces[vm.name].append(sample)
+            batch.append(sample)
+        if self._interceptor is None:
+            self._dispatch(batch)
+        else:
+            self._interceptor(batch, self._dispatch)
+
+
+class OracleTrainingBuffer:
+    """One VM's own grow-and-compact training window, filled one
+    :class:`MetricSample` at a time."""
+
+    def __init__(
+        self,
+        slo,
+        attributes: Sequence[str] = ATTRIBUTES,
+        max_samples: int = 2000,
+    ) -> None:
+        self._slo = slo
+        self.attributes = tuple(attributes)
+        self.max_samples = max_samples
+        capacity = 2 * max_samples
+        n_attrs = len(self.attributes)
+        self._values_buf = np.empty((capacity, n_attrs))
+        self._times_buf = np.empty(capacity)
+        self._cpu_buf = np.empty(capacity)
+        self._mem_buf = np.empty(capacity)
+        self._imputed_buf = np.empty(capacity, dtype=bool)
+        self._start = 0
+        self._end = 0
+
+    def __len__(self) -> int:
+        return self._end - self._start
+
+    def append(self, sample: MetricSample) -> None:
+        if self._end == self._values_buf.shape[0]:
+            self._compact()
+        i = self._end
+        self._values_buf[i] = sample.vector(self.attributes)
+        self._times_buf[i] = sample.timestamp
+        self._cpu_buf[i] = sample.cpu_allocated
+        self._mem_buf[i] = sample.mem_allocated_mb
+        self._imputed_buf[i] = sample.imputed
+        self._end = i + 1
+        if self._end - self._start > self.max_samples:
+            self._start = self._end - self.max_samples
+
+    def _compact(self) -> None:
+        n = self._end - self._start
+        sl = slice(self._start, self._end)
+        self._values_buf[:n] = self._values_buf[sl]
+        self._times_buf[:n] = self._times_buf[sl]
+        self._cpu_buf[:n] = self._cpu_buf[sl]
+        self._mem_buf[:n] = self._mem_buf[sl]
+        self._imputed_buf[:n] = self._imputed_buf[sl]
+        self._start = 0
+        self._end = n
+
+    def window(self) -> Tuple[np.ndarray, ...]:
+        """``(values, times, cpu, mem, imputed)`` of the live window."""
+        sl = slice(self._start, self._end)
+        return (self._values_buf[sl], self._times_buf[sl], self._cpu_buf[sl],
+                self._mem_buf[sl], self._imputed_buf[sl])
+
+
+class OracleIngest:
+    """The controller's per-sample ingest: ``_sanitize_batch`` repairs a
+    list of samples, then each lands in its VM's own buffer.  The
+    counters stand in for ``prepare_imputed_samples_total`` and
+    ``prepare_samples_ingested_total``."""
+
+    def __init__(self, slo, names: Sequence[str], max_samples: int = 2000):
+        self.buffers = {
+            name: OracleTrainingBuffer(slo, max_samples=max_samples)
+            for name in names
+        }
+        self._last_real: Dict[str, float] = {}
+        self._last_values: Dict[str, Dict[str, float]] = {}
+        self._last_alloc: Dict[str, Tuple[float, float]] = {}
+        self.resilience_stats = {"imputed_samples": 0}
+        self.imputed_by_vm: Dict[str, int] = {}
+        self.ingested = 0
+
+    def on_samples(self, batch: List[MetricSample], now: float) -> None:
+        batch = self._sanitize_batch(batch, now)
+        for sample in batch:
+            buffer = self.buffers.get(sample.vm)
+            if buffer is not None:
+                buffer.append(sample)
+        self.ingested += len(batch)
+
+    def _count_imputed(self, vm: str) -> None:
+        self.imputed_by_vm[vm] = self.imputed_by_vm.get(vm, 0) + 1
+
+    def _sanitize_batch(
+        self, batch: List[MetricSample], now: float
+    ) -> List[MetricSample]:
+        ts = batch[0].timestamp if batch else now
+        out: List[MetricSample] = []
+        seen = set()
+        buffers = self.buffers
+        last_values = self._last_values
+        for sample in batch:
+            vm = sample.vm
+            if vm in buffers:
+                seen.add(vm)
+                if math.isfinite(sum(sample.values.values())):
+                    self._last_real[vm] = sample.timestamp
+                else:
+                    last = last_values.get(vm, {})
+                    fixed = {
+                        name: value if math.isfinite(value)
+                        else last.get(name, 0.0)
+                        for name, value in sample.values.items()
+                    }
+                    sample = dataclasses.replace(
+                        sample, values=fixed, imputed=True
+                    )
+                    self.resilience_stats["imputed_samples"] += 1
+                    self._count_imputed(vm)
+                last_values[vm] = sample.values
+                self._last_alloc[vm] = (
+                    sample.cpu_allocated, sample.mem_allocated_mb
+                )
+            out.append(sample)
+        for name in self.buffers:
+            if name in seen:
+                continue
+            last = self._last_values.get(name)
+            if last is None:
+                continue  # no real contact yet: nothing to impute from
+            cpu, mem = self._last_alloc[name]
+            out.append(
+                MetricSample(
+                    vm=name, timestamp=ts, values=dict(last),
+                    cpu_allocated=cpu, mem_allocated_mb=mem,
+                    stale=True, imputed=True,
+                )
+            )
+            self.resilience_stats["imputed_samples"] += 1
+            self._count_imputed(name)
+        return out

@@ -27,7 +27,7 @@ from repro.experiments.scenarios import RUBIS, build_testbed
 from repro.experiments.schemes import deploy_scheme
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
-from repro.sim.monitor import ATTRIBUTES, MetricSample
+from repro.sim.monitor import ATTRIBUTES, SampleBlock
 from repro.sim.resources import ResourceSpec
 
 VM_SPEC = ResourceSpec(1.0, 1024.0)
@@ -145,28 +145,29 @@ class TestDeviationFallbackSkipsShortVMs:
     """One VM short on samples must not disable the model-free
     reactive fallback for the whole cluster."""
 
-    @staticmethod
-    def _sample(vm, t, cpu):
-        values = {name: 10.0 for name in ATTRIBUTES}
-        values["cpu_usage"] = cpu
-        return MetricSample(vm=vm, timestamp=t, values=values,
-                            cpu_allocated=1.0, mem_allocated_mb=1024.0)
-
     def test_short_vm_skipped_not_fatal(self):
         testbed, managed = deploy()
         controller = managed.controller
-        names = list(controller.buffers)
-        late_joiner, deviant = names[0], names[1]
+        names = tuple(controller.buffers)
+        late_joiner, deviant = 0, 1
         needed = 20  # epoch_len + gap + ref_len in _deviation_results
-        for name in names:
-            count = 3 if name == late_joiner else needed
-            for i in range(count):
-                cpu = 20.0
-                if name == deviant and i >= needed - 4:
-                    cpu = 95.0  # deviant epoch at the window's end
-                controller.buffers[name].append(
-                    self._sample(name, 5.0 * i, cpu)
-                )
+        n = len(names)
+        for i in range(needed):
+            values = np.full((n, len(ATTRIBUTES)), 10.0)
+            values[:, ATTRIBUTES.index("cpu_usage")] = 20.0
+            if i >= needed - 4:
+                # deviant epoch at the window's end
+                values[deviant, ATTRIBUTES.index("cpu_usage")] = 95.0
+            present = np.ones(n, dtype=bool)
+            present[late_joiner] = i >= needed - 3  # 3 rows only
+            controller._ingest(
+                SampleBlock(5.0 * i, names, values, np.ones(n),
+                            np.full(n, 1024.0), present,
+                            np.zeros(n, dtype=bool)),
+                5.0 * i,
+            )
+        late_joiner, deviant = names[late_joiner], names[deviant]
+        assert len(controller.buffers[late_joiner]) == 3
         results = controller._deviation_results(now=100.0)
         assert late_joiner not in results
         assert deviant in results

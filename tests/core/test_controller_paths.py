@@ -9,6 +9,7 @@ from repro.core.predictor import PredictionResult
 from repro.experiments.scenarios import RUBIS, build_testbed
 from repro.experiments.schemes import deploy_scheme
 from repro.faults import CpuHogFault
+from repro.sim.monitor import SampleBlock
 from repro.sim.resources import ResourceKind
 
 ATTRS_N = 13
@@ -80,9 +81,13 @@ class TestEpisodeTracking:
         controller._note_strengths(
             "vm_db", fake_result(controller.attributes)
         )
-        # Feed a violated SLO record then tick the controller once.
+        # Feed a violated SLO record then tick the controller once,
+        # with a round in which nothing arrived.
         testbed.app.slo.observe(0.0, 10_000.0)
-        controller._on_samples([])
+        controller._on_block(SampleBlock(
+            0.0, (), np.empty((0, ATTRS_N)), np.empty(0), np.empty(0),
+            np.empty(0, dtype=bool), np.empty(0, dtype=bool),
+        ))
         assert len(controller._recent_strengths["vm_db"]) == 0
 
 

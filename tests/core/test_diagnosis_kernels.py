@@ -23,7 +23,7 @@ from .oracles import (
     oracle_violation_epochs,
 )
 from .test_golden_decisions import run_cell
-from .test_retrain_masking import FakeSLO, deploy_controller, fill_buffer
+from .test_retrain_masking import FakeSLO, deploy_controller, fill_ring
 
 
 # ----------------------------------------------------------------------
@@ -164,22 +164,28 @@ def test_localizer_block_is_the_per_vm_loop(seed, with_allocs, amplitude):
         assert got[name].dtype == want[name].dtype
         assert got[name].tobytes() == want[name].tobytes()
 
-    # Every epoch's scores and onsets, bitwise.
+    # Every epoch's scores and onsets, bitwise — from the stacked block
+    # and from the same block as a strided window of a wider ring.
     names = list(values)
     kernel = DeviationLocalizer()
+    block = np.stack(list(values.values()))
+    ring = np.full((len(names), block.shape[1] + 9, block.shape[2]), np.nan)
+    ring[:, 4:-5] = block
+    pairs = None if allocs is None else tuple(
+        np.stack([allocs[n][k] for n in names]) for k in (0, 1)
+    )
     assert len(oracle.evidence) == len(EPOCHS)
     for (start, end), (scores, onsets) in zip(EPOCHS, oracle.evidence):
-        score_row, onset_row = kernel._epoch_evidence(
-            list(values.values()),
-            None if allocs is None else [allocs[n] for n in names],
-            start, end,
-        )
-        assert score_row.tobytes() == np.array(
-            [scores[n] for n in names]
-        ).tobytes()
-        assert onset_row.tolist() == [
-            -1 if onsets[n] is None else onsets[n] for n in names
-        ]
+        for view in (block, ring[:, 4:-5]):
+            score_row, onset_row = kernel._epoch_evidence(
+                view, pairs, start, end
+            )
+            assert score_row.tobytes() == np.array(
+                [scores[n] for n in names]
+            ).tobytes()
+            assert onset_row.tolist() == [
+                -1 if onsets[n] is None else onsets[n] for n in names
+            ]
     first_scores, first_onsets = oracle.evidence[0]
     assert all(s == np.inf for s in first_scores.values())  # empty reference
     assert all(o is None for o in first_onsets.values())
@@ -227,20 +233,25 @@ def test_vm_lagging_since_before_first_sample_is_left_out(monkeypatch):
     _testbed, controller = deploy_controller()
     names = list(controller.buffers)
     rng = np.random.default_rng(17)
+    filled = {}
     for name in names:
         rows = 70 if name == names[0] else 100  # names[0] lags
         controller.buffers[name]._slo = FakeSLO()
-        fill_buffer(controller.buffers[name],
-                    rng.normal(size=(rows, len(ATTRIBUTES))),
-                    np.ones(rows), np.full(rows, 1024.0))
+        filled[name] = (rng.normal(size=(rows, len(ATTRIBUTES))),
+                        np.ones(rows), np.full(rows, 1024.0))
+    fill_ring(controller, filled)
     seen = {}
 
-    def spy(per_vm_values, labels, per_vm_allocations=None):
-        seen["vms"] = list(per_vm_values)
+    def spy(vms, block, labels, allocations=None):
+        seen["vms"] = list(vms)
         seen["labels"] = np.array(labels)
-        return {name: np.zeros_like(labels) for name in per_vm_values}
+        # The aligned VMs' windows, read as one block of ring columns.
+        assert block.shape == (len(vms), 100, len(ATTRIBUTES))
+        for name, rows in zip(vms, block):
+            assert rows.tobytes() == filled[name][0].tobytes()
+        return {name: np.zeros_like(labels) for name in vms}
 
-    monkeypatch.setattr(controller.localizer, "localize", spy)
+    monkeypatch.setattr(controller.localizer, "localize_block", spy)
     controller._retrain()
     assert seen["vms"] == names[1:]
     assert seen["labels"].tobytes() == (

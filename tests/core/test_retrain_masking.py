@@ -12,8 +12,8 @@ applies three filters before any model sees a row:
 * **imputed** rows (controller-synthesized repeats during monitor
   blackouts) never enter the CPTs at all.
 
-These tests drive ``_retrain`` directly with hand-built buffers and a
-captured ``train`` call, so the exact row selection is pinned rather
+These tests drive ``_retrain`` directly with hand-built training rows
+and a captured ``train`` call, so the exact row selection is pinned rather
 than inferred from end-to-end behaviour.
 """
 
@@ -23,7 +23,7 @@ import pytest
 from repro.core.controller import PrepareConfig
 from repro.experiments.scenarios import RUBIS, build_testbed
 from repro.experiments.schemes import deploy_scheme
-from repro.sim.monitor import ATTRIBUTES, MetricSample
+from repro.sim.monitor import ATTRIBUTES
 
 N_ROWS = 100
 INTERVAL = 5.0
@@ -46,29 +46,38 @@ def deploy_controller():
     return testbed, managed.controller
 
 
-def fill_buffer(buffer, values, cpu_alloc, mem_alloc, imputed=()):
-    imputed = set(imputed)
-    for i in range(values.shape[0]):
-        buffer.append(
-            MetricSample(
-                vm="irrelevant",
-                timestamp=i * INTERVAL,
-                values={a: float(v) for a, v in zip(ATTRIBUTES, values[i])},
-                cpu_allocated=float(cpu_alloc[i]),
-                mem_allocated_mb=float(mem_alloc[i]),
-                imputed=i in imputed,
-            )
-        )
+def fill_ring(controller, rows_by_vm):
+    """Push rounds into the controller's training ring, one every
+    ``INTERVAL`` seconds.  ``rows_by_vm`` maps a VM to ``(values, cpu
+    allocations, mem allocations[, imputed row indices])``; a VM with
+    fewer rows than the longest joins late, so its rows are the last
+    rounds'.  VMs not named get no rows."""
+    ring = controller._ring
+    n_vms, n_attrs = len(ring.vms), len(ATTRIBUTES)
+    rounds = max(rows[0].shape[0] for rows in rows_by_vm.values())
+    for r in range(rounds):
+        values = np.zeros((n_vms, n_attrs))
+        cpu, mem = np.zeros(n_vms), np.zeros(n_vms)
+        imputed, has_row = np.zeros(n_vms, bool), np.zeros(n_vms, bool)
+        for name, (vals, cpu_alloc, mem_alloc, *flagged) in rows_by_vm.items():
+            k = r - (rounds - vals.shape[0])
+            if k < 0:
+                continue
+            i = ring.vms.index(name)
+            values[i], cpu[i], mem[i] = vals[k], cpu_alloc[k], mem_alloc[k]
+            imputed[i] = k in set(*flagged)
+            has_row[i] = True
+        ring.push(r * INTERVAL, values, cpu, mem, imputed, rows=has_row)
 
 
 def run_retrain(controller, target, values, cpu_alloc, mem_alloc,
                 monkeypatch, imputed=()):
-    """Fill the target buffer, run ``_retrain`` and capture ``train``."""
+    """Fill the target's rows, run ``_retrain`` and capture ``train``."""
     buffer = controller.buffers[target]
     buffer._slo = FakeSLO()
-    fill_buffer(buffer, values, cpu_alloc, mem_alloc, imputed=imputed)
+    fill_ring(controller, {target: (values, cpu_alloc, mem_alloc, imputed)})
 
-    def fake_localize(per_vm_values, labels, per_vm_allocations=None):
+    def fake_localize(names, block, labels, allocations=None):
         # Implicate only the target VM, passing the app labels through
         # unchanged, so the test controls y_vm exactly.
         return {target: np.asarray(labels, dtype=np.intp).copy()}
@@ -84,7 +93,7 @@ def run_retrain(controller, target, values, cpu_alloc, mem_alloc,
         )
         return controller.predictors[target]
 
-    monkeypatch.setattr(controller.localizer, "localize", fake_localize)
+    monkeypatch.setattr(controller.localizer, "localize_block", fake_localize)
     monkeypatch.setattr(controller.predictors[target], "train", fake_train)
     controller._retrain()
     return captured, buffer
@@ -187,13 +196,12 @@ class TestControllerDriftTrigger:
         assert controller._drift_detector is not None
 
         rng = np.random.default_rng(21)
-        for name, buffer in controller.buffers.items():
+        rows = {}
+        for name in controller.buffers:
             base = rng.normal(size=(24, len(ATTRIBUTES))) * 0.1
             base[12:] += 50.0  # step change in every attribute
-            fill_buffer(
-                buffer, base,
-                np.ones(24), np.full(24, 1024.0),
-            )
+            rows[name] = (base, np.ones(24), np.full(24, 1024.0))
+        fill_ring(controller, rows)
         controller._check_drift(now=120.0)
         assert controller._drift_retrain_pending is True
         kinds = [e.kind for e in controller.events]
@@ -205,9 +213,11 @@ class TestControllerDriftTrigger:
         controller = deploy_scheme(testbed, "prepare", config=cfg).controller
 
         rng = np.random.default_rng(22)
-        for name, buffer in controller.buffers.items():
-            base = 10.0 + rng.normal(size=(24, len(ATTRIBUTES))) * 0.1
-            fill_buffer(buffer, base, np.ones(24), np.full(24, 1024.0))
+        fill_ring(controller, {
+            name: (10.0 + rng.normal(size=(24, len(ATTRIBUTES))) * 0.1,
+                   np.ones(24), np.full(24, 1024.0))
+            for name in controller.buffers
+        })
         controller._check_drift(now=120.0)
         assert controller._drift_retrain_pending is False
 

@@ -1,7 +1,11 @@
 """Tests for the experiment runner and replicate machinery."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import (
     ExperimentConfig,
     run_experiment,
@@ -110,3 +114,54 @@ class TestReplicates:
                                  scheme="none"),
                 repeats=0,
             )
+
+
+class TestResultHoldsOnlyArrays:
+    """A result keeps the monitor's trace arrays, not the testbed: the
+    samples it exposes are built from those arrays on access."""
+
+    CHAOS = {"seed": 2, "metric": {"corrupt_rate": 0.05,
+                                   "blackout_rate": 0.02}}
+
+    @staticmethod
+    def _run(monkeypatch, keep, **overrides):
+        deploy = runner.deploy_scheme
+
+        def spy(testbed, scheme, **kwargs):
+            managed = deploy(testbed, scheme, **kwargs)
+            keep(testbed, managed)
+            return managed
+
+        monkeypatch.setattr(runner, "deploy_scheme", spy)
+        return run_experiment(ExperimentConfig(
+            app=RUBIS, fault=FaultKind.CPU_HOG, scheme="prepare", seed=5,
+            **FAST, **overrides,
+        ))
+
+    @pytest.mark.parametrize("chaos", [None, CHAOS])
+    def test_run_releases_simulator_and_controller(self, monkeypatch, chaos):
+        refs = []
+        result = self._run(
+            monkeypatch,
+            lambda testbed, managed: refs.extend(
+                [weakref.ref(testbed.sim), weakref.ref(managed.controller)]
+            ),
+            chaos=chaos,
+        )
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        assert result.actions
+        assert len(next(iter(result.samples.values()))) == len(
+            result.sample_labels
+        )
+
+    def test_sample_labels_are_the_per_timestamp_labels(self, monkeypatch):
+        slos = []
+        result = self._run(
+            monkeypatch, lambda testbed, _managed: slos.append(testbed.app.slo)
+        )
+        (slo,) = slos
+        times = result.samples.times.tolist()
+        assert result.sample_labels == [int(slo.violated_at(t)) for t in times]
+        assert all(type(label) is int for label in result.sample_labels)
+        assert 0 < sum(result.sample_labels) < len(times)

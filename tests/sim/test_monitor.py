@@ -61,7 +61,35 @@ class TestSampling:
         monitor.start(start_at=5.0)
         sim.run_until(10.0)
         assert len(batches) == 2
-        assert {s.vm for s in batches[0]} == {"vm1", "vm2"}
+        block = batches[0]
+        assert block.vms == ("vm1", "vm2") and block.timestamp == 5.0
+        assert block.values.shape == (2, len(ATTRIBUTES))
+        assert block.present.all() and not block.stale.any()
+        assert block.cpu.tolist() == [1.0, 1.0]
+        assert block.mem.tolist() == [1024.0, 1024.0]
+
+    def test_trace_keeps_every_block_as_measured(self, world):
+        sim, _cluster, vms = world
+        monitor = VMMonitor(sim, vms, interval=5.0)
+        blocks = []
+        monitor.add_listener(blocks.append)
+        monitor.start(start_at=5.0)
+        sim.run_until(200.0)  # past the trace's first growth
+        trace = monitor.traces
+        assert trace.rounds == len(blocks) == 40
+        assert trace.times.tolist() == [b.timestamp for b in blocks]
+        assert trace.readings.tobytes() == np.stack(
+            [b.values for b in blocks]
+        ).tobytes()
+        # The per-VM view materialises the same numbers as samples.
+        for i, name in enumerate(trace.vms):
+            samples = trace[name]
+            assert [s.vm for s in samples] == [name] * 40
+            assert np.stack([s.vector() for s in samples]).tobytes() == (
+                trace.readings[:, i].tobytes()
+            )
+            assert [s.cpu_allocated for s in samples] == trace.cpu[:, i].tolist()
+            assert not any(s.stale or s.imputed for s in samples)
 
     def test_stop_halts_collection(self, world):
         sim, _cluster, vms = world
@@ -155,11 +183,11 @@ class TestSamplingDuringMigration:
         assert duration > 10.0          # several rounds land in flight
         sim.run_until(duration / 2.0)
         assert vms[0].migrating
-        in_flight = [s for batch in batches for s in batch]
-        assert in_flight, "no samples collected during the migration"
-        for sample in in_flight:
-            assert set(sample.values) == set(ATTRIBUTES)
-            assert all(np.isfinite(v) for v in sample.values.values())
+        assert batches, "no samples collected during the migration"
+        for block in batches:
+            assert block.values.shape == (1, len(ATTRIBUTES))
+            assert block.present.all()
+            assert np.isfinite(block.values).all()
         sim.run_until(duration + 6.0)
         assert not vms[0].migrating
         assert vms[0].host is target
