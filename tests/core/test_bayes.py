@@ -207,3 +207,25 @@ class TestProperties:
         clf = NaiveBayesClassifier(6).fit(X, y)
         for row in X[:10]:
             assert 0.0 <= clf.predict_proba(row) <= 1.0
+
+
+def make_labeled(seed, n, n_attrs=4, n_bins=6):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, n_bins, size=(n, n_attrs))
+    y = (rng.random(n) < 0.3).astype(int)
+    y[:2] = [0, 1]
+    return X, y
+
+
+class TestCorruptSnapshotRejection:
+    def test_naive_bayes_rejects_bad_log_probabilities(self):
+        X, y = make_labeled(29, 120)
+        blob = NaiveBayesClassifier(n_bins=6).fit(X, y).to_dict()
+        bad = {**blob, "log_prior": [0.5, blob["log_prior"][1]]}
+        with pytest.raises(ValueError, match="positive log"):
+            NaiveBayesClassifier.from_dict(bad)
+        bad = {**blob}
+        bad["log_cpt"] = [row[:] for row in blob["log_cpt"]]
+        bad["log_cpt"][0][0][0] = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            NaiveBayesClassifier.from_dict(bad)

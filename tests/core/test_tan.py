@@ -191,3 +191,31 @@ class TestProperties:
         clf = TANClassifier(5).fit(X, y)
         for row in X[:10]:
             assert np.isfinite(clf.attribute_strengths(row)).all()
+
+
+def make_labeled(seed, n, n_attrs=4, n_bins=6):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, n_bins, size=(n, n_attrs))
+    y = (rng.random(n) < 0.3).astype(int)
+    y[:2] = [0, 1]
+    return X, y
+
+
+class TestCorruptSnapshotRejection:
+    def test_tan_rejects_bad_snapshot_values(self):
+        X, y = make_labeled(31, 120)
+        blob = TANClassifier(n_bins=6).fit(X, y).to_dict()
+        bad = {**blob, "log_prior": [float("inf"), blob["log_prior"][1]]}
+        with pytest.raises(ValueError, match="corrupt TAN snapshot"):
+            TANClassifier.from_dict(bad)
+        bad = {**blob, "parents": [9] + blob["parents"][1:]}
+        with pytest.raises(ValueError):
+            TANClassifier.from_dict(bad)
+        import copy
+
+        bad = copy.deepcopy(blob)
+        flat = np.asarray(bad["log_cpt"][0], dtype=float)
+        flat.flat[0] = 1.0
+        bad["log_cpt"][0] = flat.tolist()
+        with pytest.raises(ValueError, match="positive log"):
+            TANClassifier.from_dict(bad)
