@@ -93,10 +93,6 @@ def _class_log_prior_from_counts(
       ``[-PRIOR_ODDS_CAP, 0]``: uninvolved VMs lean mildly normal
       while genuine attribute evidence (log-odds of a few nats) still
       dominates.
-
-    Class counts are integer-valued, so counts accumulated over
-    incremental chunks equal the batch counts exactly and the prior is
-    bitwise the same either way.
     """
     if class_prior == "balanced":
         return np.zeros(2)
@@ -188,88 +184,36 @@ class NaiveBayesClassifier:
         # and clipped (soft/expected path).
         self._diff_hard: Optional[np.ndarray] = None
         self._diff_soft: Optional[np.ndarray] = None
-        # Sufficient statistics for partial_fit: raw (pre-smoothing)
-        # per-class bin counts and class counts, plus the retained
-        # training set — retained only because attribute selection
-        # averages per-sample strengths, and np.mean is not an
-        # order-independent reduction, so exact selection must rescore
-        # the full concatenated history.  None after from_dict(), which
-        # is what `supports_partial_fit` reports.
-        self._raw_counts: Optional[np.ndarray] = None     # (n_attrs, 2, n_bins)
-        self._class_counts: Optional[np.ndarray] = None   # (2,)
-        self._train_X: Optional[np.ndarray] = None
-        self._train_y: Optional[np.ndarray] = None
 
     @property
     def trained(self) -> bool:
         return self._log_cpt is not None
 
-    @property
-    def supports_partial_fit(self) -> bool:
-        """True when incremental updates are possible (training
-        statistics present — a snapshot-restored classifier persists
-        only the fitted tensors and must be refit from scratch)."""
-        return self._raw_counts is not None
-
     def fit(self, X: Sequence[Sequence[int]], y: Sequence[int]) -> "NaiveBayesClassifier":
         X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        n_attrs = X.shape[1]
-        self.n_attributes = n_attrs
-        self._raw_counts = np.zeros((n_attrs, 2, self.n_bins), dtype=float)
-        self._class_counts = np.zeros(2, dtype=float)
-        self._train_X = X.copy()
-        self._train_y = y.copy()
-        self._accumulate(X, y)
-        return self._rebuild()
+        self.n_attributes = X.shape[1]
+        return self._rebuild(X, y, *self._count(X, y))
 
-    def partial_fit(
-        self, X: Sequence[Sequence[int]], y: Sequence[int]
-    ) -> "NaiveBayesClassifier":
-        """Fold additional samples into the fitted classifier.
-
-        Bitwise-identical to :meth:`fit` on the concatenated data: the
-        raw bin/class counts are integer-valued float sums (exact in
-        any accumulation order) and every fitted tensor is recomputed
-        from those totals with the batch expressions; attribute
-        selection rescores the retained concatenated training set, so
-        its sample means match the batch fit float for float.
-        """
-        if not self.trained:
-            return self.fit(X, y)
-        if self._raw_counts is None:
-            raise RuntimeError(
-                "classifier was restored from a snapshot and has no "
-                "training statistics; use fit() on the full data"
-            )
-        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        if X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got {X.shape[1]}"
-            )
-        self._train_X = np.concatenate([self._train_X, X])
-        self._train_y = np.concatenate([self._train_y, y])
-        self._accumulate(X, y)
-        return self._rebuild()
-
-    def _accumulate(self, X: np.ndarray, y: np.ndarray) -> None:
-        """Add one chunk's raw bin counts and class counts (one
-        bincount over the combined ``(attribute, class, bin)`` index)."""
+    def _count(self, X: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Raw ``(attribute, class, bin)`` counts and ``(2,)`` class
+        counts as floats, each from one integer bincount."""
         a, b = self.n_attributes, self.n_bins
         index = np.arange(a) * (2 * b) + (y * b)[:, None] + X
-        self._raw_counts += np.bincount(
+        raw_counts = np.bincount(
             index.ravel(), minlength=2 * a * b
-        ).reshape(a, 2, b)
-        self._class_counts += np.bincount(y, minlength=2)
+        ).reshape(a, 2, b).astype(float)
+        return raw_counts, np.bincount(y, minlength=2).astype(float)
 
-    def _rebuild(self) -> "NaiveBayesClassifier":
-        """Derive every fitted tensor from the accumulated statistics
-        (exactly the batch-fit expressions, in the same order)."""
+    def _rebuild(
+        self, X: np.ndarray, y: np.ndarray,
+        raw: np.ndarray, class_counts: np.ndarray,
+    ) -> "NaiveBayesClassifier":
+        """Derive every fitted tensor from the training set ``(X, y)``
+        and its raw bin and class counts."""
         n_attrs = self.n_attributes
         self._log_prior = _class_log_prior_from_counts(
-            self._class_counts, self._train_y.size,
-            self.class_prior, self.smoothing,
+            class_counts, y.size, self.class_prior, self.smoothing,
         )
-        raw = self._raw_counts
         if self.robust:
             raw = ordinal_smooth(raw, axis=2)
         cpt = raw + self.smoothing
@@ -298,12 +242,8 @@ class NaiveBayesClassifier:
         if self.robust:
             # Selection deliberately uses the *unmasked* ratios, as the
             # per-sample scoring of the original implementation did.
-            sample_strengths = diff[
-                np.arange(n_attrs)[None, :], self._train_X
-            ]
-            self.attribute_mask = select_attributes(
-                sample_strengths, self._train_y
-            )
+            sample_strengths = diff[np.arange(n_attrs)[None, :], X]
+            self.attribute_mask = select_attributes(sample_strengths, y)
         else:
             self.attribute_mask = np.ones(n_attrs, dtype=bool)
         return self

@@ -48,7 +48,7 @@ from repro.core.actuation import (
 from repro.core.events import EventLog
 from repro.core.filtering import DEFAULT_K, DEFAULT_W, MajorityVoteFilter
 from repro.core.fleet import FleetScorer
-from repro.core.inference import CauseInference, Diagnosis, DriftDetector
+from repro.core.inference import CauseInference, Diagnosis
 from repro.core.labeling import TrainingBuffer, TrainingRing
 from repro.core.localization import DeviationLocalizer, violation_epochs
 from repro.core.predictor import AnomalyPredictor, PredictionResult
@@ -136,30 +136,6 @@ class PrepareConfig:
     #: stream is fiction: prediction for that VM is *skipped* (not
     #: aborted) until the monitor recovers.
     imputation_max_staleness: float = 30.0
-    #: Prefer exact incremental model updates at retrain time: when a
-    #: VM's new training window extends the last one (identical
-    #: localizer labels and segmentation on the prefix, discretizer
-    #: bins provably stable under the suffix) the new samples are
-    #: folded in with the models' ``partial_fit`` paths instead of
-    #: refitting from scratch.  The incremental update is
-    #: bitwise-identical to the full refit, so enabling this never
-    #: changes decisions — off by default to keep the legacy code
-    #: path byte-for-byte.
-    continuous_learning: bool = False
-    #: Online drift trigger: run the workload-change discriminator
-    #: (fleet-wide simultaneous change points, see
-    #: :class:`~repro.core.inference.DriftDetector`) over the training
-    #: buffers every tick and, when it fires, emit a ``drift_detected``
-    #: event and force a retrain on the next tick instead of waiting
-    #: out ``retrain_every``.  Off by default.
-    drift_detection: bool = False
-    #: Trailing window (samples per VM) the drift check scans.
-    drift_window: int = 24
-    #: Fraction of VMs that must show a change point to call drift
-    #: (1.0 = the paper's all-components simultaneity rule).
-    drift_min_fraction: float = 1.0
-    #: Ticks between drift triggers (one regime shift = one event).
-    drift_cooldown: int = 24
 
     def __post_init__(self) -> None:
         # Campaign specs set these fields from JSON sweep axes, so a bad
@@ -167,8 +143,8 @@ class PrepareConfig:
         # a silently shortened look-ahead) halfway through a run.
         smallest = {
             "retrain_every": 1, "n_bins": 2, "min_training_samples": 2,
-            "reactive_confirmations": 1, "drift_window": 2,
-            "action_cooldown": 0.0, "post_action_grace": 0.0,
+            "reactive_confirmations": 1, "action_cooldown": 0.0,
+            "post_action_grace": 0.0,
         }
         for name, low in smallest.items():
             if not low <= getattr(self, name) < math.inf:
@@ -327,23 +303,6 @@ class PrepareController:
             "prepare_blackout_skips_total",
             "Predictions skipped because a VM's data was too stale",
             ("vm",))
-        # -- continuous-learning state (engages only when the config
-        # flags are on, so a default run never touches it) -------------
-        self._m_partial_updates = metrics.counter(
-            "prepare_model_partial_updates_total",
-            "Per-VM incremental model updates (partial_fit path)")
-        self._m_drift = metrics.counter(
-            "prepare_drift_detected_total",
-            "Online drift triggers fired")
-        self._drift_detector: Optional[DriftDetector] = (
-            DriftDetector(
-                min_fraction=self.config.drift_min_fraction,
-                min_samples=max(6, self.config.drift_window // 2),
-                cooldown=self.config.drift_cooldown,
-            )
-            if self.config.drift_detection else None
-        )
-        self._drift_retrain_pending = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -377,13 +336,7 @@ class PrepareController:
         self._rounds += 1
         self._refresh_suppressions(now)
 
-        if self._drift_detector is not None:
-            self._check_drift(now)
-        if (
-            self._rounds % self.config.retrain_every == 0
-            or self._drift_retrain_pending
-        ):
-            self._drift_retrain_pending = False
+        if self._rounds % self.config.retrain_every == 0:
             with self.obs.span(STAGE_RETRAIN):
                 self._retrain()
 
@@ -413,30 +366,6 @@ class PrepareController:
             self._m_pending.set(self.validator.pending_count)
             self._m_models.set(
                 sum(1 for p in self.predictors.values() if p.trained)
-            )
-
-    # ------------------------------------------------------------------
-    # Online drift detection (continuous learning trigger)
-    # ------------------------------------------------------------------
-    def _check_drift(self, now: float) -> None:
-        """One drift-detector tick over the fleet's recent windows.
-
-        Fires the out-of-band retrain flag so this very tick retrains
-        instead of waiting out the ``retrain_every`` cadence — by the
-        time every component shows a change point, the deployed models
-        describe the old regime.
-        """
-        assert self._drift_detector is not None
-        windows = {
-            name: buf.recent_values(self.config.drift_window)
-            for name, buf in self.buffers.items()
-        }
-        if self._drift_detector.check(windows):
-            self._drift_retrain_pending = True
-            self._m_drift.inc()
-            self.events.emit(
-                now, "drift_detected",
-                fraction=float(self._drift_detector.last_fraction),
             )
 
     # ------------------------------------------------------------------
@@ -634,23 +563,6 @@ class PrepareController:
                 # Contiguous runs of kept rows form the Markov segments.
                 segment_ids = np.cumsum(np.diff(rows, prepend=rows[0]) > 1)
                 values_sel = per_vm_values[name][rows]
-                if self.config.continuous_learning:
-                    # Incremental path: when the new window merely
-                    # extends the last trained one (same labels on the
-                    # prefix, discretizer bins still valid), fold the
-                    # suffix into the existing models — bitwise equal
-                    # to a full refit, minus the cost of replaying
-                    # history through the chains.
-                    if self.predictors[name].partial_train(
-                        values_sel, y_sel, segment_ids=segment_ids
-                    ):
-                        self.events.emit(
-                            self._sim.now, "model_updated", vm=name,
-                            samples=int(rows.size),
-                            abnormal=int(y_sel.sum()),
-                        )
-                        self._m_partial_updates.inc()
-                        continue
                 try:
                     self.predictors[name].train(
                         values_sel, y_sel, segment_ids=segment_ids

@@ -14,7 +14,7 @@ bin indices and back to representative bin centers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,11 +35,6 @@ class _AttributeBins:
 
     edges: np.ndarray    # interior edges, length n_bins - 1
     centers: np.ndarray  # representative value per bin, length n_bins
-    #: (min, max) of the training column, when known.  Used by
-    #: :meth:`Discretizer.stable_under` to prove that a refit on the
-    #: concatenated data would reproduce these bins bitwise; ``None``
-    #: (e.g. a snapshot predating the field) disables that fast path.
-    fit_range: Optional[Tuple[float, float]] = None
 
 
 class Discretizer:
@@ -92,8 +87,7 @@ class Discretizer:
             # later becomes active.
             edges = np.full(self.n_bins - 1, _CONSTANT_EDGE)
             centers = np.full(self.n_bins, lo)
-            return _AttributeBins(edges=edges, centers=centers,
-                                  fit_range=(lo, hi))
+            return _AttributeBins(edges=edges, centers=centers)
         if self.strategy == "width":
             all_edges = np.linspace(lo, hi, self.n_bins + 1)
         else:
@@ -105,47 +99,7 @@ class Discretizer:
             )
         edges = all_edges[1:-1]
         centers = 0.5 * (all_edges[:-1] + all_edges[1:])
-        return _AttributeBins(edges=edges, centers=centers,
-                              fit_range=(lo, hi))
-
-    # ------------------------------------------------------------------
-    # Incremental-update guard
-    # ------------------------------------------------------------------
-    def stable_under(self, data: np.ndarray) -> bool:
-        """Would a refit on (training data + ``data``) keep these bins?
-
-        True only when it provably would, *bitwise*: equal-width
-        strategy, every new value finite and inside the fitted
-        ``[lo, hi]`` range of its attribute (so the concatenated min
-        and max — hence the ``linspace`` edges — are the exact same
-        floats), and constant-trained attributes staying exactly
-        constant.  Quantile bins depend on every sample, and bins
-        restored from a snapshot without fit ranges cannot be checked,
-        so both answer False and force the caller onto the full-refit
-        path.
-        """
-        if self._bins is None or self.strategy != "width":
-            return False
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
-        if arr.ndim != 2 or arr.shape[1] != len(self._bins):
-            return False
-        for j, bins in enumerate(self._bins):
-            if bins.fit_range is None:
-                return False
-            lo, hi = bins.fit_range
-            col = arr[:, j]
-            if not np.isfinite(col).all():
-                return False
-            if hi - lo < 1e-12:
-                # Constant-trained: any deviation at all would flip the
-                # refit out of (or shift) the constant branch.
-                if col.size and (col != lo).any():
-                    return False
-            elif col.size and (col.min() < lo or col.max() > hi):
-                return False
-        return True
+        return _AttributeBins(edges=edges, centers=centers)
 
     # ------------------------------------------------------------------
     # Transform
@@ -199,8 +153,6 @@ class Discretizer:
                 {
                     "edges": b.edges.tolist(),
                     "centers": b.centers.tolist(),
-                    "range": None if b.fit_range is None
-                    else [b.fit_range[0], b.fit_range[1]],
                 }
                 for b in self._bins
             ],
@@ -208,7 +160,11 @@ class Discretizer:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "Discretizer":
-        """Rebuild a discretizer saved by :meth:`to_dict`."""
+        """Rebuild a discretizer saved by :meth:`to_dict`.
+
+        Older snapshots carry a per-attribute ``"range"`` entry; it is
+        ignored.
+        """
         if payload.get("kind") != "discretizer":
             raise ValueError(
                 f"not a discretizer snapshot: kind={payload.get('kind')!r}"
@@ -231,15 +187,6 @@ class Discretizer:
                         f"attribute {i}: expected {disc.n_bins} centers, "
                         f"got {centers.shape}"
                     )
-                raw_range = entry.get("range")
-                fit_range: Optional[Tuple[float, float]] = None
-                if raw_range is not None:
-                    if len(raw_range) != 2:
-                        raise ValueError(
-                            f"attribute {i}: fit range must have 2 entries"
-                        )
-                    fit_range = (float(raw_range[0]), float(raw_range[1]))
-                bins.append(_AttributeBins(edges=edges, centers=centers,
-                                           fit_range=fit_range))
+                bins.append(_AttributeBins(edges=edges, centers=centers))
             disc._bins = bins
         return disc

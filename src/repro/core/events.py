@@ -21,10 +21,8 @@ __all__ = ["ControllerEvent", "EventLog"]
 #: ones the controller emits).
 KINDS = (
     "model_trained",
-    "model_updated",
     "model_train_failed",
     "model_retired",
-    "drift_detected",
     "raw_alert",
     "alert_confirmed",
     "suppressed",

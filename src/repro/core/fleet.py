@@ -238,9 +238,9 @@ class FleetScorer:
             sl_vm = self._slices[vm]
             chains_current = (
                 predictor.value_models == chain_ref
-                # Identity alone misses incremental updates: partial_fit
-                # mutates the chain in place (same object, bumped
-                # version), leaving the stacked tensor rows stale.
+                # Identity alone misses in-place updates: update()
+                # mutates the chain (same object, bumped version),
+                # leaving the stacked tensor rows stale.
                 and self._stacked.fresh_slice(
                     int(sl_vm[0]), int(sl_vm[-1]) + 1
                 )

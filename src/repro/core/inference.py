@@ -173,7 +173,8 @@ def _fraction_changed(
 
 
 class DriftDetector:
-    """Online model-drift trigger for continuous learning.
+    """Online model-drift trigger for the serving champion/challenger
+    loop (:mod:`repro.serve.lifecycle`).
 
     Repurposes the workload-change discriminator: a model has drifted
     out from under its training distribution exactly when the
@@ -182,9 +183,7 @@ class DriftDetector:
     within their recent windows.  The detector owns only trigger
     state (a cooldown in :meth:`check` calls, so one regime shift
     raises one drift event, not one per tick); callers pass the
-    recent raw-value windows each check, which keeps it usable from
-    both the controller (training buffers) and the serving layer
-    (per-VM trailing histories).
+    per-VM trailing raw-value windows each check.
     """
 
     def __init__(

@@ -24,10 +24,11 @@ transition matrix is cached with dirty-flag invalidation on
 :meth:`fit`/:meth:`update`, multi-step propagation runs as tensor
 contractions over the combined-state distribution, and
 :meth:`predict_distributions` returns *every* intermediate horizon of
-one propagation so look-ahead sweeps do the O(steps) work once.  The
-pre-vectorization code paths are preserved verbatim as
-``_transition_matrix_reference`` / ``_predict_reference`` — they are
-the ground truth for the equivalence tests and the baseline for the
+one propagation so look-ahead sweeps do the O(steps) work once.
+:meth:`~MarkovModel._build_transition_matrix` is the uncached builder
+behind :meth:`~MarkovModel.transition_matrix`.  The pre-vectorization
+propagation is preserved verbatim as ``_predict_reference`` — the
+ground truth for the equivalence tests and the baseline for the
 ``benchmarks/perf_prediction.py`` speedup measurements.
 """
 
@@ -93,11 +94,6 @@ class MarkovModel:
             (self._n_condition_states(), n_states), dtype=float
         )
         self._trained = False
-        #: Trailing states of the most recent stream seen by
-        #: fit/update/partial_fit — the conditioning context needed to
-        #: stitch the next :meth:`partial_fit` chunk onto the stream
-        #: without losing (or double-counting) boundary transitions.
-        self._tail = np.empty(0, dtype=np.intp)
         #: Cached smoothed transition matrix; None = dirty (counts have
         #: changed since it was last built).
         self._matrix_cache: Optional[np.ndarray] = None
@@ -124,7 +120,6 @@ class MarkovModel:
         """Train from scratch on a discrete state sequence."""
         self._counts[:] = 0.0
         self._trained = False
-        self._tail = np.empty(0, dtype=np.intp)
         self._invalidate_cache()
         return self.update(sequence)
 
@@ -146,33 +141,6 @@ class MarkovModel:
             np.add.at(self._counts, (rows, nxt), 1.0)
             self._invalidate_cache()
             self._trained = True
-        if seq.size:
-            self._tail = seq[-self.history_needed:].copy()
-        return self
-
-    def partial_fit(self, sequence: Sequence[int]) -> "MarkovModel":
-        """Continue the most recent stream with additional observations.
-
-        Unlike :meth:`update`, the new chunk is treated as the direct
-        continuation of the last sequence seen by :meth:`fit`,
-        :meth:`update` or :meth:`partial_fit`: the stored tail (the
-        trailing :attr:`history_needed` states of that stream) is
-        prepended, so transitions spanning the chunk boundary are
-        counted exactly once.  ``fit(a); partial_fit(b)`` is therefore
-        bitwise-identical to ``fit(a + b)`` — counts are integer-valued
-        float additions (exact in any order) and everything else is a
-        deterministic function of the counts.
-        """
-        seq = self._validate(sequence)
-        if not seq.size:
-            return self
-        stitched = np.concatenate([self._tail, seq])
-        if stitched.size > self.history_needed:
-            rows, nxt = self._extract_transitions(stitched)
-            np.add.at(self._counts, (rows, nxt), 1.0)
-            self._invalidate_cache()
-            self._trained = True
-        self._tail = stitched[-self.history_needed:].copy()
         return self
 
     def _invalidate_cache(self) -> None:
@@ -196,10 +164,9 @@ class MarkovModel:
         """For each conditioning state, the 'stay put' next state."""
         raise NotImplementedError
 
-    def _transition_matrix_reference(self) -> np.ndarray:
+    def _build_transition_matrix(self) -> np.ndarray:
         """Smoothed row-stochastic transition matrix, built from the raw
-        counts on every call (the pre-caching implementation; kept as
-        the equivalence/benchmark reference)."""
+        counts on every call (:meth:`transition_matrix` caches it)."""
         smoothed = self._counts + self.smoothing
         if self.persistence > 0:
             rows = np.arange(smoothed.shape[0])
@@ -218,7 +185,7 @@ class MarkovModel:
         the (read-only) cache, shared across calls.
         """
         if self._matrix_cache is None:
-            matrix = self._transition_matrix_reference()
+            matrix = self._build_transition_matrix()
             matrix.flags.writeable = False
             self._matrix_cache = matrix
         return self._matrix_cache
@@ -356,7 +323,7 @@ class SimpleMarkovModel(MarkovModel):
         return out
 
     def _predict_reference(self, history: Sequence[int], steps: int) -> np.ndarray:
-        matrix = self._transition_matrix_reference()
+        matrix = self._build_transition_matrix()
         dist = np.zeros(self.n_states)
         dist[self._condition_index(history)] = 1.0
         for _ in range(steps):
@@ -410,7 +377,7 @@ class TwoDependentMarkovModel(MarkovModel):
         return out
 
     def _predict_reference(self, history: Sequence[int], steps: int) -> np.ndarray:
-        matrix = self._transition_matrix_reference()  # (n^2, n)
+        matrix = self._build_transition_matrix()  # (n^2, n)
         n = self.n_states
         combined = np.zeros(n * n)
         combined[self._condition_index(history)] = 1.0

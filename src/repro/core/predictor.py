@@ -136,8 +136,8 @@ class BatchedAttributeChains:
         """True while no chain in ``[start, stop)`` was refit/updated.
 
         Lets fleet-wide consumers locate *which* VM's rows went stale
-        (e.g. after an in-place :meth:`MarkovModel.partial_fit`) and
-        repair just those via :meth:`restack` instead of rebuilding.
+        (e.g. after an in-place :meth:`MarkovModel.update`) and repair
+        just those via :meth:`restack` instead of rebuilding.
         """
         return all(
             m._version == v
@@ -316,13 +316,6 @@ class AnomalyPredictor:
         self.value_models: List[MarkovModel] = []
         self.robust = robust
         self._batched: Optional[BatchedAttributeChains] = None
-        # The exact window the model was last trained on (values,
-        # labels, normalized segment ids).  partial_train() compares
-        # the new window's prefix against these to decide whether the
-        # incremental path is provably equivalent to a full refit.
-        self._last_values: Optional[np.ndarray] = None
-        self._last_labels: Optional[np.ndarray] = None
-        self._last_segments: Optional[np.ndarray] = None
         if classifier == "tan":
             self.classifier: "TANClassifier | NaiveBayesClassifier" = TANClassifier(
                 n_bins=n_bins, smoothing=smoothing, class_prior=class_prior,
@@ -386,7 +379,6 @@ class AnomalyPredictor:
         if labels.shape != (values.shape[0],):
             raise ValueError("labels must match values rows")
         if segment_ids is None:
-            ids = np.zeros(values.shape[0], dtype=np.intp)
             segments = [np.arange(values.shape[0])]
         else:
             ids = np.asarray(segment_ids)
@@ -417,89 +409,7 @@ class AnomalyPredictor:
         self.discretizer, self.value_models = discretizer, chains
         self._batched = batched
         self._trained = True
-        self._last_values = values.copy()
-        self._last_labels = labels.copy()
-        self._last_segments = np.asarray(ids, dtype=np.intp).copy()
         return self
-
-    def partial_train(
-        self,
-        values: np.ndarray,
-        labels: Sequence[int],
-        segment_ids: Optional[Sequence[int]] = None,
-    ) -> bool:
-        """Fold a training window that *extends* the last one.
-
-        The arguments describe the full new window, exactly as they
-        would be passed to :meth:`train`.  When the window is the last
-        trained window plus a suffix of new samples — same values,
-        same localizer labels, same segmentation on the prefix — and
-        the discretizer's bins are provably stable under the suffix,
-        the suffix is folded in with the models' ``partial_fit``
-        paths and the method returns True; the resulting model state
-        is bitwise-identical to ``train()`` on the full window.  Any
-        other shape of change returns False without touching the
-        model, and the caller performs the full refit.
-        """
-        values = np.asarray(values, dtype=float)
-        labels = np.asarray(labels, dtype=np.intp)
-        if values.ndim != 2 or values.shape[1] != len(self.attributes):
-            raise ValueError(
-                f"expected (n, {len(self.attributes)}) values, got {values.shape}"
-            )
-        if labels.shape != (values.shape[0],):
-            raise ValueError("labels must match values rows")
-        if segment_ids is None:
-            ids = np.zeros(values.shape[0], dtype=np.intp)
-        else:
-            ids = np.asarray(segment_ids, dtype=np.intp)
-            if ids.shape != (values.shape[0],):
-                raise ValueError("segment_ids must match values rows")
-        if not self._trained or self._last_values is None:
-            return False
-        if not getattr(self.classifier, "supports_partial_fit", False):
-            return False
-        n_prev = self._last_values.shape[0]
-        if values.shape[0] < n_prev:
-            return False
-        if not np.array_equal(values[:n_prev], self._last_values):
-            return False
-        if not np.array_equal(labels[:n_prev], self._last_labels):
-            return False
-        if not np.array_equal(ids[:n_prev], self._last_segments):
-            return False
-        if ids.size and (np.diff(ids) < 0).any():
-            return False
-        suffix = values[n_prev:]
-        if suffix.shape[0] == 0:
-            return True
-        if not self.discretizer.stable_under(suffix):
-            return False
-        binned = self.discretizer.transform(suffix)
-        ids_suffix = ids[n_prev:]
-        last_old_id = int(ids[n_prev - 1]) if n_prev else None
-        # Contiguous runs of equal segment id, in order: the run that
-        # continues the last trained segment stitches onto each
-        # chain's stored tail; later runs start new streams.
-        boundaries = np.flatnonzero(np.diff(ids_suffix)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [ids_suffix.size]])
-        for start, end in zip(starts, ends):
-            continues = last_old_id is not None and (
-                int(ids_suffix[start]) == last_old_id
-            )
-            for j, model in enumerate(self.value_models):
-                seq = binned[start:end, j]
-                if continues:
-                    model.partial_fit(seq)
-                else:
-                    model.update(seq)
-        self._batched = BatchedAttributeChains(self.value_models)
-        self.classifier.partial_fit(binned, labels[n_prev:])
-        self._last_values = values.copy()
-        self._last_labels = labels.copy()
-        self._last_segments = ids.copy()
-        return True
 
     # ------------------------------------------------------------------
     # Prediction

@@ -104,29 +104,10 @@ class TANClassifier:
         self._root_idx: Optional[np.ndarray] = None
         self._child_idx: Optional[np.ndarray] = None
         self._root_diff_soft: Optional[np.ndarray] = None
-        # Incremental-training state.  The retained training set is
-        # kept from fit() on (attribute selection averages per-sample
-        # strengths, which only matches the batch fit when rescored
-        # over the full history); the (2, a, a, b, b) joint counts are
-        # a local of fit() and retained from the first partial_fit() on.
-        self._train_X: Optional[np.ndarray] = None
-        self._train_y: Optional[np.ndarray] = None
-        self._joint_counts: Optional[np.ndarray] = None
-        #: How many partial_fit() calls re-selected a different tree
-        #: (CMI rankings changed); CPT counts accumulate in place
-        #: either way.
-        self.structure_changes = 0
 
     @property
     def trained(self) -> bool:
         return self._log_cpt is not None
-
-    @property
-    def supports_partial_fit(self) -> bool:
-        """True when incremental updates are possible (the training
-        history is retained — a snapshot-restored classifier persists
-        only the fitted tensors and must be refit from scratch)."""
-        return self._train_X is not None
 
     # ------------------------------------------------------------------
     # Structure learning
@@ -197,23 +178,11 @@ class TANClassifier:
     # Training
     # ------------------------------------------------------------------
     def fit(self, X: Sequence[Sequence[int]], y: Sequence[int]) -> "TANClassifier":
-        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        self.n_attributes = X.shape[1]
-        self._train_X = X.copy()
-        self._train_y = y.copy()
-        # partial_fit recounts the retained history on its first call.
-        self._joint_counts = None
-        return self._fit_from_counts(self._count_joint(X, y), X, y)
-
-    def _fit_from_counts(
-        self, joint: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> "TANClassifier":
         """Tree, prior, CPTs and attribute selection from the joint
-        counts of the training set ``(X, y)`` — the one copy of the fit
-        arithmetic behind :meth:`fit` and :meth:`partial_fit` (the
-        counts are integers, so accumulated chunks equal a batch
-        recount exactly)."""
-        a = self.n_attributes
+        counts of the training set ``(X, y)``."""
+        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
+        self.n_attributes = a = X.shape[1]
+        joint = self._count_joint(X, y)
         self.parents = self._maximum_spanning_tree(
             self._conditional_mutual_information(joint)
         )
@@ -285,48 +254,6 @@ class TANClassifier:
             for i in range(self.n_attributes)
         ]
         self._build_scoring_tensors(parent_or_self)
-
-    # ------------------------------------------------------------------
-    # Incremental training
-    # ------------------------------------------------------------------
-    def partial_fit(
-        self, X: Sequence[Sequence[int]], y: Sequence[int]
-    ) -> "TANClassifier":
-        """Fold additional samples into the fitted classifier.
-
-        Bitwise-identical to :meth:`fit` on the concatenated data: the
-        joint counts are integers — exact in any accumulation order —
-        and the tree, CPTs, prior and scoring tensors are recomputed
-        from the totals by the same :meth:`_fit_from_counts`.  The
-        tree is re-selected each call, but only changes when the CMI
-        rankings change (tracked in :attr:`structure_changes`).  The
-        incremental win is skipping the recount of the historical
-        samples; attribute selection still rescores the retained
-        history because sample-mean reductions are not
-        order-independent.
-        """
-        if not self.trained:
-            return self.fit(X, y)
-        if self._train_X is None:
-            raise RuntimeError(
-                "classifier was restored from a snapshot and has no "
-                "training history; use fit() on the full data"
-            )
-        X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
-        if X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got {X.shape[1]}"
-            )
-        if self._joint_counts is None:
-            self._joint_counts = self._count_joint(self._train_X, self._train_y)
-        self._joint_counts += self._count_joint(X, y)
-        self._train_X = np.concatenate([self._train_X, X])
-        self._train_y = np.concatenate([self._train_y, y])
-        parents = self.parents
-        self._fit_from_counts(self._joint_counts, self._train_X, self._train_y)
-        if not np.array_equal(parents, self.parents):
-            self.structure_changes += 1
-        return self
 
     def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:
         """Flatten the per-attribute CPTs into dense gather tensors.

@@ -175,7 +175,7 @@ class OneHotTAN(TANClassifier):
 
 def oracle_naive_counts(X, y, n_bins):
     """Per-class, per-attribute bincount loop of
-    ``NaiveBayesClassifier._accumulate``: ``((a, 2, b), (2,))``."""
+    ``NaiveBayesClassifier._count``: ``((a, 2, b), (2,))``."""
     n_attrs = X.shape[1]
     raw_counts = np.zeros((n_attrs, 2, n_bins), dtype=float)
     class_counts = np.zeros(2, dtype=float)

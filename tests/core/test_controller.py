@@ -58,7 +58,6 @@ class TestConfigValidation:
         ("n_bins", 1),
         ("min_training_samples", 1),
         ("reactive_confirmations", 0),
-        ("drift_window", 1),
         ("action_cooldown", -1.0),
         ("action_cooldown", float("nan")),
         ("post_action_grace", -0.5),
@@ -72,7 +71,7 @@ class TestConfigValidation:
         PrepareConfig(
             retrain_every=1, lookahead_seconds=0.5, n_bins=2,
             min_training_samples=2, reactive_confirmations=1,
-            drift_window=2, action_cooldown=0.0, post_action_grace=0.0,
+            action_cooldown=0.0, post_action_grace=0.0,
         )
 
 

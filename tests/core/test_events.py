@@ -17,7 +17,7 @@ def test_kinds_lists_exactly_what_the_controller_emits():
     emitted = re.findall(
         r'\.emit\(\s*[^,]+,\s*"(\w+)"', inspect.getsource(controller)
     )
-    assert set(emitted) == set(KINDS) and len(set(KINDS)) == len(KINDS) == 11
+    assert set(emitted) == set(KINDS) and len(set(KINDS)) == len(KINDS) == 9
 
 
 class TestEventLog:

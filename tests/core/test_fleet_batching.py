@@ -15,6 +15,7 @@ from repro.core.bayes import NaiveBayesClassifier
 from repro.core.controller import PrepareConfig
 from repro.core.fleet import FleetScorer
 from repro.core.predictor import AnomalyPredictor
+from repro.core.tan import TANClassifier
 from repro.experiments.scenarios import RUBIS, build_testbed, make_fault
 from repro.experiments.schemes import deploy_scheme
 from repro.faults.base import FaultKind
@@ -49,8 +50,8 @@ class TestControllerScorerLifetime:
         # An in-place refit swaps vm_db's chains and classifier
         # tensors: the next tick repairs the same scorer's rows.
         trained = controller.predictors["vm_db"]
-        window = (trained._last_values, trained._last_labels,
-                  trained._last_segments)
+        X, y, _t = controller.buffers["vm_db"].matrices()
+        window = (X, y)
         trained.train(*window)
         assert not scorer.stacked
         self._tick(testbed, controller)
@@ -68,7 +69,12 @@ class TestControllerScorerLifetime:
 
 class TestRemovedSwitches:
     @pytest.mark.parametrize(
-        "kwargs", [{"fleet_batching": False}, {"horizon_sweep": True}]
+        "kwargs", [
+            {"fleet_batching": False}, {"horizon_sweep": True},
+            {"continuous_learning": True}, {"drift_detection": True},
+            {"drift_window": 24}, {"drift_min_fraction": 1.0},
+            {"drift_cooldown": 24},
+        ]
     )
     def test_config_rejects_removed_fields(self, kwargs):
         with pytest.raises(TypeError, match="unexpected keyword"):
@@ -76,6 +82,13 @@ class TestRemovedSwitches:
 
     def test_predictor_has_no_scalar_switch(self):
         assert not hasattr(AnomalyPredictor(["a"]), "vectorized")
+
+    @pytest.mark.parametrize("model", [
+        AnomalyPredictor(["a"]), TANClassifier(4), NaiveBayesClassifier(4),
+    ])
+    def test_train_is_the_only_trainer(self, model):
+        for name in ("partial_fit", "partial_train", "supports_partial_fit"):
+            assert not hasattr(model, name), name
 
 
 def _train_predictor(seed, n_attrs=N_ATTRS):
@@ -157,49 +170,39 @@ class TestIncrementalRefresh:
                 got, predictors[vm].classify_current(values_row)
             )
 
-    def test_refresh_repairs_in_place_partial_train(self):
-        """``partial_train`` updates the chains *in place* (same model
-        objects, bumped versions) — identity checks alone would miss
-        it.  ``stacked`` must go stale and ``refresh`` must repair to
+    def test_refresh_repairs_in_place_update(self):
+        """``MarkovModel.update`` mutates a chain *in place* (same model
+        object, bumped version) — identity checks alone would miss it.
+        ``stacked`` must go stale and ``refresh`` must repair to
         bitwise-per-VM scores."""
-        rng = np.random.default_rng(7)
-        predictors, traces = {}, {}
-        for i in range(4):
-            vm = f"vm{i}"
-            p = AnomalyPredictor(
-                [f"m{j}" for j in range(N_ATTRS)], n_bins=6, markov="2dep",
-            )
-            values = np.cumsum(
-                rng.normal(size=(260, N_ATTRS)), axis=0
-            )
-            # Pin global per-column extremes into the trained prefix so
-            # the held-out suffix stays inside the discretizer's range
-            # and the incremental path actually engages.
-            values[0] = values.min(axis=0) - 1.0
-            values[1] = values.max(axis=0) + 1.0
-            labels = (rng.random(260) < 0.3).astype(int)
-            p.train(values[:200], labels[:200])
-            predictors[vm] = p
-            traces[vm] = (values, labels)
-
+        predictors, traces = _make_fleet(n_vms=4)
         scorer = FleetScorer(predictors)
-        batch = [(vm, traces[vm][0][50:60], 4) for vm in sorted(predictors)]
-        scorer.score(batch)  # fill horizon-table rows
+        batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
+        before = scorer.score(batch)  # fills horizon-table rows
 
-        updated = "vm2"
-        values, labels = traces[updated]
-        assert predictors[updated].partial_train(values, labels) is True
+        updated = predictors["vm2"]
+        rng = np.random.default_rng(7)
+        for chain in updated.value_models:
+            chain.update(rng.integers(0, updated.n_bins, size=60))
         assert not scorer.stacked
 
         assert scorer.refresh() is True
         assert scorer.stacked
         fresh = FleetScorer(predictors)
+        after = scorer.score(batch)
         for (vm, recent, steps), got, rebuilt in zip(
-            batch, scorer.score(batch), fresh.score(batch)
+            batch, after, fresh.score(batch)
         ):
             want = predictors[vm].predict(recent, steps)
             _assert_result_equal(got, want)
             _assert_result_equal(rebuilt, want)
+        # The predicted bins come straight from the chains (every
+        # attribute is masked out of this random fleet's scores).
+        moved = [
+            vm for (vm, _r, _s), a, b in zip(batch, before, after)
+            if a.bins != b.bins
+        ]
+        assert moved == ["vm2"]
 
     def test_refresh_refuses_untrained_replacement(self):
         predictors, _ = _make_fleet(n_vms=3)

@@ -18,7 +18,6 @@ than inferred from end-to-end behaviour.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.controller import PrepareConfig
 from repro.experiments.scenarios import RUBIS, build_testbed
@@ -184,89 +183,3 @@ class TestRetrainRegimeMask:
         np.testing.assert_array_equal(
             captured["segment_ids"], np.zeros(N_ROWS, dtype=np.intp)
         )
-
-
-class TestControllerDriftTrigger:
-    def test_step_change_sets_retrain_pending(self):
-        """A fleet-wide step change in the recent windows flips the
-        out-of-band retrain flag and emits ``drift_detected``."""
-        testbed = build_testbed(RUBIS, seed=7, duration_hint=1600)
-        cfg = PrepareConfig(drift_detection=True, drift_window=24)
-        controller = deploy_scheme(testbed, "prepare", config=cfg).controller
-        assert controller._drift_detector is not None
-
-        rng = np.random.default_rng(21)
-        rows = {}
-        for name in controller.buffers:
-            base = rng.normal(size=(24, len(ATTRIBUTES))) * 0.1
-            base[12:] += 50.0  # step change in every attribute
-            rows[name] = (base, np.ones(24), np.full(24, 1024.0))
-        fill_ring(controller, rows)
-        controller._check_drift(now=120.0)
-        assert controller._drift_retrain_pending is True
-        kinds = [e.kind for e in controller.events]
-        assert "drift_detected" in kinds
-
-    def test_flat_windows_do_not_trigger(self):
-        testbed = build_testbed(RUBIS, seed=7, duration_hint=1600)
-        cfg = PrepareConfig(drift_detection=True, drift_window=24)
-        controller = deploy_scheme(testbed, "prepare", config=cfg).controller
-
-        rng = np.random.default_rng(22)
-        fill_ring(controller, {
-            name: (10.0 + rng.normal(size=(24, len(ATTRIBUTES))) * 0.1,
-                   np.ones(24), np.full(24, 1024.0))
-            for name in controller.buffers
-        })
-        controller._check_drift(now=120.0)
-        assert controller._drift_retrain_pending is False
-
-    def test_drift_detection_off_builds_no_detector(self):
-        testbed = build_testbed(RUBIS, seed=7, duration_hint=1600)
-        controller = deploy_scheme(testbed, "prepare").controller
-        assert controller._drift_detector is None
-
-
-class TestContinuousLearningParity:
-    """Continuous learning is a *speed* feature: with the incremental
-    path and the drift trigger enabled, a full experiment must decide
-    byte-for-byte what the flags-off baseline decides (partial_fit is
-    bitwise-equal to refit; drift retrains are extra-but-identical
-    model fits on the same windows)."""
-
-    @staticmethod
-    def _run(continuous):
-        from repro.experiments.runner import ExperimentConfig, run_experiment
-        from repro.faults.base import FaultKind
-
-        cfg = PrepareConfig(
-            continuous_learning=continuous, drift_detection=continuous,
-        )
-        return run_experiment(ExperimentConfig(
-            app="rubis", fault=FaultKind.MEMORY_LEAK, scheme="prepare",
-            seed=3, duration=1500.0, controller=cfg,
-        ))
-
-    @pytest.fixture(scope="class")
-    def runs(self):
-        return self._run(True), self._run(False)
-
-    def test_actions_identical(self, runs):
-        on, off = runs
-        def decisions(result):
-            return (
-                result.violation_time,
-                tuple(result.per_injection_violation),
-                result.proactive_actions,
-                tuple(
-                    (a.timestamp, a.vm, a.verb, str(a.resource), a.metric,
-                     a.proactive, a.completed, a.effective)
-                    for a in result.actions
-                ),
-            )
-        assert decisions(on) == decisions(off)
-
-    def test_run_is_not_vacuous(self, runs):
-        on, _ = runs
-        assert on.actions
-        assert on.proactive_actions >= 1

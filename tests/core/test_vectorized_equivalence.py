@@ -49,7 +49,7 @@ class TestMarkovEquivalence:
     def test_cached_matrix_matches_reference(self, cls, seq):
         model = cls(N_STATES).fit(seq)
         np.testing.assert_array_equal(
-            model.transition_matrix(), model._transition_matrix_reference()
+            model.transition_matrix(), model._build_transition_matrix()
         )
         # The cache is reused (same object) until the counts change.
         assert model.transition_matrix() is model.transition_matrix()
@@ -64,7 +64,7 @@ class TestMarkovEquivalence:
         model.update(extra)
         after = model.transition_matrix()
         np.testing.assert_array_equal(
-            after, model._transition_matrix_reference()
+            after, model._build_transition_matrix()
         )
         if len(extra) > model.history_needed:  # counts actually changed
             assert model._version > version
