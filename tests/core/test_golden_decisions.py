@@ -4,8 +4,10 @@ Each cell below is one complete experiment whose *full decision
 record* — violation accounting, the action log (including retry
 ``attempts``), the SLO trace, the per-sample labels and the telemetry
 counters minus wall-clock fields — is hashed and compared against a
-SHA-256 constant.  Two cells also pin what the monitor measured
-(``result.samples``) and the arrays ``save_result`` writes.  A refactor of the predict / classify / deviation
+SHA-256 constant.  Three cells also pin what the monitor measured
+(``result.samples``) and the arrays ``save_result`` writes; one of them
+runs under scheme ``none``, so only the simulator produced it.  A
+refactor of the simulator or of the predict / classify / deviation
 stages is only allowed to change speed: any drift in what the
 controller decides, chaos on or off, fails here.
 
@@ -56,6 +58,19 @@ CELLS = {
         monitor_drop_rate=0.1, chaos=DEGRADED),
     "rubis-leak-s3": dict(app="rubis", fault=FaultKind.MEMORY_LEAK, seed=3),
     "system-s-hog-s7": dict(app="system-s", fault=FaultKind.CPU_HOG, seed=7),
+    # The fleet step's competitor ceiling, workload multiplier, and
+    # migration factor plus host move.
+    "fleet8-hog-s7": dict(
+        app="fleet8", fault=FaultKind.CPU_HOG, seed=7, duration=1500.0),
+    "fleet8-bottleneck-s7": dict(
+        app="fleet8", fault=FaultKind.BOTTLENECK, seed=7, duration=1500.0),
+    "fleet8-leak-s7-migration": dict(
+        app="fleet8", fault=FaultKind.MEMORY_LEAK, seed=7, duration=1500.0,
+        action_mode="migration"),
+    # Only the sim, the apps, the faults and the monitor run here.
+    "fleet50-leak-s7-none": dict(
+        app="fleet50", fault=FaultKind.MEMORY_LEAK, seed=7, duration=1500.0,
+        scheme="none"),
 }
 
 #: cell -> (record digest, first 12 hex digits of each action's digest)
@@ -85,6 +100,21 @@ GOLDEN = {
         "d43a3f565f63a3351ecf8cb82a781bc8d13a5da0a42a414659fa5cf746ed43b1",
         ("ef7ceb935e90", "39da960d3658", "4661623560f6", "f5c240d6b3aa",
          "67cb76d8a59b", "236f24db3432", "7b54d71bb1ea", "dc243f9dfb71"),
+    ),
+    "fleet8-hog-s7": (
+        "42808e8c4f3db929a3fd593639f0ec62458c52c71fa3acafbf6f67edccb9fa3a",
+        ("7b4af915f6ec", "90cbae5bb378"),
+    ),
+    "fleet8-bottleneck-s7": (
+        "fcc5cae127c347bb0755693304769e30a3cc75d340dc42f7e7c5d26d62613ec5",
+        ("6283b8e1e14c", "6af4d9fdfe17", "bfdb1544f5bc", "761e7cc06f01",
+         "6ca402b1b50e", "4b6ec5484df8", "dd29d7328698", "b08e90305ab3",
+         "ad803b237e3e", "286a5dbe7e2e", "c2967bc5abac", "a1afa6b45e75",
+         "e8ad81a6166c", "241c40882d3c", "cd46333d9312", "cd46333d9312"),
+    ),
+    "fleet8-leak-s7-migration": (
+        "fdcd00c507ce8f380f4d83e6e92f6e333df928ce13aa493f90fd650a4530a89e",
+        ("7e7f178d86bb", "f4c335450787", "a83aa4946394"),
     ),
 }
 
@@ -122,9 +152,9 @@ def _record(result):
     }
 
 
-def run_cell(name, **overrides):
+def run_cell(name):
     return run_experiment(ExperimentConfig(
-        scheme="prepare", telemetry=True, **CELLS[name], **overrides
+        **{"scheme": "prepare", "telemetry": True, **CELLS[name]}
     ))
 
 
@@ -198,7 +228,7 @@ def cell_runs():
     return get
 
 
-@pytest.mark.parametrize("name", sorted(CELLS))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_decisions_match_golden_digest(name, cell_runs):
     run = cell_runs(name)
     result = run.result
@@ -211,6 +241,13 @@ def test_decisions_match_golden_digest(name, cell_runs):
     assert _digest(_record(result)) == GOLDEN[name][0], describe_mismatch(
         name, result
     )
+
+
+def test_migration_cell_moves_a_vm(cell_runs):
+    """The migration cell reaches the in-flight degradation and the
+    host move: at least one live migration ran to completion."""
+    actions = cell_runs("fleet8-leak-s7-migration").result.actions
+    assert any(a.verb == "migrate" and a.completed for a in actions)
 
 
 def test_degraded_cell_delivers_empty_rounds_late(cell_runs):
@@ -233,6 +270,10 @@ SAMPLE_GOLDEN = {
     "fleet8-leak-s7-degraded": (
         "888d3bd02de8b765fa0825dc47279034515f5fc20a26e02dc8ec6f88707198cf",
         "49ceec691ea6ae7c1a81621bf23264b19910d6f3c03963314fafcb5c0d288e99",
+    ),
+    "fleet50-leak-s7-none": (
+        "c521d11949d0fefb8b47fdf7d372e4c0c4c809164b055b63036fc7112afd30dc",
+        "02c1de3c7073d0be5c4e1b53944eb42293740ae24a3c4b81abfe696258be8e1c",
     ),
 }
 
