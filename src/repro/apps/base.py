@@ -10,6 +10,10 @@ by a client workload.  Every simulated second the application:
    sharing with injected hogs, swap thrashing and migration overhead);
 3. derives the application-level SLO metric and logs it.
 
+Steps 1 and 2 run over the application's rows of the VM table at once
+(:meth:`DistributedApplication._register`, :meth:`~DistributedApplication._capacities`):
+a component's capacity never depends on its own demand in the same step.
+
 The PREPARE controller never touches any of this — it sees only the
 monitor's metric samples and the SLO violation log, preserving the
 paper's black-box assumption.
@@ -18,17 +22,17 @@ paper's black-box assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.apps.slo import SLOTracker
 from repro.apps.workload import Workload
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.vm import VirtualMachine
+from repro.sim.resources import ResourceKind
+from repro.sim.vm import APP_CONSUMER, VirtualMachine, table_rows
 
 __all__ = ["AppComponent", "DistributedApplication", "APP_CONSUMER"]
-
-#: Consumer key application components register their demands under.
-APP_CONSUMER = "app"
 
 
 @dataclass
@@ -41,10 +45,6 @@ class AppComponent:
     cpu_cost: float
     #: Base resident set, MB.
     base_memory_mb: float
-
-    def effective_cpu(self) -> float:
-        """Cores the component is actually consuming right now."""
-        return self.vm.effective_app_cpu(APP_CONSUMER)
 
     def register_demand(self, arrival_rate: float) -> None:
         """Declare CPU/memory demand for the current arrival rate."""
@@ -64,14 +64,14 @@ class AppComponent:
 
 
 class DistributedApplication:
-    """Base class for the modelled applications."""
+    """Base class for the modelled applications.
+
+    The components are fixed once the application starts: :meth:`start`
+    binds them to their rows of the VM table (they must share one).
+    """
 
     #: How often the performance model advances, seconds.
     STEP_INTERVAL = 1.0
-
-    #: Subclasses whose :meth:`advance` ticks each VM itself (fused
-    #: into their per-node loop) set this to skip the generic pass.
-    _ticks_in_advance = False
 
     def __init__(self, sim: Simulator, workload: Workload, slo: SLOTracker) -> None:
         self._sim = sim
@@ -79,7 +79,6 @@ class DistributedApplication:
         self.slo = slo
         self._components: Dict[str, AppComponent] = {}
         self._task: Optional[PeriodicTask] = None
-        self._vms_cache: Optional[Tuple[VirtualMachine, ...]] = None
 
     # ------------------------------------------------------------------
     # Components
@@ -88,7 +87,6 @@ class DistributedApplication:
         if component.name in self._components:
             raise ValueError(f"duplicate component {component.name}")
         self._components[component.name] = component
-        self._vms_cache = None
         return component
 
     @property
@@ -112,6 +110,13 @@ class DistributedApplication:
         """Begin stepping the performance model every second."""
         if self._task is not None and not self._task.stopped:
             raise RuntimeError("application already started")
+        components = self.components
+        self._table, self._rows = table_rows([c.vm for c in components])
+        self._costs = np.array([c.cpu_cost for c in components], dtype=float)
+        self._free = np.flatnonzero(self._costs <= 0)
+        self._divisor = np.where(self._costs <= 0, 1.0, self._costs)
+        self._base_mb = np.array([c.base_memory_mb for c in components], dtype=float)
+        self._mem_registered = False
         self._task = self._sim.every(
             self.STEP_INTERVAL, self._step, label=f"app:{type(self).__name__}"
         )
@@ -121,18 +126,35 @@ class DistributedApplication:
             self._task.stop()
 
     def _step(self, now: float) -> None:
-        if not self._ticks_in_advance:
-            # The VM set is fixed between add_component calls; cache
-            # the tuple so the per-second step skips rebuilding lists.
-            vms = self._vms_cache
-            if vms is None:
-                vms = self._vms_cache = tuple(
-                    c.vm for c in self._components.values()
-                )
-            for vm in vms:
-                vm.tick(self.STEP_INTERVAL)
+        self._table.tick(self._rows, self.STEP_INTERVAL)
         metric, violated = self.advance(now, self.STEP_INTERVAL)
         self.slo.observe(now, metric, violated=violated)
+
+    # ------------------------------------------------------------------
+    # The components' rows, in component order
+    # ------------------------------------------------------------------
+    def _register(self, arrivals) -> None:
+        """Every component's CPU demand for its arrival rate (one, or
+        one each), and its resident set once — after the first step's
+        tick, which so sees an empty demand set."""
+        table = self._table
+        table.set_app_demand(ResourceKind.CPU, self._rows, arrivals * self._costs)
+        if not self._mem_registered:
+            table.set_app_demand(ResourceKind.MEMORY, self._rows, self._base_mb)
+            self._mem_registered = True
+
+    def _capacities(self) -> np.ndarray:
+        """Work units per second every component could sustain: its
+        VM's effective CPU ceiling over its cost (``inf`` at no cost)."""
+        table, rows = self._table, self._rows
+        capacity = table.potential[rows] * table.degradation(rows) / self._divisor
+        if self._free.size:
+            capacity[self._free] = np.inf
+        return capacity
+
+    def _report(self, kbps: np.ndarray) -> None:
+        """Every component's network in / out, disk read / write, KB/s."""
+        self._table.activity[:, self._rows] = kbps.T
 
     # ------------------------------------------------------------------
     # To be provided by concrete applications

@@ -22,13 +22,15 @@ reported SLO metric is aggregate throughput in Krequests/s.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.apps.base import APP_CONSUMER, AppComponent, DistributedApplication
+import numpy as np
+
+from repro.apps.base import AppComponent, DistributedApplication
 from repro.apps.slo import SLOTracker
 from repro.apps.workload import Workload
 from repro.sim.engine import Simulator
-from repro.sim.vm import MIGRATION_DEGRADATION, VirtualMachine
+from repro.sim.vm import VirtualMachine
 
 __all__ = ["UniformFleetApp", "FLEET_RATE_PER_NODE"]
 
@@ -41,15 +43,13 @@ _MAX_LATENCY = 0.5
 #: Utilization beyond which the M/M/1 curve is clamped.
 _RHO_CLAMP = 0.995
 
+#: KB per request served: network out, disk read, disk write (column 0,
+#: network in, is filled per arriving request instead).
+_KB_PER_REQUEST = np.array([0.0, 4.0, 0.4, 0.2])
+
 
 class UniformFleetApp(DistributedApplication):
     """N identical worker shards, one per VM, splitting the load evenly."""
-
-    # advance() fuses each VM's tick into its per-node iteration (the
-    # tick precedes that node's demand updates and only touches the
-    # VM's own state, so the result is identical to the generic
-    # all-ticks-first pass).
-    _ticks_in_advance = True
 
     def __init__(
         self,
@@ -78,30 +78,16 @@ class UniformFleetApp(DistributedApplication):
                 )
             )
         self._node_names: Tuple[str, ...] = tuple(self._components)
-        # Per-node hot-loop bindings: the component set, each node's VM,
-        # its (stable) activity record and its cost constants never
-        # change after construction, so advance() walks this tuple
-        # instead of re-resolving four attribute chains per node per
-        # simulated second.
-        self._nodes = tuple(
-            (name, comp, comp.vm, comp.vm.activity,
-             comp.cpu_cost, comp.base_memory_mb)
-            for name, comp in self._components.items()
-        )
-        #: Per-node request backlog (bounded input queue, requests).
-        self.backlog: Dict[str, float] = {name: 0.0 for name in self._node_names}
+        #: Per-node request backlog (bounded input queue, requests), in
+        #: node order.
+        self.backlog = np.zeros(len(vms))
         #: Input-buffer bound in seconds of nominal node capacity.
         self.backlog_cap_seconds = 2.0
-        # The app's resident set is constant, and no other code path
-        # ever touches the APP_CONSUMER memory entry, so it is
-        # registered once on the first step instead of re-asserted per
-        # node per simulated second.
-        self._mem_registered = False
         #: Last computed state, exposed for tests and traces.
         self.last_input_rate = 0.0
         self.last_output_rate = 0.0
         self.last_worst_latency = 0.0
-        self.last_outputs: Dict[str, float] = {}
+        self.last_outputs = np.zeros(len(vms))
 
     @property
     def node_names(self) -> List[str]:
@@ -115,84 +101,35 @@ class UniformFleetApp(DistributedApplication):
     def advance(self, now: float, dt: float) -> Tuple[float, Optional[bool]]:
         input_rate = self.workload.rate(now)
         arrival = input_rate / len(self._node_names)
-        backlog = self.backlog
-        output_rate = 0.0
-        worst_latency = 0.0
-        outputs: Dict[str, float] = {}
-        cap_seconds = self.backlog_cap_seconds
-        arrival_dt = arrival * dt
-        net_in = arrival * 1.6
-        register_mem = not self._mem_registered
-        for name, component, vm, activity, cost, base_mb in self._nodes:
-            # Fused tick: runs before this node's demand updates, and a
-            # tick reads only its own VM's memory state — which only
-            # this node's iteration modifies — so the result matches
-            # the generic all-ticks-first pass bit for bit.  (On the
-            # very first step the tick must see an *empty* demand set,
-            # hence the registration below comes after it.)
-            vm.tick(dt)
-            # Inlined AppComponent.register_demand / .capacity: same
-            # operations in the same order, minus two wrapper frames
-            # per node per step.  min()/max() calls are replaced with
-            # branches that pick the identical operand.
-            vm.set_cpu_demand(APP_CONSUMER, arrival * cost)
-            if register_mem:
-                vm.set_mem_demand(APP_CONSUMER, base_mb)
-            if cost <= 0:
-                capacity = float("inf")
-            else:
-                # Inlined VirtualMachine._degradation and the
-                # potential_cpu memo's hit path.
-                pc = vm._pc_cache.get(APP_CONSUMER)
-                if pc is None:
-                    pc = vm.potential_cpu(APP_CONSUMER)
-                factor = 1.0 / vm._thrash
-                if vm.migrating:
-                    factor *= MIGRATION_DEGRADATION
-                capacity = pc * factor / cost
-            inflow = backlog[name] + arrival_dt
-            cap_dt = capacity * dt
-            served = inflow if inflow <= cap_dt else cap_dt
-            queue = inflow - served
-            if queue <= 0.0:
-                queue = 0.0
-            cap = cap_seconds * capacity
-            if queue > cap:
-                queue = cap
-            backlog[name] = queue
-            output = served / dt
-            outputs[name] = output
-            output_rate += output
-            # Inlined _latency (M/M/1 sojourn, clamped at saturation).
-            if capacity > 0:
-                waiting = queue / capacity
-                rho = arrival / capacity
-                if rho >= _RHO_CLAMP:
-                    latency = _MAX_LATENCY
-                else:
-                    latency = 1.0 / capacity / (1.0 - rho)
-                    if latency > _MAX_LATENCY:
-                        latency = _MAX_LATENCY
-                    else:
-                        latency += waiting
-            else:
-                waiting = _MAX_LATENCY
-                latency = _MAX_LATENCY + waiting
-            if latency > _MAX_LATENCY:
-                latency = _MAX_LATENCY
-            if latency > worst_latency:
-                worst_latency = latency
-            activity.net_in_kbps = net_in
-            activity.net_out_kbps = output * 4.0
-            activity.disk_read_kbps = output * 0.4
-            activity.disk_write_kbps = output * 0.2
+        self._register(arrival)
+        capacity = self._capacities()
+        # Queue then serve; the branches of min/max pick the same operand.
+        inflow = self.backlog + arrival * dt
+        cap_dt = capacity * dt
+        served = np.where(inflow <= cap_dt, inflow, cap_dt)
+        queue = inflow - served
+        queue = np.where(queue <= 0.0, 0.0, queue)
+        cap = self.backlog_cap_seconds * capacity
+        self.backlog = np.where(queue > cap, cap, queue)
+        output = served / dt
+        # M/M/1 sojourn plus the queue's wait; _MAX_LATENCY once a node
+        # saturates (rho is inf or nan at capacity 0).  Clamping the worst
+        # last is exact: adding a wait keeps a sojourn above the clamp.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = arrival / capacity
+            latency = 1.0 / capacity / (1.0 - rho) + self.backlog / capacity
+        latency = np.where(rho < _RHO_CLAMP, latency, _MAX_LATENCY)
+        worst_latency = min(float(latency.max()), _MAX_LATENCY)
+        kbps = np.multiply.outer(output, _KB_PER_REQUEST)
+        kbps[:, 0] = arrival * 1.6
+        self._report(kbps)
 
-        if register_mem:
-            self._mem_registered = True
+        # Summed node by node, as a scalar loop would (not pairwise).
+        output_rate = float(np.add.accumulate(output)[-1])
         self.last_input_rate = input_rate
         self.last_output_rate = output_rate
         self.last_worst_latency = worst_latency
-        self.last_outputs = outputs
+        self.last_outputs = output
 
         ratio = output_rate / input_rate if input_rate > 0 else 1.0
         violated = (
@@ -201,17 +138,6 @@ class UniformFleetApp(DistributedApplication):
         )
         # The reported SLO metric is aggregate throughput in Kreq/s.
         return output_rate / 1000.0, violated
-
-    @staticmethod
-    def _latency(arrival: float, capacity: float) -> float:
-        """M/M/1 sojourn time, clamped once the node saturates."""
-        if capacity <= 0:
-            return _MAX_LATENCY
-        rho = arrival / capacity
-        if rho >= _RHO_CLAMP:
-            return _MAX_LATENCY
-        service = 1.0 / capacity
-        return min(service / (1.0 - rho), _MAX_LATENCY)
 
     def slo_metric_name(self) -> str:
         return "throughput (Krequests/second)"

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.apps.base import AppComponent, DistributedApplication
 from repro.apps.slo import SLOTracker
 from repro.apps.workload import Workload
@@ -121,29 +123,38 @@ class RubisApp(DistributedApplication):
         #: Client concurrency bound per tier, requests (waiting clients
         #: beyond this time out and retry later).
         self.backlog_cap = 450.0
+        #: Per tier: load share, then network in, network out, disk read
+        #: and (a quarter of it) disk write in KB per request.
+        self._tier_table = np.array([
+            (p.load_share, p.kb_in_per_req, p.kb_out_per_req,
+             p.disk_kb_per_req, p.disk_kb_per_req)
+            for p in self.profiles.values()
+        ])
 
     # ------------------------------------------------------------------
     # Performance model
     # ------------------------------------------------------------------
     def advance(self, now: float, dt: float) -> Tuple[float, Optional[bool]]:
         rate = self.workload.rate(now)
+        arrivals = rate * self._tier_table[:, 0]
+        self._register(arrivals)
         tier_times: Dict[str, float] = {}
-        for component in self.components:
-            profile = self.profiles[component.name]
-            arrival = rate * profile.load_share
-            component.register_demand(arrival)
-            capacity = component.capacity()
+        for name, arrival, capacity in zip(
+            self.profiles, arrivals.tolist(), self._capacities().tolist()
+        ):
             # Backlog dynamics: demand beyond capacity queues up (bounded
             # by client concurrency) and must drain once capacity returns.
-            queue = self.backlog[component.name]
+            queue = self.backlog[name]
             excess = (arrival - capacity) * dt
             queue = min(max(0.0, queue + excess), self.backlog_cap)
-            self.backlog[component.name] = queue
+            self.backlog[name] = queue
             waiting = queue / capacity if capacity > 0 else _MAX_RESPONSE
-            tier_times[component.name] = min(
+            tier_times[name] = min(
                 self._sojourn(arrival, capacity) + waiting, _MAX_RESPONSE
             )
-            self._set_activity(component, arrival)
+        kbps = arrivals[:, np.newaxis] * self._tier_table[:, 1:]
+        kbps[:, 3] *= 0.25
+        self._report(kbps)
 
         # Web and DB serve every request; the app tier counts once with
         # the two servers' times averaged (even load balancing).
@@ -171,14 +182,6 @@ class RubisApp(DistributedApplication):
             return _MAX_RESPONSE
         service = 1.0 / capacity
         return min(service / (1.0 - rho), _MAX_RESPONSE)
-
-    def _set_activity(self, component: AppComponent, arrival: float) -> None:
-        profile = self.profiles[component.name]
-        activity = component.vm.activity
-        activity.net_in_kbps = arrival * profile.kb_in_per_req
-        activity.net_out_kbps = arrival * profile.kb_out_per_req
-        activity.disk_read_kbps = arrival * profile.disk_kb_per_req
-        activity.disk_write_kbps = 0.25 * activity.disk_read_kbps
 
     def slo_metric_name(self) -> str:
         return "average response time (ms)"

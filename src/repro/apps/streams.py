@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.apps.base import AppComponent, DistributedApplication
 from repro.apps.slo import SLOTracker
 from repro.apps.workload import Workload
@@ -141,6 +143,13 @@ class SystemSApp(DistributedApplication):
         self.backlog: Dict[str, float] = {pe: 0.0 for pe in self._order}
         #: Input-buffer bound in seconds of nominal PE capacity.
         self.backlog_cap_seconds = 2.0
+        #: Per PE: network in per arriving tuple, then network out, disk
+        #: read (a tenth of it) and disk written per output tuple, KB.
+        self._pe_table = np.array([
+            (p.kb_in_per_tuple, p.kb_out_per_tuple, p.disk_kb_per_tuple,
+             p.disk_kb_per_tuple)
+            for p in self.profiles.values()
+        ])
         #: Last computed state, exposed for tests and traces.
         self.last_input_rate = 0.0
         self.last_output_rate = 0.0
@@ -181,11 +190,12 @@ class SystemSApp(DistributedApplication):
         tuple_times: Dict[str, float] = {}
         arrivals[self.SOURCE_PE] = input_rate
 
+        # A capacity never depends on the same step's demand, so they are
+        # read once, and the demands written once the arrivals are known.
+        capacities = dict(zip(self._components, self._capacities().tolist()))
         for pe in self._order:
-            component = self.component(pe)
             arrival = arrivals[pe]
-            component.register_demand(arrival)
-            capacity = component.capacity()
+            capacity = capacities[pe]
             # Queue then serve: backlog drains ahead of new arrivals,
             # bounded by the input buffer (UDP -> overflow is dropped).
             queue = self.backlog[pe]
@@ -202,7 +212,14 @@ class SystemSApp(DistributedApplication):
             )
             for child, share in SYSTEM_S_TOPOLOGY[pe]:
                 arrivals[child] += output * share
-            self._set_activity(component, arrival, output)
+        rates = np.array([
+            (arrivals[pe], outputs[pe], outputs[pe], outputs[pe])
+            for pe in self._components
+        ])
+        self._register(rates[:, 0])
+        kbps = rates * self._pe_table
+        kbps[:, 2] *= 0.1
+        self._report(kbps)
 
         output_rate = outputs[self.SINK_PE]
         tuple_time = max(
@@ -229,14 +246,6 @@ class SystemSApp(DistributedApplication):
             return _MAX_TUPLE_TIME
         service = 1.0 / capacity
         return min(service / (1.0 - rho), _MAX_TUPLE_TIME)
-
-    def _set_activity(self, component: AppComponent, arrival: float, output: float) -> None:
-        profile = self.profiles[component.name]
-        activity = component.vm.activity
-        activity.net_in_kbps = arrival * profile.kb_in_per_tuple
-        activity.net_out_kbps = output * profile.kb_out_per_tuple
-        activity.disk_write_kbps = output * profile.disk_kb_per_tuple
-        activity.disk_read_kbps = 0.1 * activity.disk_write_kbps
 
     def slo_metric_name(self) -> str:
         return "throughput (Ktuples/second)"

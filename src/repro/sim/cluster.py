@@ -13,17 +13,19 @@ from repro.sim.engine import Simulator
 from repro.sim.host import Host, VCL_HOST_SPEC
 from repro.sim.hypervisor import Hypervisor
 from repro.sim.resources import ResourceError, ResourceSpec
-from repro.sim.vm import VirtualMachine
+from repro.sim.vm import VirtualMachine, VMTable
 
 __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A pool of hosts plus the hypervisor control plane."""
+    """A pool of hosts plus the hypervisor control plane; every VM it
+    creates is a row of its one :class:`VMTable`."""
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self.hypervisor = Hypervisor(sim)
+        self.table = VMTable()
         self._hosts: Dict[str, Host] = {}
         self._vms: Dict[str, VirtualMachine] = {}
 
@@ -67,7 +69,7 @@ class Cluster:
     def create_vm(self, name: str, spec: ResourceSpec, host: Host) -> VirtualMachine:
         if name in self._vms:
             raise ResourceError(f"duplicate VM name {name}")
-        vm = VirtualMachine(name, spec)
+        vm = VirtualMachine(name, spec, self.table)
         host.place(vm)
         self._vms[name] = vm
         return vm

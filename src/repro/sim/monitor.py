@@ -28,7 +28,7 @@ from typing import (
 import numpy as np
 
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.vm import CACHE_PRESSURE_MB, VirtualMachine
+from repro.sim.vm import VirtualMachine, VMTable, table_rows
 
 __all__ = [
     "ATTRIBUTES", "MetricSample", "SampleBlock", "MonitorTrace", "VMMonitor",
@@ -250,23 +250,6 @@ class MonitorTrace(Mapping[str, List[MetricSample]]):
         return len(self.vms)
 
 
-class _LoadState:
-    """Per-VM EWMA state for the load-average attributes."""
-
-    __slots__ = ("load1", "load5")
-
-    def __init__(self) -> None:
-        self.load1 = 0.0
-        self.load5 = 0.0
-
-    def update(self, runqueue: float, a1: float, a5: float) -> None:
-        """Fold one observation in; ``a1``/``a5`` are the per-interval
-        smoothing factors (constant for a fixed sampling interval, so
-        the monitor precomputes them instead of exp()-ing per sample)."""
-        self.load1 += a1 * (runqueue - self.load1)
-        self.load5 += a5 * (runqueue - self.load5)
-
-
 class VMMonitor:
     """Samples the 13 attributes of a set of VMs on a fixed interval.
 
@@ -292,23 +275,24 @@ class VMMonitor:
         self._vms = list(vms)
         self.interval = interval
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._noise_scale = noise_scale
         #: Probability that an individual VM read fails in a round.  A
         #: failed read is replaced by a forward-filled repeat of the
         #: previous sample (marked ``stale``), so per-VM traces stay
         #: aligned — the contract every downstream consumer relies on.
         self.drop_rate = drop_rate
-        # Hot-path constants: the load-average smoothing factors for
-        # this interval and the scaled noise-std vector (ATTRIBUTES
-        # order) for the one-shot gaussian draw in sample_vm.
-        self._alpha1 = 1.0 - np.exp(-interval / _LOAD1_WINDOW)
-        self._alpha5 = 1.0 - np.exp(-interval / _LOAD5_WINDOW)
+        # The load averages' smoothing factors for this interval, and
+        # the noise standard deviations in ATTRIBUTES order.
+        self._alphas = np.array([
+            [1.0 - np.exp(-interval / _LOAD1_WINDOW)],
+            [1.0 - np.exp(-interval / _LOAD5_WINDOW)],
+        ])
         self._noise_vec = _NOISE_STD_VEC * noise_scale
-        # Fleet-wide noise-scale matrix for batched collection, built
-        # lazily for the current VM count (a zero-copy broadcast view).
-        self._noise_mat: Optional[np.ndarray] = None
-        self._loads: Dict[str, _LoadState] = {vm.name: _LoadState() for vm in self._vms}
+        self._table, self._rows = table_rows(self._vms)
+        self._ids = np.array([vm.row for vm in self._vms], dtype=np.intp)
+        #: Per-VM EWMAs of the run queue: ``load1`` and ``load5``.
+        self._loads = np.zeros((2, len(self._vms)))
         self._names = tuple(vm.name for vm in self._vms)
+        self._index = {name: i for i, name in enumerate(self._names)}
         self.traces = MonitorTrace(self._names)
         self._listeners: List[Callable[[SampleBlock], None]] = []
         self._task: Optional[PeriodicTask] = None
@@ -357,95 +341,72 @@ class VMMonitor:
     # Sampling
     # ------------------------------------------------------------------
     def sample_vm(self, vm: VirtualMachine, timestamp: float) -> MetricSample:
-        """Measure one VM now (noise included).
-
-        The 13 attributes are derived once from shared VM state (the
-        demand sums and utilization the individual accessors would each
-        recompute) and perturbed with a single vectorized gaussian draw
-        that consumes the generator stream exactly like the thirteen
-        per-attribute scalar draws it replaces.
-        """
-        noisy, cpu_allocated, mem_allocated = self._measure(vm)
+        """Measure one monitored VM now (noise included): the one-row
+        case of a round, with its own gaussian draw."""
+        i = np.array([self._index[vm.name]])
+        raw, cpu, mem = self._raw(i)
+        noisy = self._noisy(raw, self._noise(raw.shape))[0]
         return MetricSample(
             vm=vm.name,
             timestamp=timestamp,
             values=dict(zip(ATTRIBUTES, noisy.tolist())),
-            cpu_allocated=cpu_allocated,
-            mem_allocated_mb=mem_allocated,
+            cpu_allocated=cpu.item(0),
+            mem_allocated_mb=mem.item(0),
         )
 
-    def _measure(self, vm: VirtualMachine) -> Tuple[np.ndarray, float, float]:
-        """One VM's noisy row, from its own gaussian draw, and allocations."""
-        row, cpu_allocated, mem_allocated = self._raw_row(vm)
-        noisy = np.array(row) + self._rng.normal(0.0, self._noise_vec)
-        np.maximum(noisy, 0.0, out=noisy)
-        if noisy[0] > 100.0:
-            noisy[0] = 100.0
-        return noisy, cpu_allocated, mem_allocated
+    def _raw(self, pos: Optional[np.ndarray] = None
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Raw (pre-noise) ``(vm, attr)`` rows of the monitored VMs at
+        positions ``pos`` (all of them by default), with their
+        allocations.
 
-    def _raw_row(self, vm: VirtualMachine) -> Tuple[List[float], float, float]:
-        """Raw (pre-noise) attribute row plus the VM's allocations.
-
-        Folds the VM's run queue into the load EWMAs as a side effect —
-        call exactly once per VM per round.
+        Folds those VMs' run queues into the load EWMAs as a side
+        effect — call exactly once per VM per round.
         """
-        # Inlined total_cpu_demand / total_mem_demand_mb cache reads.
-        total_cpu = vm._cpu_total
-        if total_cpu is None:
-            total_cpu = vm._cpu_total = sum(vm._cpu_demands.values())
-        cpu_allocated = vm._cpu_alloc
-        usage_cores = total_cpu if total_cpu < cpu_allocated else cpu_allocated
-        utilization = 0.0 if cpu_allocated == 0 else usage_cores / cpu_allocated
-
-        load = self._loads[vm.name]
-        load.update(total_cpu, self._alpha1, self._alpha5)
-
-        mem_allocated = vm._mem_alloc
-        total_mem = vm._mem_total
-        if total_mem is None:
-            total_mem = vm._mem_total = sum(vm._mem_demands.values())
-        # Branches replace the max() builtins; each picks the exact
-        # operand the original call returned.
-        swap = total_mem - mem_allocated
-        if swap <= 0.0:
-            swap = 0.0
-        free_mem = mem_allocated - total_mem
-        if free_mem <= 0.0:
-            free_mem = 0.0
-        cache_pressure = 1.0 - free_mem / CACHE_PRESSURE_MB
-        if cache_pressure <= 0.0:
-            cache_pressure = 0.0
-        # Major faults scale with how hard the guest is thrashing.
-        page_faults = 2.0 + 90.0 * (
-            swap / (mem_allocated if mem_allocated > 1.0 else 1.0)
-        )
+        table = self._table
+        rows = self._rows if pos is None else self._ids[pos]
+        at = slice(None) if pos is None else pos
+        total_cpu = table.cpu.total(rows)
+        cpu = table.cpu_alloc[rows]
+        # Where the allocation is 0 so is the usage, and 0.0 / 1.0 is
+        # the 0.0 the branch gave.
+        usage = np.where(total_cpu < cpu, total_cpu, cpu)
+        utilization = usage / np.where(cpu == 0, 1.0, cpu)
+        loads = self._loads[:, at]
+        self._loads[:, at] = loads = loads + self._alphas * (total_cpu - loads)
+        memory = table.memory[:, rows]
+        raw = np.empty((usage.size, len(ATTRIBUTES)))
+        np.multiply(utilization, 100.0, out=raw[:, 0])       # cpu_usage
+        # Never negative: the usage is at most the allocation.
+        raw[:, 1] = cpu - usage                               # residual_cpu
+        raw[:, 2:4] = loads.T
+        # free_mem, mem_used, swap_used, page_faults.
+        raw[:, 4:8] = memory[:VMTable.CACHE].T
+        raw[:, 8:12] = table.activity[:, rows].T
+        raw[:, 10] += memory[VMTable.MISS_READS]
         # Context switches track overall activity (hundreds per second).
-        ctx = 200.0 + 600.0 * utilization
-        # Page-cache starvation shows up as extra physical reads well
-        # before hard swapping starts (see repro.sim.vm).
-        cache_miss_reads = 90.0 * cache_pressure
+        np.multiply(utilization, 600.0, out=raw[:, 12])
+        raw[:, 12] += 200.0
+        return raw, cpu, table.mem_alloc[rows]
 
-        residual = cpu_allocated - usage_cores
-        if residual <= 0.0:
-            residual = 0.0
+    def _noise(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """Measurement noise for ``shape`` readings, drawn in C order.
 
-        activity = vm.activity
-        row = [
-            100.0 * utilization,                         # cpu_usage
-            residual,                                    # residual_cpu
-            load.load1,
-            load.load5,
-            free_mem,
-            min(total_mem, mem_allocated),               # mem_used
-            swap,
-            page_faults + 25.0 * cache_pressure,
-            activity.net_in_kbps,
-            activity.net_out_kbps,
-            activity.disk_read_kbps + cache_miss_reads,
-            activity.disk_write_kbps,
-            ctx,
-        ]
-        return row, cpu_allocated, mem_allocated
+        ``normal(0.0, std)`` draws ``0.0 + std * z`` from the same
+        stream; the ``0.0 +`` only turns a ``-0.0`` into ``0.0``, which
+        adding the noise to a reading makes moot.
+        """
+        return self._rng.standard_normal(shape) * self._noise_vec
+
+    @staticmethod
+    def _noisy(raw: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Add the noise to the raw rows in place, clip at 0 and cap
+        ``cpu_usage`` at 100."""
+        raw += noise
+        np.maximum(raw, 0.0, out=raw)
+        cpu_col = raw[:, 0]
+        np.minimum(cpu_col, 100.0, out=cpu_col)
+        return raw
 
     def _collect(self, now: float) -> None:
         """One round: measure every VM, record the round in
@@ -466,59 +427,43 @@ class VMMonitor:
         else:
             self._interceptor(block, self._dispatch)
 
-    def _measure_fleet(self) -> Tuple[np.ndarray, List[float], List[float]]:
+    def _measure_fleet(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every VM's noisy row from a single fleet-wide noise draw.
 
         With ``drop_rate == 0`` the generator is consumed strictly in
-        VM-major, attribute-minor order, so one ``(n_vms, 13)`` gaussian
-        draw produces the bit-identical stream of the per-VM draws (a
-        broadcast fill walks the output in C order) while paying the
-        numpy dispatch cost once per round instead of once per VM.
+        VM-major, attribute-minor order, so one ``(n_vms, 13)`` draw is
+        the stream of the per-VM draws.
         """
-        rows = []
-        cpu = []
-        mem = []
-        for vm in self._vms:
-            row, cpu_allocated, mem_allocated = self._raw_row(vm)
-            rows.append(row)
-            cpu.append(cpu_allocated)
-            mem.append(mem_allocated)
-        noise = self._noise_mat
-        if noise is None or noise.shape[0] != len(rows):
-            noise = self._noise_mat = np.broadcast_to(
-                self._noise_vec, (len(rows), self._noise_vec.size)
-            )
-        noisy = np.array(rows, dtype=float).reshape(-1, self._noise_vec.size)
-        noisy += self._rng.normal(0.0, noise)
-        np.maximum(noisy, 0.0, out=noisy)
-        cpu_col = noisy[:, 0]
-        np.minimum(cpu_col, 100.0, out=cpu_col)
-        return noisy, cpu, mem
+        raw, cpu, mem = self._raw()
+        return self._noisy(raw, self._noise(raw.shape)), cpu, mem
 
     def _measure_with_drops(
         self, stale: np.ndarray
-    ) -> Tuple[np.ndarray, List[float], List[float]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every VM's row when reads can fail.
 
         The drop roll and the noise draw interleave per VM, so each VM
         keeps its own draw.  A failed read repeats the VM's previous
-        round (flagged in ``stale``); the first round never fails.
+        round (flagged in ``stale``); the first round never fails.  Only
+        the VMs actually read fold their run queues into the loads.
         """
         trace = self.traces
         last = trace.rounds - 1
-        noisy = np.empty((len(self._vms), self._noise_vec.size))
-        cpu = []
-        mem = []
-        for i, vm in enumerate(self._vms):
+        n = len(self._vms)
+        noisy = np.empty((n, self._noise_vec.size))
+        for i in range(n):
             if last >= 0 and self._rng.random() < self.drop_rate:
-                noisy[i] = trace._readings[last, i]
-                cpu.append(trace._cpu[last, i])
-                mem.append(trace._mem[last, i])
                 stale[i] = True
             else:
-                noisy[i], cpu_allocated, mem_allocated = self._measure(vm)
-                cpu.append(cpu_allocated)
-                mem.append(mem_allocated)
+                noisy[i] = self._noise(self._noise_vec.shape)
+        read = np.flatnonzero(~stale)
+        cpu, mem = np.empty(n), np.empty(n)
+        raw, cpu[read], mem[read] = self._raw(read)
+        noisy[read] = self._noisy(raw, noisy[read])
+        if read.size < n:
+            noisy[stale] = trace._readings[last, stale]
+            cpu[stale] = trace._cpu[last, stale]
+            mem[stale] = trace._mem[last, stale]
         return noisy, cpu, mem
 
     def _dispatch(self, block: SampleBlock) -> None:

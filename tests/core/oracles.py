@@ -19,13 +19,25 @@ round and keeps the fleet's training windows in one ring;
 :class:`OracleIngest` are the per-sample collection, the per-VM buffer
 and ``_sanitize_batch`` it replaced.  ``test_ingest_kernels.py``
 demands bitwise equality with them.
+
+``src/`` keeps the simulator's per-VM state in one ``VMTable`` and runs
+the fleet step, the thrash tick and the monitor's round as array
+kernels over it; :class:`OracleVM`, :class:`OracleFleetApp` and
+:class:`OracleMonitor` are the per-VM objects and loops they replaced.
+``tests/sim/test_state_kernels.py`` demands bitwise equality with them.
 """
 
 import dataclasses
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.apps.base import APP_CONSUMER, AppComponent, DistributedApplication
+from repro.apps.fleet import _MAX_LATENCY, _RHO_CLAMP
+from repro.apps.slo import SLOTracker
+from repro.apps.workload import Workload
 
 from repro.core.bayes import (
     ABNORMAL,
@@ -38,7 +50,18 @@ from repro.core.bayes import (
 )
 from repro.core.localization import DeviationLocalizer
 from repro.core.tan import CPT_BACKOFF, TANClassifier
-from repro.sim.monitor import ATTRIBUTES, MetricSample, VMMonitor
+from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicTask
+from repro.sim.monitor import (
+    _LOAD1_WINDOW, _LOAD5_WINDOW, _NOISE_STD_VEC, ATTRIBUTES,
+    DEFAULT_SAMPLING_INTERVAL, MetricSample, MonitorTrace, SampleBlock,
+    VMMonitor,
+)
+from repro.sim.resources import ResourceError, ResourceKind, ResourceSpec
+from repro.sim.vm import (
+    CACHE_PRESSURE_MB, CACHE_PRESSURE_PENALTY, MIGRATION_DEGRADATION,
+    SWAP_PENALTY, THRASH_TAU_DOWN, THRASH_TAU_UP,
+)
 
 
 def oracle_cmi_per_pair(X, y, n_bins, smoothing) -> np.ndarray:
@@ -422,9 +445,728 @@ class LoopLocalizer(DeviationLocalizer):
 
 
 # ----------------------------------------------------------------------
+# Simulator state
+# ----------------------------------------------------------------------
+@dataclass
+class OracleActivity:
+    """I/O activity the application component reports each model step.
+
+    These feed the monitor's network/disk attributes; they have no
+    feedback into the performance model (the paper's faults are CPU and
+    memory faults).
+    """
+
+    net_in_kbps: float = 0.0
+    net_out_kbps: float = 0.0
+    disk_read_kbps: float = 0.0
+    disk_write_kbps: float = 0.0
+
+
+class OracleVM:
+    """A guest VM with elastic CPU/memory allocations."""
+
+    def __init__(self, name: str, spec: ResourceSpec) -> None:
+        if not name:
+            raise ValueError("VM name must be non-empty")
+        self.name = name
+        self._spec = spec
+        self.host: Optional["Host"] = None
+        self.migrating = False
+        self.activity = OracleActivity()
+        self._cpu_demands: Dict[str, float] = {}
+        self._mem_demands: Dict[str, float] = {}
+        self._thrash = 1.0
+        # Memo for _slowdown_target: (total demand, allocation) -> value.
+        # Healthy VMs re-derive an identical slowdown every simulated
+        # second; one float compare per input replaces the arithmetic.
+        # Kept as two scalars (not a tuple) to avoid an allocation per
+        # VM per simulated second.
+        self._sd_total = -1.0
+        self._sd_alloc = -1.0
+        self._sd_val = 1.0
+        # Plain-attribute mirrors of the allocation (property access is
+        # a measurable cost in the per-second hot loop) and lazily
+        # cached demand totals, invalidated whenever the corresponding
+        # demand dict actually changes.  The totals are recomputed with
+        # the exact same ``sum`` over the same insertion order, so the
+        # cache is bitwise-transparent.
+        self._cpu_alloc = spec.cpu_cores
+        self._mem_alloc = spec.memory_mb
+        self._cpu_total: Optional[float] = None
+        self._mem_total: Optional[float] = None
+        # Memo for potential_cpu keyed by consumer.  The ceiling depends
+        # only on the *other* consumers' demands and the allocation —
+        # never on the queried consumer's own demand — so an entry stays
+        # valid across the every-step updates of that consumer's own
+        # demand and is dropped only when a competitor's demand or the
+        # allocation changes.  ``_pc_sole`` names the consumer when the
+        # cache holds exactly that consumer's entry (the steady state),
+        # letting set_cpu_demand skip invalidation with one compare.
+        self._pc_cache: Dict[str, float] = {}
+        self._pc_sole: Optional[str] = None
+
+    # ------------------------------------------------------------------
+    # Allocation
+    # ------------------------------------------------------------------
+    @property
+    def spec(self) -> ResourceSpec:
+        """Current (CPU cores, memory MB) allocation."""
+        return self._spec
+
+    @property
+    def cpu_allocated(self) -> float:
+        return self._cpu_alloc
+
+    @property
+    def mem_allocated_mb(self) -> float:
+        return self._mem_alloc
+
+    def set_allocation(self, kind: ResourceKind, amount: float) -> None:
+        """Change one allocation dimension (the hypervisor calls this)."""
+        if amount <= 0:
+            raise ResourceError(f"{self.name}: allocation must stay positive, got {amount}")
+        self._spec = self._spec.with_amount(kind, amount)
+        self._cpu_alloc = self._spec.cpu_cores
+        self._mem_alloc = self._spec.memory_mb
+        self._pc_cache.clear()
+        self._pc_sole = None
+
+    # ------------------------------------------------------------------
+    # CPU model
+    # ------------------------------------------------------------------
+    def set_cpu_demand(self, consumer: str, cores: float) -> None:
+        """Declare a consumer's CPU demand in cores; 0 removes it."""
+        if cores < 0:
+            raise ResourceError(f"negative CPU demand {cores} from {consumer}")
+        demands = self._cpu_demands
+        if cores == 0:
+            if consumer not in demands:
+                return
+            del demands[consumer]
+        else:
+            if demands.get(consumer) == cores:
+                return
+            demands[consumer] = cores
+        self._cpu_total = None
+        # A consumer's own demand never affects its own ceiling; only
+        # the *other* consumers' memoized ceilings go stale.  In the
+        # steady state the cache holds exactly the changing consumer's
+        # own entry (``_pc_sole``), so there is nothing to drop.
+        cache = self._pc_cache
+        if cache and self._pc_sole != consumer:
+            keep = cache.get(consumer)
+            cache.clear()
+            if keep is not None:
+                cache[consumer] = keep
+                self._pc_sole = consumer
+            else:
+                self._pc_sole = None
+
+    def total_cpu_demand(self) -> float:
+        total = self._cpu_total
+        if total is None:
+            total = self._cpu_total = sum(self._cpu_demands.values())
+        return total
+
+    @staticmethod
+    def _max_min_grants(demands: Dict[str, float], capacity: float) -> Dict[str, float]:
+        """Water-filling max-min fair allocation of ``capacity``.
+
+        Mirrors an equal-weight fair scheduler inside the guest: every
+        runnable consumer is entitled to an equal share; demand below
+        the share is fully granted and the surplus is redistributed.
+        """
+        grants = {name: 0.0 for name in demands}
+        remaining = capacity
+        unsatisfied = {name: demand for name, demand in demands.items() if demand > 0}
+        while unsatisfied and remaining > 1e-12:
+            share = remaining / len(unsatisfied)
+            fulfilled = [n for n, d in unsatisfied.items() if d <= share]
+            if fulfilled:
+                for name in fulfilled:
+                    grants[name] = demands[name]
+                    remaining -= unsatisfied.pop(name)
+            else:
+                for name in unsatisfied:
+                    grants[name] = share
+                remaining = 0.0
+                unsatisfied = {}
+        return grants
+
+    def cpu_share(self, consumer: str) -> float:
+        """Cores actually granted to ``consumer`` under max-min fairness."""
+        demands = self._cpu_demands
+        if consumer not in demands:
+            return 0.0
+        if len(demands) == 1:
+            # Sole consumer: water-filling grants min(demand, capacity)
+            # (and nothing when the capacity is below the redistribution
+            # epsilon, where the loop never runs).
+            capacity = self.cpu_allocated
+            if capacity <= 1e-12:
+                return 0.0
+            demand = demands[consumer]
+            return demand if demand <= capacity else capacity
+        grants = self._max_min_grants(demands, self.cpu_allocated)
+        return grants[consumer]
+
+    def potential_cpu(self, consumer: str) -> float:
+        """Cores ``consumer`` *could* obtain if it demanded unboundedly.
+
+        This is the capacity ceiling the application's queueing model
+        saturates against: the allocation minus what the other
+        consumers (e.g. an injected CPU hog) would still hold under
+        max-min fairness against a saturating competitor.
+        """
+        cached = self._pc_cache.get(consumer)
+        if cached is not None:
+            return cached
+        demands = self._cpu_demands
+        n = len(demands)
+        if n == 0 or (n == 1 and consumer in demands):
+            # No competitors: a saturating consumer takes the whole
+            # allocation (water-filling grants it everything, or nothing
+            # when the capacity is below the epsilon — either way the
+            # others hold zero).
+            value = self._cpu_alloc
+        else:
+            others = {
+                name: demand
+                for name, demand in demands.items()
+                if name != consumer
+            }
+            scenario = dict(others)
+            scenario[consumer] = float("inf")
+            grants = self._max_min_grants(scenario, self._cpu_alloc)
+            value = self._cpu_alloc - sum(grants[name] for name in others)
+        cache = self._pc_cache
+        cache[consumer] = value
+        self._pc_sole = consumer if len(cache) == 1 else None
+        return value
+
+    def cpu_usage_cores(self) -> float:
+        """Cores actually consumed (min of demand and allocation)."""
+        return min(self.total_cpu_demand(), self.cpu_allocated)
+
+    def cpu_utilization(self) -> float:
+        """Fraction of the allocation in use, in [0, 1]."""
+        if self.cpu_allocated == 0:
+            return 0.0
+        return self.cpu_usage_cores() / self.cpu_allocated
+
+    # ------------------------------------------------------------------
+    # Memory model
+    # ------------------------------------------------------------------
+    def set_mem_demand(self, consumer: str, mb: float) -> None:
+        """Declare a consumer's resident-set size in MB; 0 removes it."""
+        if mb < 0:
+            raise ResourceError(f"negative memory demand {mb} from {consumer}")
+        demands = self._mem_demands
+        if mb == 0:
+            if consumer not in demands:
+                return
+            del demands[consumer]
+        else:
+            if demands.get(consumer) == mb:
+                return
+            demands[consumer] = mb
+        self._mem_total = None
+
+    def total_mem_demand_mb(self) -> float:
+        total = self._mem_total
+        if total is None:
+            total = self._mem_total = sum(self._mem_demands.values())
+        return total
+
+    def mem_used_mb(self) -> float:
+        """Resident memory (cannot exceed the allocation)."""
+        return min(self.total_mem_demand_mb(), self.mem_allocated_mb)
+
+    def free_mem_mb(self) -> float:
+        return max(0.0, self.mem_allocated_mb - self.total_mem_demand_mb())
+
+    def swap_used_mb(self) -> float:
+        return max(0.0, self.total_mem_demand_mb() - self.mem_allocated_mb)
+
+    def cache_pressure(self) -> float:
+        """Page-cache starvation level in [0, 1] (1 = no cache left)."""
+        return max(0.0, 1.0 - self.free_mem_mb() / CACHE_PRESSURE_MB)
+
+    def _slowdown_target(self) -> float:
+        """Instantaneous slowdown implied by memory state.
+
+        Two phases, as on a real Linux guest: a mild, gradually growing
+        penalty as the page cache is squeezed out, then the steep
+        thrashing penalty once demand spills into swap.
+        """
+        allocated = self._mem_alloc
+        if allocated == 0:
+            return 1.0
+        # Single pass over the demand dict; the sub-expressions below
+        # are exactly swap_used_mb(), cache_pressure() and the original
+        # ratio, just without summing the demands three times over.
+        total = self._mem_total
+        if total is None:
+            total = self._mem_total = sum(self._mem_demands.values())
+        if total == self._sd_total and allocated == self._sd_alloc:
+            return self._sd_val
+        swap = max(0.0, total - allocated)
+        free = max(0.0, allocated - total)
+        cache = max(0.0, 1.0 - free / CACHE_PRESSURE_MB)
+        value = 1.0 + CACHE_PRESSURE_PENALTY * cache + SWAP_PENALTY * (swap / allocated)
+        self._sd_total = total
+        self._sd_alloc = allocated
+        self._sd_val = value
+        return value
+
+    def tick(self, dt: float) -> None:
+        """Advance inertial state (the application model calls this
+        once per step before reading capacities)."""
+        if dt <= 0:
+            return
+        # Inlined _slowdown_target memo hit: the overwhelmingly common
+        # case (healthy VM, unchanged demands) is a pair of float
+        # compares with no call.
+        total = self._mem_total
+        if total is not None and total == self._sd_total \
+                and self._mem_alloc == self._sd_alloc:
+            target = self._sd_val
+        else:
+            target = self._slowdown_target()
+        if target == self._thrash:
+            # Converged (the common healthy steady state at 1.0): the
+            # EWMA update would add alpha * 0.0 — skip the exp().
+            return
+        tau = THRASH_TAU_UP if target > self._thrash else THRASH_TAU_DOWN
+        alpha = 1.0 - math.exp(-dt / tau)
+        self._thrash += alpha * (target - self._thrash)
+
+    def memory_slowdown(self) -> float:
+        """Service-time multiplier (>= 1) caused by swap thrashing.
+
+        Follows the instantaneous swap pressure with asymmetric
+        inertia: thrashing sets in within seconds, but recovery after
+        pressure is relieved takes tens of seconds (pages must fault
+        back in).
+        """
+        return self._thrash
+
+    # ------------------------------------------------------------------
+    # Effective application capacity
+    # ------------------------------------------------------------------
+    def _degradation(self) -> float:
+        """Combined slowdown from swapping and in-flight migration."""
+        factor = 1.0 / self.memory_slowdown()
+        if self.migrating:
+            factor *= MIGRATION_DEGRADATION
+        return factor
+
+    def effective_app_cpu(self, consumer: str = "app") -> float:
+        """Cores effectively delivered to the application right now.
+
+        The fair CPU share degraded by swap thrashing and any in-flight
+        live migration.
+        """
+        return self.cpu_share(consumer) * self._degradation()
+
+    def effective_capacity(self, consumer: str = "app") -> float:
+        """Capacity ceiling for the application's queueing model.
+
+        The cores the component could obtain at saturation
+        (:meth:`potential_cpu`), degraded by swap thrashing and any
+        in-flight migration.
+        """
+        return self.potential_cpu(consumer) * self._degradation()
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        host = self.host.name if self.host else None
+        return (
+            f"OracleVM({self.name!r}, cpu={self.cpu_allocated:.2f}, "
+            f"mem={self.mem_allocated_mb:.0f}MB, host={host!r})"
+        )
+
+
+class OracleFleetApp(DistributedApplication):
+    """:class:`UniformFleetApp` with the per-node step it used to have
+    (each node's tick fused into its iteration); step it with
+    :meth:`_step`."""
+
+    # advance() fuses each VM's tick into its per-node iteration (the
+    # tick precedes that node's demand updates and only touches the
+    # VM's own state, so the result is identical to the generic
+    # all-ticks-first pass).
+    _ticks_in_advance = True
+
+    def __init__(
+        self,
+        sim: Simulator,
+        workload: Workload,
+        vms: Sequence[OracleVM],
+        cpu_cost_per_req: float = 5.0e-3,
+        base_memory_mb: float = 520.0,
+        throughput_ratio_slo: float = 0.95,
+        latency_slo_s: float = 0.040,
+    ) -> None:
+        if not vms:
+            raise ValueError("fleet needs at least one VM")
+        slo = SLOTracker(lambda _metric: False, name=f"fleet{len(vms)}")
+        super().__init__(sim, workload, slo)
+        self.throughput_ratio_slo = throughput_ratio_slo
+        self.latency_slo_s = latency_slo_s
+        width = max(2, len(str(len(vms))))
+        for index, vm in enumerate(vms):
+            self.add_component(
+                AppComponent(
+                    name=f"node{index + 1:0{width}d}",
+                    vm=vm,
+                    cpu_cost=cpu_cost_per_req,
+                    base_memory_mb=base_memory_mb,
+                )
+            )
+        self._node_names: Tuple[str, ...] = tuple(self._components)
+        # Per-node hot-loop bindings: the component set, each node's VM,
+        # its (stable) activity record and its cost constants never
+        # change after construction, so advance() walks this tuple
+        # instead of re-resolving four attribute chains per node per
+        # simulated second.
+        self._nodes = tuple(
+            (name, comp, comp.vm, comp.vm.activity,
+             comp.cpu_cost, comp.base_memory_mb)
+            for name, comp in self._components.items()
+        )
+        #: Per-node request backlog (bounded input queue, requests).
+        self.backlog: Dict[str, float] = {name: 0.0 for name in self._node_names}
+        #: Input-buffer bound in seconds of nominal node capacity.
+        self.backlog_cap_seconds = 2.0
+        # The app's resident set is constant, and no other code path
+        # ever touches the APP_CONSUMER memory entry, so it is
+        # registered once on the first step instead of re-asserted per
+        # node per simulated second.
+        self._mem_registered = False
+        #: Last computed state, exposed for tests and traces.
+        self.last_input_rate = 0.0
+        self.last_output_rate = 0.0
+        self.last_worst_latency = 0.0
+        self.last_outputs: Dict[str, float] = {}
+
+    @property
+    def node_names(self) -> List[str]:
+        return list(self._node_names)
+
+    @property
+    def fault_node(self) -> str:
+        """Canonical fault target: the last node (mirrors PE4/db picks)."""
+        return self._node_names[-1]
+
+    def advance(self, now: float, dt: float) -> Tuple[float, Optional[bool]]:
+        input_rate = self.workload.rate(now)
+        arrival = input_rate / len(self._node_names)
+        backlog = self.backlog
+        output_rate = 0.0
+        worst_latency = 0.0
+        outputs: Dict[str, float] = {}
+        cap_seconds = self.backlog_cap_seconds
+        arrival_dt = arrival * dt
+        net_in = arrival * 1.6
+        register_mem = not self._mem_registered
+        for name, component, vm, activity, cost, base_mb in self._nodes:
+            # Fused tick: runs before this node's demand updates, and a
+            # tick reads only its own VM's memory state — which only
+            # this node's iteration modifies — so the result matches
+            # the generic all-ticks-first pass bit for bit.  (On the
+            # very first step the tick must see an *empty* demand set,
+            # hence the registration below comes after it.)
+            vm.tick(dt)
+            # Inlined AppComponent.register_demand / .capacity: same
+            # operations in the same order, minus two wrapper frames
+            # per node per step.  min()/max() calls are replaced with
+            # branches that pick the identical operand.
+            vm.set_cpu_demand(APP_CONSUMER, arrival * cost)
+            if register_mem:
+                vm.set_mem_demand(APP_CONSUMER, base_mb)
+            if cost <= 0:
+                capacity = float("inf")
+            else:
+                # Inlined OracleVM._degradation and the
+                # potential_cpu memo's hit path.
+                pc = vm._pc_cache.get(APP_CONSUMER)
+                if pc is None:
+                    pc = vm.potential_cpu(APP_CONSUMER)
+                factor = 1.0 / vm._thrash
+                if vm.migrating:
+                    factor *= MIGRATION_DEGRADATION
+                capacity = pc * factor / cost
+            inflow = backlog[name] + arrival_dt
+            cap_dt = capacity * dt
+            served = inflow if inflow <= cap_dt else cap_dt
+            queue = inflow - served
+            if queue <= 0.0:
+                queue = 0.0
+            cap = cap_seconds * capacity
+            if queue > cap:
+                queue = cap
+            backlog[name] = queue
+            output = served / dt
+            outputs[name] = output
+            output_rate += output
+            # Inlined _latency (M/M/1 sojourn, clamped at saturation).
+            if capacity > 0:
+                waiting = queue / capacity
+                rho = arrival / capacity
+                if rho >= _RHO_CLAMP:
+                    latency = _MAX_LATENCY
+                else:
+                    latency = 1.0 / capacity / (1.0 - rho)
+                    if latency > _MAX_LATENCY:
+                        latency = _MAX_LATENCY
+                    else:
+                        latency += waiting
+            else:
+                waiting = _MAX_LATENCY
+                latency = _MAX_LATENCY + waiting
+            if latency > _MAX_LATENCY:
+                latency = _MAX_LATENCY
+            if latency > worst_latency:
+                worst_latency = latency
+            activity.net_in_kbps = net_in
+            activity.net_out_kbps = output * 4.0
+            activity.disk_read_kbps = output * 0.4
+            activity.disk_write_kbps = output * 0.2
+
+        if register_mem:
+            self._mem_registered = True
+        self.last_input_rate = input_rate
+        self.last_output_rate = output_rate
+        self.last_worst_latency = worst_latency
+        self.last_outputs = outputs
+
+        ratio = output_rate / input_rate if input_rate > 0 else 1.0
+        violated = (
+            worst_latency > self.latency_slo_s
+            or ratio < self.throughput_ratio_slo
+        )
+        # The reported SLO metric is aggregate throughput in Kreq/s.
+        return output_rate / 1000.0, violated
+
+    def _step(self, now: float) -> None:
+        metric, violated = self.advance(now, self.STEP_INTERVAL)
+        self.slo.observe(now, metric, violated=violated)
+
+
+class _LoadState:
+    """Per-VM EWMA state for the load-average attributes."""
+
+    __slots__ = ("load1", "load5")
+
+    def __init__(self) -> None:
+        self.load1 = 0.0
+        self.load5 = 0.0
+
+    def update(self, runqueue: float, a1: float, a5: float) -> None:
+        """Fold one observation in; ``a1``/``a5`` are the per-interval
+        smoothing factors (constant for a fixed sampling interval, so
+        the monitor precomputes them instead of exp()-ing per sample)."""
+        self.load1 += a1 * (runqueue - self.load1)
+        self.load5 += a5 * (runqueue - self.load5)
+
+
+class OracleMonitor(VMMonitor):
+    """:class:`VMMonitor` with the per-VM raw rows it used to have:
+    ``_raw_row`` per VM folding a ``_LoadState``, and the fleet and
+    read-drop rounds built from them; it watches ``OracleVM`` objects."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        vms: Sequence[OracleVM],
+        interval: float = DEFAULT_SAMPLING_INTERVAL,
+        rng: Optional[np.random.Generator] = None,
+        noise_scale: float = 1.0,
+        drop_rate: float = 0.0,
+    ) -> None:
+        if interval <= 0:
+            raise ValueError(f"sampling interval must be positive, got {interval}")
+        if not 0.0 <= drop_rate < 1.0:
+            raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
+        self._sim = sim
+        self._vms = list(vms)
+        self.interval = interval
+        self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._noise_scale = noise_scale
+        #: Probability that an individual VM read fails in a round.  A
+        #: failed read is replaced by a forward-filled repeat of the
+        #: previous sample (marked ``stale``), so per-VM traces stay
+        #: aligned — the contract every downstream consumer relies on.
+        self.drop_rate = drop_rate
+        # Hot-path constants: the load-average smoothing factors for
+        # this interval and the scaled noise-std vector (ATTRIBUTES
+        # order) for the one-shot gaussian draw in sample_vm.
+        self._alpha1 = 1.0 - np.exp(-interval / _LOAD1_WINDOW)
+        self._alpha5 = 1.0 - np.exp(-interval / _LOAD5_WINDOW)
+        self._noise_vec = _NOISE_STD_VEC * noise_scale
+        # Fleet-wide noise-scale matrix for batched collection, built
+        # lazily for the current VM count (a zero-copy broadcast view).
+        self._noise_mat: Optional[np.ndarray] = None
+        self._loads: Dict[str, _LoadState] = {vm.name: _LoadState() for vm in self._vms}
+        self._names = tuple(vm.name for vm in self._vms)
+        self.traces = MonitorTrace(self._names)
+        self._listeners: List[Callable[[SampleBlock], None]] = []
+        self._task: Optional[PeriodicTask] = None
+        self._interceptor: Optional[
+            Callable[[SampleBlock, Callable[[SampleBlock], None]], None]
+        ] = None
+
+    def sample_vm(self, vm: OracleVM, timestamp: float) -> MetricSample:
+        """Measure one VM now (noise included).
+
+        The 13 attributes are derived once from shared VM state (the
+        demand sums and utilization the individual accessors would each
+        recompute) and perturbed with a single vectorized gaussian draw
+        that consumes the generator stream exactly like the thirteen
+        per-attribute scalar draws it replaces.
+        """
+        noisy, cpu_allocated, mem_allocated = self._measure(vm)
+        return MetricSample(
+            vm=vm.name,
+            timestamp=timestamp,
+            values=dict(zip(ATTRIBUTES, noisy.tolist())),
+            cpu_allocated=cpu_allocated,
+            mem_allocated_mb=mem_allocated,
+        )
+
+    def _measure(self, vm: OracleVM) -> Tuple[np.ndarray, float, float]:
+        """One VM's noisy row, from its own gaussian draw, and allocations."""
+        row, cpu_allocated, mem_allocated = self._raw_row(vm)
+        noisy = np.array(row) + self._rng.normal(0.0, self._noise_vec)
+        np.maximum(noisy, 0.0, out=noisy)
+        if noisy[0] > 100.0:
+            noisy[0] = 100.0
+        return noisy, cpu_allocated, mem_allocated
+
+    def _raw_row(self, vm: OracleVM) -> Tuple[List[float], float, float]:
+        """Raw (pre-noise) attribute row plus the VM's allocations.
+
+        Folds the VM's run queue into the load EWMAs as a side effect —
+        call exactly once per VM per round.
+        """
+        # Inlined total_cpu_demand / total_mem_demand_mb cache reads.
+        total_cpu = vm._cpu_total
+        if total_cpu is None:
+            total_cpu = vm._cpu_total = sum(vm._cpu_demands.values())
+        cpu_allocated = vm._cpu_alloc
+        usage_cores = total_cpu if total_cpu < cpu_allocated else cpu_allocated
+        utilization = 0.0 if cpu_allocated == 0 else usage_cores / cpu_allocated
+
+        load = self._loads[vm.name]
+        load.update(total_cpu, self._alpha1, self._alpha5)
+
+        mem_allocated = vm._mem_alloc
+        total_mem = vm._mem_total
+        if total_mem is None:
+            total_mem = vm._mem_total = sum(vm._mem_demands.values())
+        # Branches replace the max() builtins; each picks the exact
+        # operand the original call returned.
+        swap = total_mem - mem_allocated
+        if swap <= 0.0:
+            swap = 0.0
+        free_mem = mem_allocated - total_mem
+        if free_mem <= 0.0:
+            free_mem = 0.0
+        cache_pressure = 1.0 - free_mem / CACHE_PRESSURE_MB
+        if cache_pressure <= 0.0:
+            cache_pressure = 0.0
+        # Major faults scale with how hard the guest is thrashing.
+        page_faults = 2.0 + 90.0 * (
+            swap / (mem_allocated if mem_allocated > 1.0 else 1.0)
+        )
+        # Context switches track overall activity (hundreds per second).
+        ctx = 200.0 + 600.0 * utilization
+        # Page-cache starvation shows up as extra physical reads well
+        # before hard swapping starts (see repro.sim.vm).
+        cache_miss_reads = 90.0 * cache_pressure
+
+        residual = cpu_allocated - usage_cores
+        if residual <= 0.0:
+            residual = 0.0
+
+        activity = vm.activity
+        row = [
+            100.0 * utilization,                         # cpu_usage
+            residual,                                    # residual_cpu
+            load.load1,
+            load.load5,
+            free_mem,
+            min(total_mem, mem_allocated),               # mem_used
+            swap,
+            page_faults + 25.0 * cache_pressure,
+            activity.net_in_kbps,
+            activity.net_out_kbps,
+            activity.disk_read_kbps + cache_miss_reads,
+            activity.disk_write_kbps,
+            ctx,
+        ]
+        return row, cpu_allocated, mem_allocated
+
+    def _measure_fleet(self) -> Tuple[np.ndarray, List[float], List[float]]:
+        """Every VM's noisy row from a single fleet-wide noise draw.
+
+        With ``drop_rate == 0`` the generator is consumed strictly in
+        VM-major, attribute-minor order, so one ``(n_vms, 13)`` gaussian
+        draw produces the bit-identical stream of the per-VM draws (a
+        broadcast fill walks the output in C order) while paying the
+        numpy dispatch cost once per round instead of once per VM.
+        """
+        rows = []
+        cpu = []
+        mem = []
+        for vm in self._vms:
+            row, cpu_allocated, mem_allocated = self._raw_row(vm)
+            rows.append(row)
+            cpu.append(cpu_allocated)
+            mem.append(mem_allocated)
+        noise = self._noise_mat
+        if noise is None or noise.shape[0] != len(rows):
+            noise = self._noise_mat = np.broadcast_to(
+                self._noise_vec, (len(rows), self._noise_vec.size)
+            )
+        noisy = np.array(rows, dtype=float).reshape(-1, self._noise_vec.size)
+        noisy += self._rng.normal(0.0, noise)
+        np.maximum(noisy, 0.0, out=noisy)
+        cpu_col = noisy[:, 0]
+        np.minimum(cpu_col, 100.0, out=cpu_col)
+        return noisy, cpu, mem
+
+    def _measure_with_drops(
+        self, stale: np.ndarray
+    ) -> Tuple[np.ndarray, List[float], List[float]]:
+        """Every VM's row when reads can fail.
+
+        The drop roll and the noise draw interleave per VM, so each VM
+        keeps its own draw.  A failed read repeats the VM's previous
+        round (flagged in ``stale``); the first round never fails.
+        """
+        trace = self.traces
+        last = trace.rounds - 1
+        noisy = np.empty((len(self._vms), self._noise_vec.size))
+        cpu = []
+        mem = []
+        for i, vm in enumerate(self._vms):
+            if last >= 0 and self._rng.random() < self.drop_rate:
+                noisy[i] = trace._readings[last, i]
+                cpu.append(trace._cpu[last, i])
+                mem.append(trace._mem[last, i])
+                stale[i] = True
+            else:
+                noisy[i], cpu_allocated, mem_allocated = self._measure(vm)
+                cpu.append(cpu_allocated)
+                mem.append(mem_allocated)
+        return noisy, cpu, mem
+
+
+# ----------------------------------------------------------------------
 # Ingest path
 # ----------------------------------------------------------------------
-class ListMonitor(VMMonitor):
+class ListMonitor(OracleMonitor):
     """:class:`VMMonitor` with the per-sample collection it used to have:
     one :class:`MetricSample` per VM per round, kept in per-VM lists
     (``traces``) and dispatched to listeners as a list."""

@@ -24,7 +24,7 @@ from repro.sim.engine import Simulator
 from repro.sim.monitor import ATTRIBUTES, MetricSample, SampleBlock, VMMonitor
 from repro.sim.resources import ResourceSpec
 
-from .oracles import ListMonitor, OracleIngest, OracleTrainingBuffer
+from .oracles import ListMonitor, OracleIngest, OracleTrainingBuffer, OracleVM
 
 N_ATTRS = len(ATTRIBUTES)
 
@@ -193,21 +193,25 @@ def test_monitor_blocks_are_the_per_sample_batches(drop_rate):
     did — one fleet draw without drops, per-VM drop roll and draw with
     them — and its trace materialises the same samples."""
     sim = Simulator()
+    names = ["vm1", "vm2", "vm3"]
     vms = Cluster(sim).place_one_vm_per_host(
-        ["vm1", "vm2", "vm3"], ResourceSpec(1.0, 1024.0), spares=0
+        names, ResourceSpec(1.0, 1024.0), spares=0
     )
+    twins = [OracleVM(name, ResourceSpec(1.0, 1024.0)) for name in names]
     ours = VMMonitor(sim, vms, rng=np.random.default_rng(3),
                      drop_rate=drop_rate)
-    theirs = ListMonitor(sim, vms, rng=np.random.default_rng(3),
+    theirs = ListMonitor(sim, twins, rng=np.random.default_rng(3),
                          drop_rate=drop_rate)
     blocks, batches = [], []
     ours.add_listener(blocks.append)
     theirs.add_listener(batches.append)
     rng = np.random.default_rng(0)
     for r in range(40):
-        for vm in vms:
-            vm.set_cpu_demand("app", rng.uniform(0.0, 2.0))
-            vm.set_mem_demand("app", rng.uniform(500.0, 1500.0))
+        for vm, twin in zip(vms, twins):
+            cores, mb = rng.uniform(0.0, 2.0), rng.uniform(500.0, 1500.0)
+            for target in (vm, twin):
+                target.set_cpu_demand("app", cores)
+                target.set_mem_demand("app", mb)
         ours._collect(5.0 * (r + 1))
         theirs._collect(5.0 * (r + 1))
         assert block_to_batch(blocks[-1]) == batches[-1]

@@ -12,6 +12,7 @@ from repro.sim.vm import (
     THRASH_TAU_DOWN,
     THRASH_TAU_UP,
     VirtualMachine,
+    _max_min_grants,
 )
 
 
@@ -82,7 +83,7 @@ class TestCpuSharing:
     )
     def test_max_min_grants_invariants(self, demands, capacity):
         named = {f"c{i}": d for i, d in enumerate(demands)}
-        grants = VirtualMachine._max_min_grants(named, capacity)
+        grants = _max_min_grants(named, capacity)
         # No consumer exceeds its demand.
         for name, demand in named.items():
             assert grants[name] <= demand + 1e-9
