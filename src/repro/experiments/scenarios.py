@@ -45,7 +45,7 @@ APP_NAMES = (SYSTEM_S, RUBIS)
 
 #: Synthetic N-node fleets are named ``fleet<N>`` (e.g. ``fleet50``).
 _FLEET_NAME = re.compile(r"^fleet(\d+)$")
-_FLEET_MAX_NODES = 512
+_FLEET_MAX_NODES = 4096
 
 
 def parse_fleet_size(app_name: str) -> Optional[int]:

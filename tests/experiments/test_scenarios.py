@@ -3,11 +3,13 @@
 import pytest
 
 from repro.experiments.scenarios import (
+    _FLEET_MAX_NODES,
     RUBIS,
     SYSTEM_S,
     VM_SPEC,
     build_testbed,
     make_fault,
+    parse_fleet_size,
 )
 from repro.faults import FaultKind
 from repro.faults.bottleneck import BottleneckFault
@@ -45,6 +47,22 @@ class TestBuildTestbed:
         testbed.app.start()
         testbed.sim.run_until(300.0)
         assert testbed.app.slo.violation_time() == 0.0
+
+
+class TestFleetSize:
+    def test_in_range_sizes_parse(self):
+        assert parse_fleet_size("fleet1") == 1
+        assert parse_fleet_size("fleet1000") == 1000
+        assert parse_fleet_size(f"fleet{_FLEET_MAX_NODES}") == _FLEET_MAX_NODES
+
+    @pytest.mark.parametrize("name", ["fleet0", f"fleet{_FLEET_MAX_NODES + 1}"])
+    def test_out_of_range_sizes_rejected(self, name):
+        with pytest.raises(ValueError, match="fleet size must be in"):
+            parse_fleet_size(name)
+
+    @pytest.mark.parametrize("name", ["fleetX", "fleet", "fleet-3", RUBIS])
+    def test_other_names_are_not_fleets(self, name):
+        assert parse_fleet_size(name) is None
 
 
 class TestMakeFault:
