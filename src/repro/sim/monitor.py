@@ -169,6 +169,8 @@ class MonitorTrace(Mapping[str, List[MetricSample]]):
     list on each access, and nothing but the arrays is kept.
     """
 
+    _ARRAYS = ("_times", "_readings", "_cpu", "_mem", "_stale")
+
     def __init__(self, vms: Sequence[str]) -> None:
         self.vms: Tuple[str, ...] = tuple(vms)
         self._index = {name: i for i, name in enumerate(self.vms)}
@@ -222,11 +224,17 @@ class MonitorTrace(Mapping[str, List[MetricSample]]):
     def _grow(self) -> None:
         capacity = max(16, 2 * self._times.shape[0])
         n = self._rounds
-        for name in ("_times", "_readings", "_cpu", "_mem", "_stale"):
+        for name in self._ARRAYS:
             old = getattr(self, name)
             new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
+
+    def trim(self) -> "MonitorTrace":
+        """Release a finished trace's unused capacity; returns it."""
+        for name in self._ARRAYS:
+            setattr(self, name, getattr(self, name)[:self._rounds].copy())
+        return self
 
     def __getitem__(self, vm: str) -> List[MetricSample]:
         i = self._index[vm]
@@ -346,13 +354,8 @@ class VMMonitor:
         i = np.array([self._index[vm.name]])
         raw, cpu, mem = self._raw(i)
         noisy = self._noisy(raw, self._noise(raw.shape))[0]
-        return MetricSample(
-            vm=vm.name,
-            timestamp=timestamp,
-            values=dict(zip(ATTRIBUTES, noisy.tolist())),
-            cpu_allocated=cpu.item(0),
-            mem_allocated_mb=mem.item(0),
-        )
+        return MetricSample(vm.name, timestamp, dict(zip(ATTRIBUTES, noisy.tolist())),
+                            cpu.item(0), mem.item(0))
 
     def _raw(self, pos: Optional[np.ndarray] = None
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,11 +394,9 @@ class VMMonitor:
 
     def _noise(self, shape: Tuple[int, ...]) -> np.ndarray:
         """Measurement noise for ``shape`` readings, drawn in C order.
-
-        ``normal(0.0, std)`` draws ``0.0 + std * z`` from the same
-        stream; the ``0.0 +`` only turns a ``-0.0`` into ``0.0``, which
-        adding the noise to a reading makes moot.
-        """
+        ``normal(0.0, std)`` draws ``0.0 + std * z`` from the same stream;
+        the ``0.0 +`` only turns a ``-0.0`` into ``0.0``, which adding the
+        noise to a reading makes moot."""
         return self._rng.standard_normal(shape) * self._noise_vec
 
     @staticmethod

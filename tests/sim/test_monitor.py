@@ -91,6 +91,20 @@ class TestSampling:
             assert [s.cpu_allocated for s in samples] == trace.cpu[:, i].tolist()
             assert not any(s.stale or s.imputed for s in samples)
 
+    def test_trim_drops_only_the_spare_capacity(self, world):
+        sim, _cluster, vms = world
+        monitor = VMMonitor(sim, vms, interval=5.0)
+        monitor.start(start_at=5.0)
+        sim.run_until(100.0)
+        trace = monitor.traces
+        readings, cpu = trace.readings.copy(), trace.cpu.copy()
+        assert trace.trim() is trace
+        assert trace._readings.shape[0] == trace._stale.shape[0] == 20
+        assert trace.readings.tobytes() == readings.tobytes()
+        assert trace.cpu.tobytes() == cpu.tobytes()
+        sim.run_until(105.0)  # and it still grows
+        assert trace.rounds == 21 and len(trace["vm1"]) == 21
+
     def test_stop_halts_collection(self, world):
         sim, _cluster, vms = world
         monitor = VMMonitor(sim, vms, interval=5.0)
