@@ -334,13 +334,10 @@ def _activity(index: int) -> property:
 
 
 class VMActivity:
-    """I/O activity the application component reports each model step,
-    a view of its VM's row.
-
-    These feed the monitor's network/disk attributes; they have no
-    feedback into the performance model (the paper's faults are CPU and
-    memory faults).
-    """
+    """I/O activity the application component reports each model step
+    (a view of its VM's row).  It feeds the monitor's network and disk
+    attributes and nothing else: the paper's faults are CPU and memory
+    faults."""
 
     __slots__ = ("_table", "_row")
 
@@ -423,8 +420,6 @@ class VirtualMachine:
         consumers (e.g. an injected CPU hog) would still hold under
         max-min fairness against a saturating competitor.
         """
-        if consumer == APP_CONSUMER:
-            return self.table.potential.item(self.row)
         return _ceiling(self.table.cpu.demands(self.row), consumer,
                         self.cpu_allocated)
 

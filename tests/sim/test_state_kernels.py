@@ -52,6 +52,8 @@ def assert_same_vm(vm, twin):
         same(getattr(vm, name)(), getattr(twin, name)())
     same(vm.cpu_allocated, twin.cpu_allocated)
     same(vm.mem_allocated_mb, twin.mem_allocated_mb)
+    same(vm.table.potential.item(vm.row), twin.potential_cpu(APP_CONSUMER))
+    same(vm.table.slowdown.item(vm.row), twin._slowdown_target())
     assert vm.migrating is twin.migrating
     for consumer in CONSUMERS:
         same(vm.cpu_share(consumer), twin.cpu_share(consumer))
