@@ -240,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     times, values = slo.metric_trace()
     actions = list(scheme.actuator.actions) if scheme.actuator else []
     proactive = sum(1 for a in actions if a.proactive)
-    trace = testbed.monitor.traces.trim()
+    trace = testbed.monitor.traces
     sample_labels = slo.violated_at_many(trace.times).astype(int).tolist()
     resilience_summary: Optional[Dict[str, object]] = None
     if chaos_engine is not None:

@@ -165,6 +165,7 @@ def build_testbed(
         rng=np.random.default_rng(rng.integers(0, 2**31)),
         noise_scale=noise_scale,
         drop_rate=monitor_drop_rate,
+        capacity=int(duration_hint / sampling_interval) + 1,
     )
     injector = FaultInjector(sim)
     return Testbed(

@@ -161,26 +161,25 @@ class SampleBlock:
 class MonitorTrace(Mapping[str, List[MetricSample]]):
     """Everything a monitor measured: one ``(vm, attr)`` block per round.
 
-    Rounds append to growable arrays (the capacity doubles), so a run's
-    trace is a few numpy arrays, not one object per VM per round:
+    Rounds append to growable arrays (``capacity`` rounds reserved up
+    front, doubling past them), so a run's trace is a few numpy arrays,
+    not one object per VM per round:
     ``times`` ``(rounds,)``, ``readings`` ``(rounds, vm, attr)``,
     ``cpu`` / ``mem`` ``(rounds, vm)``, and the stale flags.  As a mapping it is
     the per-VM view: ``trace[vm]`` builds that VM's :class:`MetricSample`
     list on each access, and nothing but the arrays is kept.
     """
 
-    _ARRAYS = ("_times", "_readings", "_cpu", "_mem", "_stale")
-
-    def __init__(self, vms: Sequence[str]) -> None:
+    def __init__(self, vms: Sequence[str], capacity: int = 0) -> None:
         self.vms: Tuple[str, ...] = tuple(vms)
         self._index = {name: i for i, name in enumerate(self.vms)}
         n_vms = len(self.vms)
         self._rounds = 0
-        self._times = np.empty(0)
-        self._readings = np.empty((0, n_vms, len(ATTRIBUTES)))
-        self._cpu = np.empty((0, n_vms))
-        self._mem = np.empty((0, n_vms))
-        self._stale = np.empty((0, n_vms), dtype=bool)
+        self._times = np.empty(capacity)
+        self._readings = np.empty((capacity, n_vms, len(ATTRIBUTES)))
+        self._cpu = np.empty((capacity, n_vms))
+        self._mem = np.empty((capacity, n_vms))
+        self._stale = np.empty((capacity, n_vms), dtype=bool)
 
     @property
     def rounds(self) -> int:
@@ -224,17 +223,11 @@ class MonitorTrace(Mapping[str, List[MetricSample]]):
     def _grow(self) -> None:
         capacity = max(16, 2 * self._times.shape[0])
         n = self._rounds
-        for name in self._ARRAYS:
+        for name in ("_times", "_readings", "_cpu", "_mem", "_stale"):
             old = getattr(self, name)
             new = np.empty((capacity,) + old.shape[1:], dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
-
-    def trim(self) -> "MonitorTrace":
-        """Release a finished trace's unused capacity; returns it."""
-        for name in self._ARRAYS:
-            setattr(self, name, getattr(self, name)[:self._rounds].copy())
-        return self
 
     def __getitem__(self, vm: str) -> List[MetricSample]:
         i = self._index[vm]
@@ -261,9 +254,9 @@ class MonitorTrace(Mapping[str, List[MetricSample]]):
 class VMMonitor:
     """Samples the 13 attributes of a set of VMs on a fixed interval.
 
-    Each round is recorded in :attr:`traces` and delivered to the
-    listeners as one :class:`SampleBlock` — the hook the PREPARE
-    controller registers on.
+    Each round is recorded in :attr:`traces` (``capacity`` rounds of it
+    reserved up front) and delivered to the listeners as one
+    :class:`SampleBlock` — the hook the PREPARE controller registers on.
     """
 
     def __init__(
@@ -274,6 +267,7 @@ class VMMonitor:
         rng: Optional[np.random.Generator] = None,
         noise_scale: float = 1.0,
         drop_rate: float = 0.0,
+        capacity: int = 0,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"sampling interval must be positive, got {interval}")
@@ -301,7 +295,7 @@ class VMMonitor:
         self._loads = np.zeros((2, len(self._vms)))
         self._names = tuple(vm.name for vm in self._vms)
         self._index = {name: i for i, name in enumerate(self._names)}
-        self.traces = MonitorTrace(self._names)
+        self.traces = MonitorTrace(self._names, capacity)
         self._listeners: List[Callable[[SampleBlock], None]] = []
         self._task: Optional[PeriodicTask] = None
         self._interceptor: Optional[

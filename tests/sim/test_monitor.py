@@ -91,19 +91,17 @@ class TestSampling:
             assert [s.cpu_allocated for s in samples] == trace.cpu[:, i].tolist()
             assert not any(s.stale or s.imputed for s in samples)
 
-    def test_trim_drops_only_the_spare_capacity(self, world):
+    def test_reserved_rounds_fill_before_the_trace_grows(self, world):
         sim, _cluster, vms = world
-        monitor = VMMonitor(sim, vms, interval=5.0)
+        monitor = VMMonitor(sim, vms, interval=5.0, capacity=20)
         monitor.start(start_at=5.0)
         sim.run_until(100.0)
         trace = monitor.traces
-        readings, cpu = trace.readings.copy(), trace.cpu.copy()
-        assert trace.trim() is trace
-        assert trace._readings.shape[0] == trace._stale.shape[0] == 20
-        assert trace.readings.tobytes() == readings.tobytes()
-        assert trace.cpu.tobytes() == cpu.tobytes()
-        sim.run_until(105.0)  # and it still grows
-        assert trace.rounds == 21 and len(trace["vm1"]) == 21
+        assert trace.rounds == trace._readings.shape[0] == 20
+        readings = trace.readings.copy()
+        sim.run_until(105.0)
+        assert trace.rounds == 21 and trace._readings.shape[0] == 40
+        assert trace.readings[:20].tobytes() == readings.tobytes()
 
     def test_stop_halts_collection(self, world):
         sim, _cluster, vms = world
