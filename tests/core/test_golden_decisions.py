@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.chaos.engine import ChaosEngine
+from repro.core.controller import PrepareConfig
 from repro.core.events import KINDS, EventLog
 from repro.experiments.persistence import save_result
 from repro.experiments.runner import ExperimentConfig, run_experiment
@@ -71,6 +72,20 @@ CELLS = {
     "fleet50-leak-s7-none": dict(
         app="fleet50", fault=FaultKind.MEMORY_LEAK, seed=7, duration=1500.0,
         scheme="none"),
+    # The naive-Bayes baseline under both prediction modes and both
+    # chain variants.
+    "rubis-leak-s3-naive": dict(
+        app="rubis", fault=FaultKind.MEMORY_LEAK, seed=3,
+        controller=PrepareConfig(classifier="naive")),
+    "system-s-hog-s7-naive": dict(
+        app="system-s", fault=FaultKind.CPU_HOG, seed=7,
+        controller=PrepareConfig(classifier="naive")),
+    "fleet8-leak-s7-naive-hard": dict(
+        app="fleet8", fault=FaultKind.MEMORY_LEAK, seed=7, duration=1500.0,
+        controller=PrepareConfig(classifier="naive", prediction_mode="hard")),
+    "rubis-bottleneck-s5-naive-simple": dict(
+        app="rubis", fault=FaultKind.BOTTLENECK, seed=5,
+        controller=PrepareConfig(classifier="naive", markov="simple")),
 }
 
 #: cell -> (record digest, first 12 hex digits of each action's digest)
@@ -115,6 +130,24 @@ GOLDEN = {
     "fleet8-leak-s7-migration": (
         "fdcd00c507ce8f380f4d83e6e92f6e333df928ce13aa493f90fd650a4530a89e",
         ("7e7f178d86bb", "f4c335450787", "a83aa4946394"),
+    ),
+    "rubis-leak-s3-naive": (
+        "f63f8442909da743dcd78fe8ea6c1a1914c2eb158ddf7229d6a41d5c6dda7d5d",
+        ("94c468e0e9d1", "23f243734e48", "b891f4dda342", "2aa451bb45ee",
+         "b9b0dd9ad61a"),
+    ),
+    "system-s-hog-s7-naive": (
+        "74fc90643e32c0ae16f47343c386a3a553e8cbe8267736686497fbf18de42c07",
+        ("ef7ceb935e90", "39da960d3658", "236f24db3432", "12f21dce94d3"),
+    ),
+    "fleet8-leak-s7-naive-hard": (
+        "1578b1e30dc304364279f3f93dc17ba4381f320f4ab1ddd70589ef2763ce25d8",
+        ("b3aa5b20a614", "dab4ea7f8250"),
+    ),
+    "rubis-bottleneck-s5-naive-simple": (
+        "6ed635796200164249c581d4c5b21fd99f2e841384a7060984db407136594646",
+        ("68b3558504c8", "477a9b0d2671", "30c8e1683d18", "32e60feed675",
+         "f266c16ecf1e"),
     ),
 }
 
