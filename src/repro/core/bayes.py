@@ -4,7 +4,9 @@ The authors' earlier system [10] used naive Bayes for anomaly
 classification; the paper replaces it with TAN because naive Bayes
 "cannot provide the metric attribution information accurately"
 (Sec. II-B).  We keep it as the comparison baseline and as the
-degenerate case of TAN (a TAN with no augmenting tree edges).
+degenerate case of TAN (a TAN with no augmenting tree edges): both
+score through :class:`BayesClassifier`, naive Bayes with every
+attribute a root.
 
 Classes are binary: 0 = normal, 1 = abnormal.
 """
@@ -146,8 +148,19 @@ def check_training_data(X: np.ndarray, y: np.ndarray, n_bins: int) -> Tuple[np.n
     return X, y
 
 
-class NaiveBayesClassifier:
-    """Discrete naive Bayes over binned attribute vectors."""
+class BayesClassifier:
+    """Eq. (1) scoring for a Bayesian network classifier in which every
+    attribute has the class and at most one attribute as parents.
+
+    TAN gives every attribute but the tree root one attribute parent;
+    naive Bayes is the case with no tree edges, every attribute a
+    root.  A subclass fits ``parents`` (``-1`` marks a root),
+    ``_log_prior``, ``_log_cpt`` and ``_support`` — a root's table is
+    ``(2, n_bins)`` and its support ``(n_bins,)``, a child's ``(2,
+    n_bins parent values, n_bins child values)`` and ``(n_bins,
+    n_bins)`` — then calls :meth:`_build_scoring_tensors`; every
+    scoring method below reads only the tensors that builds.
+    """
 
     def __init__(
         self, n_bins: int, smoothing: float = 0.15,
@@ -177,17 +190,234 @@ class NaiveBayesClassifier:
         self.n_attributes: Optional[int] = None
         #: Boolean keep-mask from attribute selection (set by fit).
         self.attribute_mask: Optional[np.ndarray] = None
+        #: parent[i] is the attribute parent of i, or -1 for a root.
+        self.parents: Optional[np.ndarray] = None
         self._log_prior: Optional[np.ndarray] = None       # (2,)
-        self._log_cpt: Optional[np.ndarray] = None         # (n_attrs, 2, n_bins)
-        # Fit-time scoring tensors, both (n_attrs, n_bins):
-        # support-masked log-likelihood-ratios, unclipped (hard path)
-        # and clipped (soft/expected path).
+        self._log_cpt = None
+        self._support = None
+        # Fit-time scoring tensors (see _build_scoring_tensors).
+        self._parent_or_self: Optional[np.ndarray] = None
         self._diff_hard: Optional[np.ndarray] = None
         self._diff_soft: Optional[np.ndarray] = None
+        self._root_idx: Optional[np.ndarray] = None
+        self._child_idx: Optional[np.ndarray] = None
+        self._root_diff_soft: Optional[np.ndarray] = None
 
     @property
     def trained(self) -> bool:
         return self._log_cpt is not None
+
+    def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:
+        """Flatten the per-attribute CPTs into dense gather tensors.
+
+        ``_diff_hard[i, p, c]`` is the Eq. (2) log-likelihood-ratio of
+        attribute ``i`` at child bin ``c`` under parent bin ``p``
+        (support-masked, unclipped — the hard path); ``_diff_soft`` is
+        the clipped variant the soft/expected path uses.  Root
+        attributes are broadcast along the parent axis with their own
+        index as pseudo-parent, so one fancy-indexed gather covers the
+        whole attribute vector.
+        """
+        n_attrs, b = self.n_attributes, self.n_bins
+        diff = np.empty((n_attrs, b, b))
+        support = np.empty((n_attrs, b, b), dtype=bool)
+        for i, table in enumerate(self._log_cpt):
+            # A root's (b,) row broadcasts along the parent axis.
+            diff[i] = table[ABNORMAL] - table[NORMAL]
+            support[i] = self._support[i]
+        self._parent_or_self = parent_or_self
+        self._diff_hard = np.where(support, diff, 0.0)
+        self._diff_soft = np.where(
+            support, np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP), 0.0
+        )
+        self._root_idx = np.flatnonzero(self.parents < 0)
+        self._child_idx = np.flatnonzero(self.parents >= 0)
+        # Root rows are constant along the parent axis; keep the
+        # compact (n_roots, b) view the soft path contracts with.
+        self._root_diff_soft = self._diff_soft[self._root_idx, 0, :]
+        # Per-fit scalar-path caches: the attribute index vector and
+        # the class-prior log-difference.  Rebuilt on every fit() /
+        # from_dict(), so they are keyed to the model version and the
+        # single-sample path never re-assembles them per call.
+        self._attr_idx = np.arange(n_attrs)
+        self._prior_diff = float(self._log_prior[ABNORMAL] - self._log_prior[NORMAL])
+
+    # ------------------------------------------------------------------
+    # Inference
+    # ------------------------------------------------------------------
+    def _require_trained(self) -> None:
+        if not self.trained:
+            raise NotTrainedError(f"{type(self).__name__} is not trained")
+
+    def _check_sample(self, x: Sequence[int]) -> np.ndarray:
+        x = np.asarray(x, dtype=np.intp)
+        if x.shape != (self.n_attributes,):
+            raise ValueError(
+                f"expected {self.n_attributes} attributes, got shape {x.shape}"
+            )
+        return np.clip(x, 0, self.n_bins - 1)
+
+    def _check_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
+        X = np.asarray(X, dtype=np.intp)
+        if X.ndim != 2 or X.shape[1] != self.n_attributes:
+            raise ValueError(
+                f"expected (n, {self.n_attributes}) samples, got shape {X.shape}"
+            )
+        return np.clip(X, 0, self.n_bins - 1)
+
+    def _raw_strengths_batch(self, X: np.ndarray) -> np.ndarray:
+        """Unmasked Eq. (2) terms for already-validated binned samples:
+        one gather over the dense difference tensor, shape (m, a)."""
+        return self._diff_hard[
+            self._attr_idx[None, :], X[:, self._parent_or_self], X
+        ]
+
+    def attribute_strengths(self, x: Sequence[int]) -> List[float]:
+        """The L_i terms of Eq. (2) for one sample.
+
+        L_i = log[P(a_i | a_pi, C=1) / P(a_i | a_pi, C=0)], where a
+        root conditions on the class alone; a larger L_i means
+        attribute i pushes the decision harder toward "abnormal" — the
+        attribute-selection signal of Fig. 3.  Without parent
+        conditioning (naive Bayes) the attribution is less sharp
+        (Sec. II-B).  Attributes pruned by training-time attribute
+        selection contribute zero.
+        """
+        self._require_trained()
+        x = self._check_sample(x)
+        raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
+        return [float(v) for v in np.where(self.attribute_mask, raw, 0.0)]
+
+    def strengths_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
+        """Masked Eq. (2) strengths for a batch of binned samples.
+
+        ``X`` has shape (m, n_attributes); returns (m, n_attributes).
+        Row ``k`` is bitwise-identical to ``attribute_strengths(X[k])``.
+        """
+        self._require_trained()
+        X = self._check_batch(np.atleast_2d(np.asarray(X, dtype=np.intp)))
+        raw = self._raw_strengths_batch(X)
+        return np.where(self.attribute_mask[None, :], raw, 0.0)
+
+    def log_odds(self, x: Sequence[int]) -> float:
+        """Left-hand side of Eq. (1).
+
+        Single-sample fast path: one gather over the cached difference
+        tensor instead of routing through the (m, a) batch machinery —
+        at fleet scale the controller's classify tick calls this once
+        per VM, and the batch path's shape plumbing costs more than
+        the 13-element reduction itself.  Bitwise-identical to
+        ``log_odds_batch(x[None])[0]``: same gathered elements, same
+        contiguous 13-element pairwise sum, same prior difference.
+        """
+        self._require_trained()
+        x = self._check_sample(x)
+        raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
+        return float(np.where(self.attribute_mask, raw, 0.0).sum() + self._prior_diff)
+
+    def log_odds_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
+        """Eq. (1) statistic for a batch of binned samples, shape (m,)."""
+        strengths = self.strengths_batch(X)
+        return strengths.sum(axis=1) + self._prior_diff
+
+    def predict_proba(self, x: Sequence[int]) -> float:
+        """Posterior probability of the abnormal class."""
+        odds = self.log_odds(x)
+        return float(1.0 / (1.0 + np.exp(-odds)))
+
+    def classify(self, x: Sequence[int]) -> bool:
+        """Eq. (1): abnormal when the log-odds sum is positive."""
+        return self.log_odds(x) > 0.0
+
+    # ------------------------------------------------------------------
+    # Soft (distribution-based) classification
+    # ------------------------------------------------------------------
+    def _as_distribution_matrix(
+        self, distributions: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        if len(distributions) != self.n_attributes:
+            raise ValueError(
+                f"expected {self.n_attributes} distributions, got {len(distributions)}"
+            )
+        dists = np.empty((self.n_attributes, self.n_bins))
+        for i, dist in enumerate(distributions):
+            p = np.asarray(dist, dtype=float)
+            if p.shape != (self.n_bins,):
+                raise ValueError(
+                    f"distribution {i} must have shape ({self.n_bins},)"
+                )
+            dists[i] = p
+        return dists
+
+    def expected_strengths(self, distributions: Sequence[np.ndarray]) -> List[float]:
+        """Expected L_i under independent predicted bin distributions
+        (one probability vector per attribute).
+
+        For a child attribute the expectation runs over both its own
+        and its parent's predicted distribution:
+        E[L_i] = sum_{p,s} P_pi(p) P_i(s) (log P(s|p,1) - log P(s|p,0)).
+        This is how predicted future states are classified: the value
+        predictor returns a distribution per attribute, and averaging
+        the decision statistic over it avoids the brittleness of
+        rounding every attribute to a single bin.  The per-bin
+        log-ratios are clipped to ±:data:`STRENGTH_CLIP` first so that
+        a small tail probability on a severe bin cannot dominate the
+        expectation (the alert should fire on *probable* anomalies,
+        not improbable catastrophic ones).
+        """
+        self._require_trained()
+        D = self._as_distribution_matrix(distributions)
+        return [float(v) for v in self.expected_strengths_batch(D[None])[0]]
+
+    def expected_strengths_batch(self, D: np.ndarray) -> np.ndarray:
+        """Expected strengths for a batch of distribution sets.
+
+        ``D`` has shape (m, n_attributes, n_bins) — e.g. the ``m``
+        look-ahead horizons of one propagation.  Returns (m,
+        n_attributes); row ``k`` is bitwise-identical to
+        ``expected_strengths(list(D[k]))``.
+        """
+        self._require_trained()
+        D = np.asarray(D, dtype=float)
+        if D.ndim != 3 or D.shape[1:] != (self.n_attributes, self.n_bins):
+            raise ValueError(
+                f"expected (m, {self.n_attributes}, {self.n_bins}) "
+                f"distributions, got shape {D.shape}"
+            )
+        S = np.zeros((D.shape[0], self.n_attributes))
+        roots, children = self._root_idx, self._child_idx
+        if roots.size:
+            S[:, roots] = np.einsum(
+                "mrc,rc->mr", D[:, roots], self._root_diff_soft
+            )
+        if children.size:
+            S[:, children] = np.einsum(
+                "mrp,rpc,mrc->mr",
+                D[:, self._parent_or_self[children]],
+                self._diff_soft[children],
+                D[:, children],
+            )
+        return np.where(self.attribute_mask[None, :], S, 0.0)
+
+    def expected_log_odds(self, distributions: Sequence[np.ndarray]) -> float:
+        """Eq. (1) statistic averaged over predicted distributions."""
+        self._require_trained()
+        D = self._as_distribution_matrix(distributions)
+        return float(self.expected_log_odds_batch(D[None])[0])
+
+    def expected_log_odds_batch(self, D: np.ndarray) -> np.ndarray:
+        """Batched :meth:`expected_log_odds`, shape (m,)."""
+        return self.expected_strengths_batch(D).sum(axis=1) + (
+            self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
+        )
+
+
+class NaiveBayesClassifier(BayesClassifier):
+    """Discrete naive Bayes over binned attribute vectors: the
+    :class:`BayesClassifier` whose every attribute is a root."""
+
+    # _log_cpt is one (n_attrs, 2, n_bins) array and _support one
+    # (n_attrs, n_bins) array; row i is attribute i's root table.
 
     def fit(self, X: Sequence[Sequence[int]], y: Sequence[int]) -> "NaiveBayesClassifier":
         X, y = check_training_data(np.asarray(X), np.asarray(y), self.n_bins)
@@ -229,77 +459,23 @@ class NaiveBayesClassifier:
             self._support = raw.sum(axis=1) >= ORDINAL_KERNEL_WEIGHT
         else:
             self._support = np.ones((n_attrs, self.n_bins), dtype=bool)
+        self._build_root_tensors()
         # Attribute selection: score every training sample, keep only
         # attributes that separate the classes.
-        diff = self._log_cpt[:, ABNORMAL, :] - self._log_cpt[:, NORMAL, :]
-        self._diff_hard = np.where(self._support, diff, 0.0)
-        self._diff_soft = np.where(
-            self._support,
-            np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP),
-            0.0,
-        )
-        self._finalize_scoring()
         if self.robust:
             # Selection deliberately uses the *unmasked* ratios, as the
             # per-sample scoring of the original implementation did.
+            diff = self._log_cpt[:, ABNORMAL, :] - self._log_cpt[:, NORMAL, :]
             sample_strengths = diff[np.arange(n_attrs)[None, :], X]
             self.attribute_mask = select_attributes(sample_strengths, y)
         else:
             self.attribute_mask = np.ones(n_attrs, dtype=bool)
         return self
 
-    def _finalize_scoring(self) -> None:
-        """Cache per-fit scalar-path state (attribute index vector and
-        the class-prior log-difference), keyed to the model version:
-        rebuilt on every fit() / from_dict()."""
-        self._attr_idx = np.arange(self.n_attributes)
-        self._prior_diff = float(
-            self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
-
-    def _require_trained(self) -> None:
-        if not self.trained:
-            raise NotTrainedError(f"{type(self).__name__} is not trained")
-
-    def _check_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        X = np.asarray(X, dtype=np.intp)
-        if X.ndim != 2 or X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected (n, {self.n_attributes}) samples, got shape {X.shape}"
-            )
-        return np.clip(X, 0, self.n_bins - 1)
-
-    def log_odds(self, x: Sequence[int]) -> float:
-        """``log P(abnormal | x) - log P(normal | x)`` (up to evidence).
-
-        Single-sample fast path (see :meth:`TANClassifier.log_odds`):
-        bitwise-identical to ``log_odds_batch(x[None])[0]``.
-        """
-        self._require_trained()
-        x = np.asarray(x, dtype=np.intp)
-        if x.shape != (self.n_attributes,):
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got shape {x.shape}"
-            )
-        x = np.clip(x, 0, self.n_bins - 1)
-        raw = self._diff_hard[self._attr_idx, x]
-        return float(np.where(self.attribute_mask, raw, 0.0).sum() + self._prior_diff)
-
-    def strengths_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Masked strengths for a batch of binned samples.
-
-        ``X`` has shape (m, n_attributes); returns (m, n_attributes).
-        Row ``k`` is bitwise-identical to ``attribute_strengths(X[k])``.
-        """
-        self._require_trained()
-        X = self._check_batch(np.atleast_2d(np.asarray(X, dtype=np.intp)))
-        raw = self._diff_hard[self._attr_idx[None, :], X]
-        return np.where(self.attribute_mask[None, :], raw, 0.0)
-
-    def log_odds_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Eq. (1) statistic for a batch of binned samples, shape (m,)."""
-        strengths = self.strengths_batch(X)
-        return strengths.sum(axis=1) + self._prior_diff
+    def _build_root_tensors(self) -> None:
+        """Score as a TAN with no tree edges: every attribute a root."""
+        self.parents = np.full(self.n_attributes, -1, dtype=np.intp)
+        self._build_scoring_tensors(np.arange(self.n_attributes))
 
     def strengths_reference(self, x: Sequence[int]) -> List[float]:
         """Pre-vectorization :meth:`attribute_strengths` (reference)."""
@@ -324,96 +500,6 @@ class NaiveBayesClassifier:
         return float(
             sum(self.strengths_reference(x))
             + self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
-
-    def predict_proba(self, x: Sequence[int]) -> float:
-        """Posterior probability of the abnormal class."""
-        odds = self.log_odds(x)
-        return float(1.0 / (1.0 + np.exp(-odds)))
-
-    def classify(self, x: Sequence[int]) -> bool:
-        """True when the sample is classified abnormal (Eq. 1 sign test)."""
-        return self.log_odds(x) > 0.0
-
-    def attribute_strengths(self, x: Sequence[int]) -> List[float]:
-        """Per-attribute log-likelihood-ratio contributions.
-
-        The naive analogue of the TAN strength of Eq. (2) — with no
-        parent conditioning, which is exactly why its attribution is
-        less sharp (Sec. II-B).
-        """
-        self._require_trained()
-        x = np.asarray(x, dtype=np.intp)
-        if x.shape != (self.n_attributes,):
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got shape {x.shape}"
-            )
-        return [float(v) for v in self.strengths_batch(x[None])[0]]
-
-    # ------------------------------------------------------------------
-    # Soft (distribution-based) classification
-    # ------------------------------------------------------------------
-    def _as_distribution_matrix(
-        self, distributions: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        if len(distributions) != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} distributions, got {len(distributions)}"
-            )
-        dists = np.empty((self.n_attributes, self.n_bins))
-        for i, dist in enumerate(distributions):
-            p = np.asarray(dist, dtype=float)
-            if p.shape != (self.n_bins,):
-                raise ValueError(
-                    f"distribution {i} must have shape ({self.n_bins},)"
-                )
-            dists[i] = p
-        return dists
-
-    def expected_strengths(self, distributions: Sequence[np.ndarray]) -> List[float]:
-        """Expected per-attribute strengths under predicted bin
-        distributions (one probability vector per attribute).
-
-        Used when classifying *predicted future* states: averaging the
-        log-likelihood-ratio over the value predictor's distribution is
-        far more stable than evaluating it at a single rounded point.
-        The per-bin log-ratios are clipped to ±:data:`STRENGTH_CLIP`
-        first so that a small tail probability on a severe bin cannot
-        dominate the expectation (the alert should fire on *probable*
-        anomalies, not improbable catastrophic ones).
-        """
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return [float(v) for v in self.expected_strengths_batch(D[None])[0]]
-
-    def expected_strengths_batch(self, D: np.ndarray) -> np.ndarray:
-        """Expected strengths for a batch of distribution sets.
-
-        ``D`` has shape (m, n_attributes, n_bins) — e.g. the ``m``
-        look-ahead horizons of one propagation.  Returns
-        (m, n_attributes); row ``k`` is bitwise-identical to
-        ``expected_strengths(list(D[k]))``.
-        """
-        self._require_trained()
-        D = np.asarray(D, dtype=float)
-        if D.ndim != 3 or D.shape[1:] != (self.n_attributes, self.n_bins):
-            raise ValueError(
-                f"expected (m, {self.n_attributes}, {self.n_bins}) "
-                f"distributions, got shape {D.shape}"
-            )
-        S = np.einsum("mab,ab->ma", D, self._diff_soft)
-        return np.where(self.attribute_mask[None, :], S, 0.0)
-
-    def expected_log_odds(self, distributions: Sequence[np.ndarray]) -> float:
-        """Eq. (1) statistic averaged over predicted distributions."""
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return float(self.expected_log_odds_batch(D[None])[0])
-
-    def expected_log_odds_batch(self, D: np.ndarray) -> np.ndarray:
-        """Batched :meth:`expected_log_odds`, shape (m,)."""
-        return self.expected_strengths_batch(D).sum(axis=1) + (
-            self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
         )
 
     def expected_strengths_reference(
@@ -517,11 +603,6 @@ class NaiveBayesClassifier:
         clf._log_cpt = log_cpt
         clf._support = support
         # Rebuild the scoring tensors exactly as fit() derives them.
-        diff = log_cpt[:, ABNORMAL, :] - log_cpt[:, NORMAL, :]
-        clf._diff_hard = np.where(support, diff, 0.0)
-        clf._diff_soft = np.where(
-            support, np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP), 0.0
-        )
-        clf._finalize_scoring()
+        clf._build_root_tensors()
         clf.attribute_mask = mask
         return clf

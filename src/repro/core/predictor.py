@@ -66,6 +66,28 @@ class PredictionResult:
     #: look-ahead steps this prediction was made for (0 = now)
     steps: int = 0
 
+    @classmethod
+    def from_score(
+        cls,
+        score: float,
+        bins: Sequence[int],
+        strengths: Sequence[float],
+        attributes: Tuple[str, ...],
+        steps: int = 0,
+    ) -> "PredictionResult":
+        """The result for Eq. (1) statistic ``score``: abnormal when it
+        is positive, with the logistic posterior."""
+        score = float(score)
+        return cls(
+            abnormal=score > 0.0,
+            probability=float(1.0 / (1.0 + np.exp(-score))),
+            score=score,
+            bins=tuple(int(b) for b in bins),
+            strengths=tuple(float(v) for v in strengths),
+            attributes=attributes,
+            steps=steps,
+        )
+
     def ranked_attributes(self) -> List[Tuple[str, float]]:
         """Attributes sorted by anomaly-impact strength, strongest first."""
         return sorted(
@@ -491,19 +513,12 @@ class AnomalyPredictor:
         else:
             strengths = self.classifier.expected_strengths_batch(dists)
             scores = self.classifier.expected_log_odds_batch(dists)
-        results = []
-        for k in range(steps):
-            score = float(scores[k])
-            results.append(PredictionResult(
-                abnormal=score > 0.0,
-                probability=float(1.0 / (1.0 + np.exp(-score))),
-                score=score,
-                bins=tuple(int(b) for b in bins[k]),
-                strengths=tuple(float(v) for v in strengths[k]),
-                attributes=self.attributes,
-                steps=k + 1,
-            ))
-        return results
+        return [
+            PredictionResult.from_score(
+                scores[k], bins[k], strengths[k], self.attributes, k + 1
+            )
+            for k in range(steps)
+        ]
 
     def predict_reference(
         self, recent_values: np.ndarray, steps: int
@@ -553,31 +568,16 @@ class AnomalyPredictor:
         bins: Tuple[int, ...],
         steps: int,
     ) -> PredictionResult:
-        strengths = tuple(self.classifier.expected_strengths(distributions))
-        score = self.classifier.expected_log_odds(distributions)
-        probability = float(1.0 / (1.0 + np.exp(-score)))
-        return PredictionResult(
-            abnormal=score > 0.0,
-            probability=probability,
-            score=float(score),
-            bins=bins,
-            strengths=strengths,
-            attributes=self.attributes,
-            steps=steps,
+        return PredictionResult.from_score(
+            self.classifier.expected_log_odds(distributions), bins,
+            self.classifier.expected_strengths(distributions),
+            self.attributes, steps,
         )
 
     def _classify(self, bins: Tuple[int, ...], steps: int) -> PredictionResult:
-        score = self.classifier.log_odds(bins)
-        probability = float(1.0 / (1.0 + np.exp(-score)))
-        strengths = tuple(self.classifier.attribute_strengths(bins))
-        return PredictionResult(
-            abnormal=score > 0.0,
-            probability=probability,
-            score=float(score),
-            bins=bins,
-            strengths=strengths,
-            attributes=self.attributes,
-            steps=steps,
+        return PredictionResult.from_score(
+            self.classifier.log_odds(bins), bins,
+            self.classifier.attribute_strengths(bins), self.attributes, steps,
         )
 
     # ------------------------------------------------------------------

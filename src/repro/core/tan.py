@@ -23,18 +23,15 @@ Classification implements Eq. (1):
 and :meth:`attribute_strengths` returns the per-attribute terms L_i of
 Eq. (2) used for metric attribution (Fig. 3).
 
-Performance notes (see ``docs/performance.md``): every fit-time count
-comes from one integer ``np.bincount`` over a combined ``(class, i, j,
-bin_i, bin_j)`` index, all CPTs are built in one pass, and the
+Scoring is inherited from :class:`~repro.core.bayes.BayesClassifier`,
+which naive Bayes shares (see ``docs/performance.md``): every fit-time
+count comes from one integer ``np.bincount`` over a combined ``(class,
+i, j, bin_i, bin_j)`` index, all CPTs are built in one pass, and the
 per-attribute log-likelihood-ratio tables are flattened at fit time
 into dense ``(n_attrs, n_bins, n_bins)`` difference tensors so scoring
 is a single vectorized gather (hard path) or contraction (soft path).
-Batch variants (:meth:`log_odds_batch`, :meth:`strengths_batch`,
-:meth:`expected_strengths_batch`) score many samples/horizons at
-once; the scalar methods route through them, so single-sample and
-batch results are bitwise-identical.  The pre-vectorization scoring
-loops are preserved as ``*_reference`` methods for equivalence tests
-and benchmark baselines.
+The pre-vectorization scoring loops are preserved here as
+``*_reference`` methods for equivalence tests and benchmark baselines.
 """
 
 from __future__ import annotations
@@ -46,9 +43,9 @@ import numpy as np
 from repro.core.bayes import (
     ABNORMAL,
     NORMAL,
+    BayesClassifier,
     ORDINAL_KERNEL_WEIGHT,
     STRENGTH_CLIP,
-    NotTrainedError,
     _class_log_prior_from_counts,
     check_training_data,
     ordinal_smooth,
@@ -66,48 +63,12 @@ __all__ = ["TANClassifier"]
 CPT_BACKOFF = 5.0
 
 
-class TANClassifier:
-    """Tree-augmented naive Bayes over binned attribute vectors."""
+class TANClassifier(BayesClassifier):
+    """Tree-augmented naive Bayes over binned attribute vectors.
 
-    def __init__(
-        self, n_bins: int, smoothing: float = 0.15,
-        class_prior: str = "balanced", robust: bool = True,
-    ) -> None:
-        if n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-        if smoothing <= 0:
-            raise ValueError(f"smoothing must be positive, got {smoothing}")
-        if class_prior not in ("balanced", "empirical", "capped"):
-            raise ValueError(f"unknown class_prior {class_prior!r}")
-        self.n_bins = n_bins
-        self.smoothing = smoothing
-        #: See :class:`~repro.core.bayes.NaiveBayesClassifier` — online
-        #: training data is skewed; "balanced" keeps the attribute
-        #: evidence in charge and leaves transient mistakes to the
-        #: k-of-W filter.
-        self.class_prior = class_prior
-        #: See :class:`~repro.core.bayes.NaiveBayesClassifier.robust`.
-        self.robust = robust
-        self.n_attributes: Optional[int] = None
-        #: Boolean keep-mask from attribute selection (set by fit).
-        self.attribute_mask: Optional[np.ndarray] = None
-        #: parent[i] is the attribute parent of i, or -1 for the root(s).
-        self.parents: Optional[np.ndarray] = None
-        self._log_prior: Optional[np.ndarray] = None
-        # CPTs: for roots, shape (2, n_bins); for children, (2, n_bins
-        # parent values, n_bins child values), stored per attribute.
-        self._log_cpt: Optional[List[np.ndarray]] = None
-        # Fit-time scoring tensors (see _build_scoring_tensors).
-        self._parent_or_self: Optional[np.ndarray] = None
-        self._diff_hard: Optional[np.ndarray] = None
-        self._diff_soft: Optional[np.ndarray] = None
-        self._root_idx: Optional[np.ndarray] = None
-        self._child_idx: Optional[np.ndarray] = None
-        self._root_diff_soft: Optional[np.ndarray] = None
-
-    @property
-    def trained(self) -> bool:
-        return self._log_cpt is not None
+    Scoring is :class:`~repro.core.bayes.BayesClassifier`'s; a TAN
+    learns the tree (``parents``) and one CPT per attribute.
+    """
 
     # ------------------------------------------------------------------
     # Structure learning
@@ -255,71 +216,9 @@ class TANClassifier:
         ]
         self._build_scoring_tensors(parent_or_self)
 
-    def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:
-        """Flatten the per-attribute CPTs into dense gather tensors.
-
-        ``_diff_hard[i, p, c]`` is the Eq. (2) log-likelihood-ratio of
-        attribute ``i`` at child bin ``c`` under parent bin ``p``
-        (support-masked, unclipped — the hard path); ``_diff_soft`` is
-        the clipped variant the soft/expected path uses.  Root
-        attributes are broadcast along the parent axis with their own
-        index as pseudo-parent, so one fancy-indexed gather covers the
-        whole attribute vector.
-        """
-        n_attrs, b = self.n_attributes, self.n_bins
-        diff = np.empty((n_attrs, b, b))
-        support = np.empty((n_attrs, b, b), dtype=bool)
-        for i, table in enumerate(self._log_cpt):
-            # A root's (b,) row broadcasts along the parent axis.
-            diff[i] = table[ABNORMAL] - table[NORMAL]
-            support[i] = self._support[i]
-        self._parent_or_self = parent_or_self
-        self._diff_hard = np.where(support, diff, 0.0)
-        self._diff_soft = np.where(
-            support, np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP), 0.0
-        )
-        self._root_idx = np.flatnonzero(self.parents < 0)
-        self._child_idx = np.flatnonzero(self.parents >= 0)
-        # Root rows are constant along the parent axis; keep the
-        # compact (n_roots, b) view the soft path contracts with.
-        self._root_diff_soft = self._diff_soft[self._root_idx, 0, :]
-        # Per-fit scalar-path caches: the attribute index vector and
-        # the class-prior log-difference.  Rebuilt on every fit() /
-        # from_dict(), so they are keyed to the model version and the
-        # single-sample path never re-assembles them per call.
-        self._attr_idx = np.arange(n_attrs)
-        self._prior_diff = float(self._log_prior[ABNORMAL] - self._log_prior[NORMAL])
-
     # ------------------------------------------------------------------
-    # Inference
+    # Pre-vectorization scoring loops (equivalence references)
     # ------------------------------------------------------------------
-    def _require_trained(self) -> None:
-        if not self.trained:
-            raise NotTrainedError("TANClassifier is not trained")
-
-    def _check_sample(self, x: Sequence[int]) -> np.ndarray:
-        x = np.asarray(x, dtype=np.intp)
-        if x.shape != (self.n_attributes,):
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got shape {x.shape}"
-            )
-        return np.clip(x, 0, self.n_bins - 1)
-
-    def _check_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        X = np.asarray(X, dtype=np.intp)
-        if X.ndim != 2 or X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected (n, {self.n_attributes}) samples, got shape {X.shape}"
-            )
-        return np.clip(X, 0, self.n_bins - 1)
-
-    def _raw_strengths_batch(self, X: np.ndarray) -> np.ndarray:
-        """Unmasked Eq. (2) terms for already-validated binned samples:
-        one gather over the dense difference tensor, shape (m, a)."""
-        return self._diff_hard[
-            self._attr_idx[None, :], X[:, self._parent_or_self], X
-        ]
-
     def _raw_strengths_reference(self, x: np.ndarray) -> np.ndarray:
         """Unmasked Eq. (2) terms for one binned sample — the
         pre-vectorization per-attribute loop (equivalence reference)."""
@@ -342,52 +241,6 @@ class TANClassifier:
                 )
         return strengths
 
-    def attribute_strengths(self, x: Sequence[int]) -> List[float]:
-        """The L_i terms of Eq. (2) for one sample.
-
-        L_i = log[P(a_i | a_pi, C=1) / P(a_i | a_pi, C=0)]; a larger
-        L_i means attribute i pushes the decision harder toward
-        "abnormal" — the attribute-selection signal of Fig. 3.
-        Attributes pruned by training-time attribute selection
-        contribute zero.
-        """
-        self._require_trained()
-        x = self._check_sample(x)
-        raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
-        return [float(v) for v in np.where(self.attribute_mask, raw, 0.0)]
-
-    def strengths_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Masked Eq. (2) strengths for a batch of binned samples.
-
-        ``X`` has shape (m, n_attributes); returns (m, n_attributes).
-        Row ``k`` is bitwise-identical to ``attribute_strengths(X[k])``.
-        """
-        self._require_trained()
-        X = self._check_batch(np.atleast_2d(np.asarray(X, dtype=np.intp)))
-        raw = self._raw_strengths_batch(X)
-        return np.where(self.attribute_mask[None, :], raw, 0.0)
-
-    def log_odds(self, x: Sequence[int]) -> float:
-        """Left-hand side of Eq. (1).
-
-        Single-sample fast path: one gather over the cached difference
-        tensor instead of routing through the (m, a) batch machinery —
-        at fleet scale the controller's classify tick calls this once
-        per VM, and the batch path's shape plumbing costs more than
-        the 13-element reduction itself.  Bitwise-identical to
-        ``log_odds_batch(x[None])[0]``: same gathered elements, same
-        contiguous 13-element pairwise sum, same prior difference.
-        """
-        self._require_trained()
-        x = self._check_sample(x)
-        raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
-        return float(np.where(self.attribute_mask, raw, 0.0).sum() + self._prior_diff)
-
-    def log_odds_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Eq. (1) statistic for a batch of binned samples, shape (m,)."""
-        strengths = self.strengths_batch(X)
-        return strengths.sum(axis=1) + self._prior_diff
-
     def strengths_reference(self, x: Sequence[int]) -> List[float]:
         """Pre-vectorization :meth:`attribute_strengths` (reference)."""
         self._require_trained()
@@ -401,92 +254,6 @@ class TANClassifier:
         strengths = self.strengths_reference(x)
         return float(
             sum(strengths) + self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
-
-    def predict_proba(self, x: Sequence[int]) -> float:
-        """Posterior probability of the abnormal class."""
-        odds = self.log_odds(x)
-        return float(1.0 / (1.0 + np.exp(-odds)))
-
-    def classify(self, x: Sequence[int]) -> bool:
-        """Eq. (1): abnormal when the log-odds sum is positive."""
-        return self.log_odds(x) > 0.0
-
-    # ------------------------------------------------------------------
-    # Soft (distribution-based) classification
-    # ------------------------------------------------------------------
-    def _as_distribution_matrix(
-        self, distributions: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        if len(distributions) != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} distributions, got {len(distributions)}"
-            )
-        dists = np.empty((self.n_attributes, self.n_bins))
-        for i, dist in enumerate(distributions):
-            p = np.asarray(dist, dtype=float)
-            if p.shape != (self.n_bins,):
-                raise ValueError(
-                    f"distribution {i} must have shape ({self.n_bins},)"
-                )
-            dists[i] = p
-        return dists
-
-    def expected_strengths(self, distributions: Sequence[np.ndarray]) -> List[float]:
-        """Expected L_i under independent predicted bin distributions.
-
-        For a child attribute the expectation runs over both its own
-        and its parent's predicted distribution:
-        E[L_i] = sum_{p,s} P_pi(p) P_i(s) (log P(s|p,1) - log P(s|p,0)).
-        This is how predicted future states are classified: the value
-        predictor returns a distribution per attribute, and averaging
-        the decision statistic over it avoids the brittleness of
-        rounding every attribute to a single bin.
-        """
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return [float(v) for v in self.expected_strengths_batch(D[None])[0]]
-
-    def expected_strengths_batch(self, D: np.ndarray) -> np.ndarray:
-        """Expected strengths for a batch of distribution sets.
-
-        ``D`` has shape (m, n_attributes, n_bins) — e.g. the ``m``
-        look-ahead horizons of one propagation.  Returns (m,
-        n_attributes); row ``k`` is bitwise-identical to
-        ``expected_strengths(list(D[k]))``.
-        """
-        self._require_trained()
-        D = np.asarray(D, dtype=float)
-        if D.ndim != 3 or D.shape[1:] != (self.n_attributes, self.n_bins):
-            raise ValueError(
-                f"expected (m, {self.n_attributes}, {self.n_bins}) "
-                f"distributions, got shape {D.shape}"
-            )
-        S = np.zeros((D.shape[0], self.n_attributes))
-        roots, children = self._root_idx, self._child_idx
-        if roots.size:
-            S[:, roots] = np.einsum(
-                "mrc,rc->mr", D[:, roots], self._root_diff_soft
-            )
-        if children.size:
-            S[:, children] = np.einsum(
-                "mrp,rpc,mrc->mr",
-                D[:, self._parent_or_self[children]],
-                self._diff_soft[children],
-                D[:, children],
-            )
-        return np.where(self.attribute_mask[None, :], S, 0.0)
-
-    def expected_log_odds(self, distributions: Sequence[np.ndarray]) -> float:
-        """Eq. (1) statistic averaged over predicted distributions."""
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return float(self.expected_log_odds_batch(D[None])[0])
-
-    def expected_log_odds_batch(self, D: np.ndarray) -> np.ndarray:
-        """Batched :meth:`expected_log_odds`, shape (m,)."""
-        return self.expected_strengths_batch(D).sum(axis=1) + (
-            self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
         )
 
     def expected_strengths_reference(

@@ -10,6 +10,7 @@ from repro.core.bayes import (
     ordinal_smooth,
     select_attributes,
 )
+from repro.core.tan import TANClassifier
 
 
 def labelled_data(n=200, n_bins=8, seed=0):
@@ -229,3 +230,60 @@ class TestCorruptSnapshotRejection:
         bad["log_cpt"][0][0][0] = float("nan")
         with pytest.raises(ValueError, match="non-finite"):
             NaiveBayesClassifier.from_dict(bad)
+
+
+class TestNaiveIsRootOnlyTAN:
+    """Naive Bayes is the TAN with no tree edges: given the same
+    tables, a naive-Bayes classifier and a TAN whose every attribute is
+    a root score bitwise alike."""
+
+    N_ATTRS, N_BINS = 13, 8
+
+    def pair(self, seed, robust):
+        a, b = self.N_ATTRS, self.N_BINS
+        rng = np.random.default_rng(seed)
+        counts = rng.random((a, 2, b)) + 0.05
+        log_cpt = np.log(counts / counts.sum(axis=2, keepdims=True))
+        support = rng.random((a, b)) < 0.75
+        prior = rng.random(2) + 0.1
+        common = {
+            "n_bins": b, "smoothing": 0.15, "class_prior": "balanced",
+            "robust": robust, "n_attributes": a,
+            "log_prior": np.log(prior / prior.sum()).tolist(),
+            "attribute_mask": (rng.random(a) < 0.6).tolist(),
+        }
+        naive = NaiveBayesClassifier.from_dict({
+            "kind": "naive", **common,
+            "log_cpt": log_cpt.tolist(), "support": support.tolist(),
+        })
+        tan = TANClassifier.from_dict({
+            "kind": "tan", **common, "parents": [-1] * a,
+            "log_cpt": [table.tolist() for table in log_cpt],
+            "support": [row.tolist() for row in support],
+        })
+        return naive, tan, rng
+
+    @pytest.mark.parametrize("robust", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_bitwise_alike(self, seed, robust):
+        naive, tan, rng = self.pair(seed, robust)
+        a, b = self.N_ATTRS, self.N_BINS
+        # Out-of-range bins exercise the clip as well.
+        X = rng.integers(-1, b + 1, size=(64, a))
+        D = rng.dirichlet(np.ones(b), size=(16, a))
+        for method in ("log_odds_batch", "strengths_batch"):
+            got, want = getattr(naive, method)(X), getattr(tan, method)(X)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), method
+        for method in ("expected_strengths_batch", "expected_log_odds_batch"):
+            got, want = getattr(naive, method)(D), getattr(tan, method)(D)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), method
+        for x in X[:16]:
+            assert naive.log_odds(x) == tan.log_odds(x)
+            assert naive.attribute_strengths(x) == tan.attribute_strengths(x)
+        for dists in D:
+            assert (naive.expected_strengths(list(dists))
+                    == tan.expected_strengths(list(dists)))
+            assert (naive.expected_log_odds(list(dists))
+                    == tan.expected_log_odds(list(dists)))

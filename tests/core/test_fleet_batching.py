@@ -131,6 +131,12 @@ class TestClassifyBatchParity:
         for (vm, values), got in zip(batch, results):
             _assert_result_equal(got, predictors[vm].classify_current(values))
 
+    def test_empty_batch_is_empty(self):
+        predictors, _traces = _make_fleet(n_vms=2)
+        scorer = FleetScorer(predictors)
+        assert scorer.classify_batch([]) == []
+        assert scorer.score([]) == []
+
 
 class TestIncrementalRefresh:
     def test_refresh_repairs_refit_vm(self):
@@ -223,21 +229,44 @@ class TestIncrementalRefresh:
         with pytest.raises(ValueError, match="'vm1' is not trained"):
             scorer.score([("vm0", traces["vm0"][50:60], 4)])
 
+    def test_naive_refit_is_repaired_in_place(self):
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        stack, tensors = scorer._stacked, scorer._tensors
+        # vm1 comes back from a refit with a naive classifier: it scores
+        # as a TAN whose attributes are all roots, so its rows are
+        # repaired like any other refit's.
+        refit = predictors["vm1"]
+        refit.classifier = NaiveBayesClassifier(n_bins=refit.n_bins)
+        values = traces["vm1"][:200]
+        refit.train(values, values[:, 0] > np.median(values[:, 0]))
+        assert refit.classifier.attribute_mask.any()
+        assert scorer.refresh() is True
+        assert scorer._stacked is stack and scorer._tensors is tensors
+        assert tensors.is_root[scorer._slices["vm1"]].all()
+        batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
+        for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
+            _assert_result_equal(got, predictors[vm].predict(recent, steps))
+        observed = [(vm, traces[vm][80]) for vm in sorted(predictors)]
+        for (vm, row), got in zip(observed, scorer.classify_batch(observed)):
+            _assert_result_equal(got, predictors[vm].classify_current(row))
+        assert scorer._stacked is stack
+
     def test_sync_rebuilds_when_rows_cannot_be_repaired(self):
         predictors, traces = _make_fleet(n_vms=3)
         scorer = FleetScorer(predictors)
-        assert scorer._fast is not None
-        # vm1 comes back from a refit with a naive classifier: its rows
-        # of the TAN fast-tier tensors cannot be repaired, so sync
-        # re-stacks the fleet (now on the per-VM classification tier).
-        refit = predictors["vm1"]
-        refit.classifier = NaiveBayesClassifier(n_bins=refit.n_bins)
-        refit.train(traces["vm1"][:200], [0, 1] * 100)
+        stack = scorer._stacked
+        # Every VM is retrained onto simple chains: no row of the
+        # 2-dependent stack can take them, so sync re-stacks the fleet.
+        for vm, predictor in predictors.items():
+            predictor.markov_kind = "simple"
+            predictor.train(traces[vm][:200], [0, 1] * 100)
         assert scorer.refresh() is False
         batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
         for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
             _assert_result_equal(got, predictors[vm].predict(recent, steps))
-        assert scorer.stacked and scorer._fast is None
+        assert scorer._stacked is not stack
+        assert scorer.stacked and not scorer._stacked.two_dependent
 
     def test_failed_retrain_keeps_the_old_model(self):
         """A window with no state transitions raises out of ``train``;
@@ -286,21 +315,25 @@ class TestIncrementalRefresh:
             scorer.score([("vm0", recent, 4)])[0], swapped.predict(recent, 4)
         )
 
-    def test_refresh_without_stack_is_false(self):
-        # Mixed chain variants cannot stack into one fleet operator;
-        # the scorer falls back to sequential scoring and refresh has
-        # nothing to repair.
-        p2dep, _ = _train_predictor(seed=1)
-        rng = np.random.default_rng(2)
-        simple = AnomalyPredictor(
-            [f"m{i}" for i in range(N_ATTRS)], n_bins=6, markov="simple",
-        )
-        values = np.cumsum(rng.normal(size=(200, N_ATTRS)), axis=0)
-        labels = (rng.random(200) < 0.3).astype(int)
-        simple.train(values, labels)
-        scorer = FleetScorer({"vm0": p2dep, "vm1": simple})
-        assert not scorer.stacked
+    def test_refit_to_another_variant_is_rejected_by_name(self):
+        # One VM retrained onto simple chains leaves a fleet whose
+        # chains cannot share one operator: the next call names it.
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        odd = predictors["vm1"]
+        odd.markov_kind = "simple"
+        odd.train(traces["vm1"][:200], [0, 1] * 100)
         assert scorer.refresh() is False
+        for call in (
+            lambda: scorer.score([("vm0", traces["vm0"][50:60], 4)]),
+            lambda: scorer.classify_batch([("vm0", traces["vm0"][80])]),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value).endswith(
+                "markov='2dep', n_bins=6: vm0, vm2; "
+                "markov='simple', n_bins=6: vm1"
+            )
 
 
 class TestRestackValidation:

@@ -201,8 +201,8 @@ def test_refit_update_rebuild_interleavings_score_like_predict(markov):
     assert_valid_rows_are_live(scorer)
 
     # A classifier swapped behind an unchanged chain stack is stale
-    # too; its rows cannot be repaired, so the stack (and every table)
-    # is rebuilt.
+    # too; a naive-Bayes one is an all-root TAN, so its rows are
+    # repaired in place and the other VMs' table rows survive.
     refit = predictors["vm0"]
     values, labels = window(60)
     refit.classifier = NaiveBayesClassifier(n_bins=6).fit(
@@ -210,13 +210,14 @@ def test_refit_update_rebuild_interleavings_score_like_predict(markov):
     )
     assert scorer.stacked
     assert_scores_like_predict(scorer, predictors, traces)
-    assert scorer._fast is None
+    assert scorer._tensors.is_root[scorer._slices["vm0"]].all()
+    assert_valid_rows_are_live(scorer)
 
     # Membership change: the controller builds a new scorer; a rebuild
     # in place drops the tables with the row layout they indexed.
     del scorer.predictors["vm0"]
     scorer._build()
-    assert not scorer._horizon_cache and scorer._fast is not None
+    assert not scorer._horizon_cache
     assert_scores_like_predict(scorer, predictors, traces)
     predictors["vm3"].train(*window(92))
     assert_scores_like_predict(scorer, predictors, traces)

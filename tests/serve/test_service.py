@@ -142,15 +142,14 @@ class TestProtocol:
 
 
 class TestFleetScorerTiers:
-    """Every scoring tier must equal AnomalyPredictor.predict bitwise."""
+    """The scorer's one path must equal AnomalyPredictor.predict bitwise."""
 
     def test_fast_tier_all_tan(self):
         predictors, traces = make_fleet(6)
-        # Mixed soft/hard and mixed steps still take the fast tier.
+        # Mixed soft/hard and mixed steps share the one path.
         predictors["vm1"].prediction_mode = "hard"
         predictors["vm4"].prediction_mode = "hard"
         scorer = FleetScorer(predictors)
-        assert scorer._fast is not None
         batch = make_batch(predictors, traces)
         batch[2] = (batch[2][0], batch[2][1], 7)
         assert_results_bitwise_equal(
@@ -160,36 +159,59 @@ class TestFleetScorerTiers:
     def test_fast_tier_simple_chains(self):
         predictors, traces = make_fleet(4, markov="simple")
         scorer = FleetScorer(predictors)
-        assert scorer._fast is not None
         batch = make_batch(predictors, traces, steps=3)
         assert_results_bitwise_equal(
             batch, scorer.score(batch), predictors
         )
 
-    def test_middle_tier_mixed_classifiers(self):
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_mixed_classifiers_share_one_path(self, mode):
         predictors, traces = make_fleet(2)
-        naive, naive_values = train_predictor(seed=91, classifier="naive")
-        predictors["vmN"] = naive
-        traces["vmN"] = naive_values
+        for seed in (91, 94):
+            naive, values = train_predictor(
+                seed=seed, classifier="naive", mode=mode
+            )
+            # Labels that follow one metric, so selection keeps some
+            # attributes and the scores are not the prior alone.
+            naive.train(values, values[:, 0] > np.median(values[:, 0]))
+            predictors[f"vmN{seed}"] = naive
+            traces[f"vmN{seed}"] = values
         scorer = FleetScorer(predictors)
-        assert scorer._fast is None          # naive blocks the fast tier
-        assert scorer.stacked                # chains still stack
+        # Naive Bayes is stacked as a TAN whose attributes are all roots.
+        rows = np.concatenate(
+            [scorer._slices[vm] for vm in ("vmN91", "vmN94")]
+        )
+        assert scorer._tensors.is_root[rows].all()
+        assert scorer._tensors.mask[rows].any()
         batch = make_batch(predictors, traces)
         assert_results_bitwise_equal(
             batch, scorer.score(batch), predictors
         )
+        observed = [(vm, recent[-1]) for vm, recent, _steps in batch]
+        for (vm, values), got in zip(
+            observed, scorer.classify_batch(observed)
+        ):
+            assert got == predictors[vm].classify_current(values)
 
-    def test_sequential_tier_mixed_chain_variants(self):
-        predictors, traces = make_fleet(2)
-        simple, simple_values = train_predictor(seed=92, markov="simple")
-        predictors["vmS"] = simple
-        traces["vmS"] = simple_values
-        scorer = FleetScorer(predictors)
-        assert not scorer.stacked
-        batch = make_batch(predictors, traces)
-        assert_results_bitwise_equal(
-            batch, scorer.score(batch), predictors
+    @pytest.mark.parametrize("odd", [
+        {"markov": "simple"}, {"n_bins": 5},
+    ], ids=["markov", "n_bins"])
+    def test_rejects_mixed_chain_variants_by_name(self, odd):
+        predictors, _traces = make_fleet(2)
+        rng = np.random.default_rng(92)
+        predictors["vmS"] = AnomalyPredictor(
+            [f"m{i}" for i in range(N_ATTRS)],
+            **{"n_bins": 6, "markov": "2dep", **odd},
+        ).train(
+            np.cumsum(rng.normal(size=(250, N_ATTRS)), axis=0),
+            (rng.random(250) < 0.3).astype(int),
         )
+        with pytest.raises(ValueError) as err:
+            FleetScorer(predictors)
+        message = str(err.value)
+        assert "one chain variant and n_bins" in message
+        assert message.endswith(": vmS")
+        assert ": vm0, vm1;" in message
 
     def test_vm_subset_and_duplicates(self):
         predictors, traces = make_fleet(5)
