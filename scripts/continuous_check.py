@@ -41,7 +41,7 @@ from repro.faults.base import FaultKind
 from repro.experiments.accuracy import _train_per_vm, collect_trace
 from repro.serve.lifecycle import LifecycleConfig, LifecycleManager
 from repro.serve.protocol import encode_message
-from repro.serve.registry import ModelRegistry, canonical_json
+from repro.serve.registry import SCHEMA_VERSION, ModelRegistry, canonical_json
 from repro.serve.service import PredictionService, ServiceConfig
 
 MODEL_NAME = "continuous-check"
@@ -184,7 +184,7 @@ async def check(registry_root: Path, duration: float) -> None:
                 fail("rollback did not restore the serving champion")
             restored = registry.load_active(MODEL_NAME)
             restored_doc = canonical_json({
-                "schema": 1,
+                "schema": SCHEMA_VERSION,
                 "name": champ_info.name,
                 "version": champ_info.version,
                 "created_at": champ_info.created_at,

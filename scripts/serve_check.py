@@ -34,7 +34,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.faults.base import FaultKind
 from repro.experiments.accuracy import _train_per_vm, collect_trace
-from repro.serve.registry import ModelRegistry, canonical_json
+from repro.serve.registry import SCHEMA_VERSION, ModelRegistry, canonical_json
 from repro.serve.replay import iter_samples, replay_dataset
 from repro.serve.service import PredictionService, ServiceConfig
 
@@ -62,7 +62,7 @@ async def check(registry_root: Path, duration: float, steps: int) -> None:
     restored = registry.load("serve-check")
     original_doc = (saved.path / "snapshot.json").read_text(encoding="utf-8")
     restored_doc = canonical_json({
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "name": saved.name,
         "version": saved.version,
         "created_at": saved.created_at,

@@ -17,6 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import pack_array, unpack_array
+
 __all__ = ["NaiveBayesClassifier", "NotTrainedError", "check_training_data"]
 
 NORMAL, ABNORMAL = 0, 1
@@ -557,10 +559,10 @@ class NaiveBayesClassifier(BayesClassifier):
             "class_prior": self.class_prior,
             "robust": self.robust,
             "n_attributes": self.n_attributes,
-            "log_prior": self._log_prior.tolist(),
-            "log_cpt": self._log_cpt.tolist(),
-            "support": self._support.tolist(),
-            "attribute_mask": self.attribute_mask.tolist(),
+            "log_prior": pack_array(self._log_prior),
+            "log_cpt": pack_array(self._log_cpt),
+            "support": pack_array(self._support),
+            "attribute_mask": pack_array(self.attribute_mask),
         }
 
     @classmethod
@@ -577,10 +579,10 @@ class NaiveBayesClassifier(BayesClassifier):
             robust=bool(payload["robust"]),
         )
         n_attrs = int(payload["n_attributes"])
-        log_cpt = np.asarray(payload["log_cpt"], dtype=float)
-        support = np.asarray(payload["support"], dtype=bool)
-        mask = np.asarray(payload["attribute_mask"], dtype=bool)
-        log_prior = np.asarray(payload["log_prior"], dtype=float)
+        log_cpt = unpack_array(payload["log_cpt"], "<f8")
+        support = unpack_array(payload["support"], "|b1")
+        mask = unpack_array(payload["attribute_mask"], "|b1")
+        log_prior = unpack_array(payload["log_prior"], "<f8")
         if log_cpt.shape != (n_attrs, 2, clf.n_bins):
             raise ValueError(
                 f"log_cpt shape {log_cpt.shape} does not match "

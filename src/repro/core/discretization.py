@@ -18,6 +18,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.arrays import pack_array, unpack_array
+
 __all__ = ["Discretizer", "DEFAULT_BINS"]
 
 #: Default number of single states per attribute.
@@ -141,9 +143,10 @@ class Discretizer:
     def to_dict(self) -> Dict:
         """JSON-serializable snapshot of the learned binning.
 
-        Floats survive the JSON round-trip exactly (shortest-repr), so
-        :meth:`from_dict` rebuilds a discretizer whose transforms are
-        bitwise-identical to this one's.
+        Edges and centers are packed as raw bytes
+        (:func:`~repro.core.arrays.pack_array`), so :meth:`from_dict`
+        rebuilds a discretizer whose transforms are bitwise-identical
+        to this one's.
         """
         return {
             "kind": "discretizer",
@@ -151,8 +154,8 @@ class Discretizer:
             "strategy": self.strategy,
             "bins": None if self._bins is None else [
                 {
-                    "edges": b.edges.tolist(),
-                    "centers": b.centers.tolist(),
+                    "edges": pack_array(b.edges),
+                    "centers": pack_array(b.centers),
                 }
                 for b in self._bins
             ],
@@ -175,8 +178,8 @@ class Discretizer:
         if raw is not None:
             bins: List[_AttributeBins] = []
             for i, entry in enumerate(raw):
-                edges = np.asarray(entry["edges"], dtype=float)
-                centers = np.asarray(entry["centers"], dtype=float)
+                edges = unpack_array(entry["edges"], "<f8")
+                centers = unpack_array(entry["centers"], "<f8")
                 if edges.shape != (disc.n_bins - 1,):
                     raise ValueError(
                         f"attribute {i}: expected {disc.n_bins - 1} edges, "

@@ -38,6 +38,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import pack_array, unpack_array
+
 __all__ = [
     "MarkovModel",
     "SimpleMarkovModel",
@@ -255,7 +257,7 @@ class MarkovModel:
             "smoothing": self.smoothing,
             "persistence": self.persistence,
             "trained": self._trained,
-            "counts": self._counts.tolist(),
+            "counts": pack_array(self._counts),
         }
 
     @classmethod
@@ -270,7 +272,7 @@ class MarkovModel:
             smoothing=float(payload["smoothing"]),
             persistence=float(payload["persistence"]),
         )
-        counts = np.asarray(payload["counts"], dtype=float)
+        counts = unpack_array(payload["counts"], "<f8")
         if counts.shape != model._counts.shape:
             raise ValueError(
                 f"counts shape {counts.shape} does not match "

@@ -44,9 +44,18 @@ from repro.core.tan import TANClassifier
 __all__ = [
     "AnomalyPredictor",
     "BatchedAttributeChains",
+    "MARKOV_CHAINS",
     "PredictionResult",
     "monolithic_attributes",
 ]
+
+#: Chain class of each ``markov=`` variant.  A predictor's
+#: ``history_needed`` is its chain class's, so the registry can read it
+#: from a snapshot's ``"markov"`` field without restoring the model.
+MARKOV_CHAINS: Dict[str, type] = {
+    "2dep": TwoDependentMarkovModel,
+    "simple": SimpleMarkovModel,
+}
 
 
 @dataclass(frozen=True)
@@ -319,7 +328,7 @@ class AnomalyPredictor:
     ) -> None:
         if not attributes:
             raise ValueError("need at least one attribute")
-        if markov not in ("2dep", "simple"):
+        if markov not in MARKOV_CHAINS:
             raise ValueError(f"unknown markov variant {markov!r}")
         if classifier not in ("tan", "naive"):
             raise ValueError(f"unknown classifier {classifier!r}")
@@ -367,12 +376,11 @@ class AnomalyPredictor:
     @property
     def history_needed(self) -> int:
         """Trailing samples required to condition a prediction."""
-        return 2 if self.markov_kind == "2dep" else 1
+        return MARKOV_CHAINS[self.markov_kind].history_needed
 
     def _new_markov(self) -> MarkovModel:
-        if self.markov_kind == "2dep":
-            return TwoDependentMarkovModel(self.n_bins, smoothing=self.smoothing)
-        return SimpleMarkovModel(self.n_bins, smoothing=self.smoothing)
+        return MARKOV_CHAINS[self.markov_kind](
+            self.n_bins, smoothing=self.smoothing)
 
     def train(
         self,
@@ -630,11 +638,7 @@ class AnomalyPredictor:
         )
         predictor.discretizer = Discretizer.from_dict(payload["discretizer"])
         models = [MarkovModel.from_dict(m) for m in payload["value_models"]]
-        expected_chain = (
-            TwoDependentMarkovModel
-            if predictor.markov_kind == "2dep"
-            else SimpleMarkovModel
-        )
+        expected_chain = MARKOV_CHAINS[predictor.markov_kind]
         for model in models:
             if not isinstance(model, expected_chain):
                 raise ValueError(

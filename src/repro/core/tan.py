@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.arrays import pack_array, unpack_array
 from repro.core.bayes import (
     ABNORMAL,
     NORMAL,
@@ -318,11 +319,11 @@ class TANClassifier(BayesClassifier):
             "class_prior": self.class_prior,
             "robust": self.robust,
             "n_attributes": self.n_attributes,
-            "parents": self.parents.tolist(),
-            "log_prior": self._log_prior.tolist(),
-            "log_cpt": [table.tolist() for table in self._log_cpt],
-            "support": [mask.tolist() for mask in self._support],
-            "attribute_mask": self.attribute_mask.tolist(),
+            "parents": pack_array(self.parents.astype(np.int64)),
+            "log_prior": pack_array(self._log_prior),
+            "log_cpt": [pack_array(table) for table in self._log_cpt],
+            "support": [pack_array(mask) for mask in self._support],
+            "attribute_mask": pack_array(self.attribute_mask),
         }
 
     @classmethod
@@ -340,9 +341,10 @@ class TANClassifier(BayesClassifier):
         )
         n_attrs = int(payload["n_attributes"])
         b = clf.n_bins
-        parents = np.asarray(payload["parents"], dtype=np.intp)
-        log_prior = np.asarray(payload["log_prior"], dtype=float)
-        mask = np.asarray(payload["attribute_mask"], dtype=bool)
+        parents = unpack_array(payload["parents"], "<i8").astype(
+            np.intp, copy=False)
+        log_prior = unpack_array(payload["log_prior"], "<f8")
+        mask = unpack_array(payload["attribute_mask"], "|b1")
         tables = payload["log_cpt"]
         supports = payload["support"]
         if parents.shape != (n_attrs,) or log_prior.shape != (2,):
@@ -365,8 +367,8 @@ class TANClassifier(BayesClassifier):
         cpts: List[np.ndarray] = []
         masks: List[np.ndarray] = []
         for i in range(n_attrs):
-            table = np.asarray(tables[i], dtype=float)
-            support = np.asarray(supports[i], dtype=bool)
+            table = unpack_array(tables[i], "<f8")
+            support = unpack_array(supports[i], "|b1")
             want_table = (2, b) if parents[i] < 0 else (2, b, b)
             want_support = (b,) if parents[i] < 0 else (b, b)
             if table.shape != want_table or support.shape != want_support:

@@ -281,12 +281,10 @@ class ServingFabric:
         cfg = self.config
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self._version = self._resolve_version(cfg.version)
-        predictors = self.registry.load(cfg.model_name, self._version)
-        self._meta = {
-            vm: _VMMeta(len(p.attributes), p.history_needed)
-            for vm, p in predictors.items()
-        }
-        del predictors  # workers load their own shard; router keeps meta
+        # The router restores no model: it needs each VM's attribute
+        # count and history length; each worker restores its own shard.
+        described = self.registry.describe(cfg.model_name, self._version)
+        self._meta = {vm: _VMMeta(*meta) for vm, meta in described.items()}
         self._shard_of = shard_ring(
             sorted(self._meta), cfg.n_workers, cfg.ring_replicas)
         retained = self._reshard_wals()

@@ -8,10 +8,21 @@ saving under an existing name allocates the next version directory
 (``<root>/<name>/v0001``, ``v0002``, ...), and :meth:`ModelRegistry.load`
 refuses any snapshot whose bytes no longer match the recorded hash.
 
-Canonical JSON (sorted keys, no whitespace) makes the hash a pure
-function of model content, and because JSON round-trips floats exactly
-(shortest repr), restore → re-snapshot reproduces the original bytes:
-``serve_check.py`` asserts this end to end.
+Schema 2 stores every array as packed raw bytes inside the document
+(:mod:`repro.core.arrays`: dtype, shape and base64 of the
+little-endian bytes), so a load decodes base64 instead of parsing one
+JSON float per element.  Canonical JSON (sorted keys, no whitespace)
+makes the hash a pure function of model content, and because the
+packed bytes are the arrays' own, restore is bitwise and restore →
+re-snapshot reproduces the original bytes: ``serve_check.py`` asserts
+this end to end.  A schema-1 (float-list) snapshot is refused with a
+hint to re-save the fleet; there is no schema-1 reader.
+
+A load verifies the whole document (hash, schema, VM list) but
+restores only the VMs it is asked for, so a fabric worker pays for its
+own shard; :meth:`ModelRegistry.describe` reads each VM's attribute
+count and history length from the verified document and restores
+nothing, which is all the fabric's router needs.
 """
 
 from __future__ import annotations
@@ -22,9 +33,9 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.predictor import AnomalyPredictor
+from repro.core.predictor import MARKOV_CHAINS, AnomalyPredictor
 
 __all__ = [
     "ModelRegistry",
@@ -36,7 +47,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the snapshot document layout changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
@@ -163,36 +174,33 @@ class ModelRegistry:
     # Load
     # ------------------------------------------------------------------
     def load(
-        self, name: str, version: Optional[int] = None
+        self,
+        name: str,
+        version: Optional[int] = None,
+        vms: Optional[Iterable[str]] = None,
     ) -> Dict[str, AnomalyPredictor]:
         """Restore the pipelines of ``name`` (latest version by default).
 
-        Verifies the content hash before parsing; raises
-        :class:`SnapshotIntegrityError` on any mismatch and
-        :class:`RegistryError` on missing/malformed snapshots.
+        Verifies the content hash, the schema and the VM list of the
+        whole document, then restores only the VMs named in ``vms``
+        (every VM when None), in snapshot order.  Raises
+        :class:`SnapshotIntegrityError` on a hash or VM-list mismatch
+        and :class:`RegistryError` on missing/malformed snapshots or
+        when ``vms`` names a VM the snapshot lacks.
         """
         info = self.info(name, version)
-        document = self._read_document(info)
-        try:
-            payload = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise RegistryError(
-                f"snapshot {info.path / _SNAPSHOT_FILE} is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
-            raise RegistryError(
-                f"snapshot {info.path / _SNAPSHOT_FILE}: unsupported schema "
-                f"{payload.get('schema') if isinstance(payload, dict) else payload!r} "
-                f"(want {SCHEMA_VERSION})"
-            )
-        vms = payload.get("vms")
-        if not isinstance(vms, dict) or sorted(vms) != list(info.vms):
-            raise SnapshotIntegrityError(
-                f"snapshot {info.path / _SNAPSHOT_FILE}: VM list does not "
-                f"match the manifest"
-            )
+        blobs = self._read_vms(info)
+        if vms is not None:
+            wanted = set(vms)
+            missing = wanted.difference(blobs)
+            if missing:
+                raise RegistryError(
+                    f"snapshot {name} v{info.version} lacks VMs "
+                    f"{sorted(missing)}"
+                )
+            blobs = {vm: b for vm, b in blobs.items() if vm in wanted}
         out: Dict[str, AnomalyPredictor] = {}
-        for vm, blob in vms.items():
+        for vm, blob in blobs.items():
             try:
                 out[vm] = AnomalyPredictor.from_dict(blob)
             except (KeyError, TypeError, ValueError) as exc:
@@ -200,6 +208,31 @@ class ModelRegistry:
                     f"snapshot {info.path / _SNAPSHOT_FILE}: VM {vm!r} "
                     f"does not restore: {exc}"
                 ) from None
+        return out
+
+    def describe(
+        self, name: str, version: Optional[int] = None
+    ) -> Dict[str, Tuple[int, int]]:
+        """``{vm: (n_attributes, history_needed)}`` of one snapshot.
+
+        Runs :meth:`load`'s verification of the whole document but
+        restores no predictor: both numbers come from each VM's
+        ``attributes`` and ``markov`` fields.
+        """
+        info = self.info(name, version)
+        out: Dict[str, Tuple[int, int]] = {}
+        for vm, blob in self._read_vms(info).items():
+            try:
+                attributes = blob["attributes"]
+                chain = MARKOV_CHAINS[blob["markov"]]
+                if not isinstance(attributes, list) or not attributes:
+                    raise ValueError("attributes must be a non-empty list")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise RegistryError(
+                    f"snapshot {info.path / _SNAPSHOT_FILE}: VM {vm!r} "
+                    f"has no valid attributes/markov: {exc!r}"
+                ) from None
+            out[vm] = (len(attributes), chain.history_needed)
         return out
 
     def load_active(self, name: str) -> Dict[str, AnomalyPredictor]:
@@ -311,6 +344,30 @@ class ModelRegistry:
                 f"manifest {info.sha256}"
             )
         return document
+
+    def _read_vms(self, info: SnapshotInfo) -> Dict[str, Dict]:
+        """The verified ``vms`` mapping of one snapshot document."""
+        snap_path = info.path / _SNAPSHOT_FILE
+        document = self._read_document(info)
+        try:
+            payload = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise RegistryError(
+                f"snapshot {snap_path} is not valid JSON: {exc}"
+            ) from None
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
+            raise RegistryError(
+                f"snapshot {snap_path}: unsupported schema "
+                f"{payload.get('schema') if isinstance(payload, dict) else payload!r} "
+                f"(want {SCHEMA_VERSION}); re-save the fleet with this "
+                f"version (train it and ModelRegistry.save) to load it"
+            )
+        vms = payload.get("vms")
+        if not isinstance(vms, dict) or sorted(vms) != list(info.vms):
+            raise SnapshotIntegrityError(
+                f"snapshot {snap_path}: VM list does not match the manifest"
+            )
+        return vms
 
     # ------------------------------------------------------------------
     # Introspection

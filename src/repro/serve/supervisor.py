@@ -78,16 +78,10 @@ async def _worker_serve(spec: WorkerSpec) -> None:
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import PredictionService, ServiceConfig
 
-    registry = ModelRegistry(spec.registry_root)
-    predictors = registry.load(spec.model_name, spec.version)
-    shard_vms = set(spec.vms)
-    shard = {vm: p for vm, p in predictors.items() if vm in shard_vms}
-    missing = shard_vms - set(shard)
-    if missing:
-        raise RuntimeError(
-            f"snapshot {spec.model_name} v{spec.version} lacks shard VMs "
-            f"{sorted(missing)}"
-        )
+    # Restores only this shard's VMs; a VM the snapshot lacks raises
+    # RegistryError naming it.
+    shard = ModelRegistry(spec.registry_root).load(
+        spec.model_name, spec.version, vms=spec.vms)
     service = PredictionService(shard, ServiceConfig(
         steps=spec.steps,
         batch_window=spec.batch_window,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.arrays import pack_array, unpack_array
 from repro.core.bayes import (
     NaiveBayesClassifier,
     NotTrainedError,
@@ -222,12 +223,14 @@ class TestCorruptSnapshotRejection:
     def test_naive_bayes_rejects_bad_log_probabilities(self):
         X, y = make_labeled(29, 120)
         blob = NaiveBayesClassifier(n_bins=6).fit(X, y).to_dict()
-        bad = {**blob, "log_prior": [0.5, blob["log_prior"][1]]}
+        log_prior = unpack_array(blob["log_prior"], "<f8")
+        log_prior[0] = 0.5
+        bad = {**blob, "log_prior": pack_array(log_prior)}
         with pytest.raises(ValueError, match="positive log"):
             NaiveBayesClassifier.from_dict(bad)
-        bad = {**blob}
-        bad["log_cpt"] = [row[:] for row in blob["log_cpt"]]
-        bad["log_cpt"][0][0][0] = float("nan")
+        log_cpt = unpack_array(blob["log_cpt"], "<f8")
+        log_cpt[0, 0, 0] = np.nan
+        bad = {**blob, "log_cpt": pack_array(log_cpt)}
         with pytest.raises(ValueError, match="non-finite"):
             NaiveBayesClassifier.from_dict(bad)
 
@@ -249,17 +252,18 @@ class TestNaiveIsRootOnlyTAN:
         common = {
             "n_bins": b, "smoothing": 0.15, "class_prior": "balanced",
             "robust": robust, "n_attributes": a,
-            "log_prior": np.log(prior / prior.sum()).tolist(),
-            "attribute_mask": (rng.random(a) < 0.6).tolist(),
+            "log_prior": pack_array(np.log(prior / prior.sum())),
+            "attribute_mask": pack_array(rng.random(a) < 0.6),
         }
         naive = NaiveBayesClassifier.from_dict({
             "kind": "naive", **common,
-            "log_cpt": log_cpt.tolist(), "support": support.tolist(),
+            "log_cpt": pack_array(log_cpt), "support": pack_array(support),
         })
         tan = TANClassifier.from_dict({
-            "kind": "tan", **common, "parents": [-1] * a,
-            "log_cpt": [table.tolist() for table in log_cpt],
-            "support": [row.tolist() for row in support],
+            "kind": "tan", **common,
+            "parents": pack_array(np.full(a, -1, dtype=np.int64)),
+            "log_cpt": [pack_array(table) for table in log_cpt],
+            "support": [pack_array(row) for row in support],
         })
         return naive, tan, rng
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.arrays import pack_array, unpack_array
 from repro.core.markov import SimpleMarkovModel, TwoDependentMarkovModel
 
 
@@ -288,6 +289,8 @@ class TestCorruptSnapshotRejection:
     def test_markov_rejects_bad_count_values(self, cls, poison):
         model = cls(N_STATES).fit([0, 1, 2, 3, 2, 1, 0, 1, 2])
         blob = model.to_dict()
-        blob["counts"][0][0] = poison
+        counts = unpack_array(blob["counts"], "<f8")
+        counts[0, 0] = poison
+        blob["counts"] = pack_array(counts)
         with pytest.raises(ValueError, match="corrupt Markov snapshot"):
             cls.from_dict(blob)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.arrays import pack_array, unpack_array
 from repro.core.bayes import NotTrainedError
 from repro.core.tan import TANClassifier
 
@@ -205,17 +206,18 @@ class TestCorruptSnapshotRejection:
     def test_tan_rejects_bad_snapshot_values(self):
         X, y = make_labeled(31, 120)
         blob = TANClassifier(n_bins=6).fit(X, y).to_dict()
-        bad = {**blob, "log_prior": [float("inf"), blob["log_prior"][1]]}
+        log_prior = unpack_array(blob["log_prior"], "<f8")
+        log_prior[0] = np.inf
+        bad = {**blob, "log_prior": pack_array(log_prior)}
         with pytest.raises(ValueError, match="corrupt TAN snapshot"):
             TANClassifier.from_dict(bad)
-        bad = {**blob, "parents": [9] + blob["parents"][1:]}
+        parents = unpack_array(blob["parents"], "<i8")
+        parents[0] = 9
+        bad = {**blob, "parents": pack_array(parents)}
         with pytest.raises(ValueError):
             TANClassifier.from_dict(bad)
-        import copy
-
-        bad = copy.deepcopy(blob)
-        flat = np.asarray(bad["log_cpt"][0], dtype=float)
-        flat.flat[0] = 1.0
-        bad["log_cpt"][0] = flat.tolist()
+        table = unpack_array(blob["log_cpt"][0], "<f8")
+        table.flat[0] = 1.0
+        bad = {**blob, "log_cpt": [pack_array(table), *blob["log_cpt"][1:]]}
         with pytest.raises(ValueError, match="positive log"):
             TANClassifier.from_dict(bad)

@@ -25,8 +25,12 @@ from repro.serve.fabric import (
     shard_ring,
 )
 from repro.serve.protocol import encode_message
-from repro.serve.registry import ModelRegistry
-from repro.serve.supervisor import SupervisorConfig
+from repro.serve.registry import (
+    ModelRegistry,
+    RegistryError,
+    SnapshotIntegrityError,
+)
+from repro.serve.supervisor import SupervisorConfig, WorkerSpec, worker_main
 
 N_ATTRS = 5
 N_VMS = 4
@@ -170,6 +174,76 @@ class TestShardRing:
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="at least one"):
             shard_ring(["a"], 0)
+
+
+class TestColdStart:
+    """The router reads per-VM metadata and restores no model; each
+    worker restores only its shard."""
+
+    def test_router_makes_no_from_dict_call(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        registry = fleet["registry"]
+        traces = fleet["traces"]
+        calls = []
+        restore = AnomalyPredictor.from_dict.__func__
+
+        def counting(cls, payload):
+            calls.append(payload)
+            return restore(cls, payload)
+
+        monkeypatch.setattr(
+            AnomalyPredictor, "from_dict", classmethod(counting))
+        sock = tmp_path / "fabric.sock"
+
+        async def main():
+            fabric = ServingFabric(
+                registry, tmp_path / "run", fabric_config(n_workers=1))
+            await fabric.start(path=str(sock))
+            try:
+                assert calls == []
+                assert {
+                    vm: (meta.n_attrs, meta.history_needed)
+                    for vm, meta in fabric._meta.items()
+                } == registry.describe("fleet", fabric.version)
+                async with _Client(sock) as client:
+                    for t in range(3):
+                        reply = await client.request({
+                            "op": "sample", "vm": "vm0",
+                            "values": traces["vm0"][t].tolist()})
+                    assert reply["kind"] == "score"
+            finally:
+                await fabric.stop()
+
+        asyncio.run(main())
+        assert calls == []
+
+    def test_corrupt_snapshot_is_refused_before_any_worker(self, tmp_path):
+        registry = ModelRegistry(tmp_path / "models")
+        predictors, _ = make_fleet(seed0=40)
+        info = registry.save("fleet", predictors)
+        snap = info.path / "snapshot.json"
+        document = snap.read_text(encoding="utf-8")
+        at = document.index('"data":"') + len('"data":"')
+        flipped = "B" if document[at] == "A" else "A"
+        snap.write_text(document[:at] + flipped + document[at + 1:],
+                        encoding="utf-8")
+        fabric = ServingFabric(
+            registry, tmp_path / "run", fabric_config(n_workers=2))
+        with pytest.raises(SnapshotIntegrityError):
+            asyncio.run(fabric.start(path=str(tmp_path / "fabric.sock")))
+        assert fabric.shards == []
+
+    def test_worker_naming_an_absent_vm_fails_startup(self, fleet, tmp_path):
+        registry = fleet["registry"]
+        sock = tmp_path / "worker.sock"
+        spec = WorkerSpec(
+            shard_index=0, socket_path=str(sock),
+            registry_root=str(registry.root), model_name="fleet",
+            version=registry.versions("fleet")[0], vms=("vm0", "ghost"))
+        with pytest.raises(RegistryError, match="ghost"):
+            worker_main(spec)
+        assert not sock.exists()
 
 
 class TestFabricFailover:

@@ -25,6 +25,7 @@ from repro.core.predictor import AnomalyPredictor
 from repro.serve.lifecycle import LifecycleConfig, LifecycleManager
 from repro.serve.protocol import encode_message
 from repro.serve.registry import (
+    SCHEMA_VERSION,
     ModelRegistry,
     RegistryError,
     SnapshotIntegrityError,
@@ -92,10 +93,10 @@ class TestRegistryPromotion:
         info = registry.save("fleet", predictors)
         snap = info.path / "snapshot.json"
         document = snap.read_text(encoding="utf-8")
-        snap.write_text(
-            document.replace('"schema":1', '"schema":1 ', 1),
-            encoding="utf-8",
-        )
+        schema = f'"schema":{SCHEMA_VERSION}'
+        corrupted = document.replace(schema, schema + " ", 1)
+        assert corrupted != document
+        snap.write_text(corrupted, encoding="utf-8")
         with pytest.raises(SnapshotIntegrityError):
             registry.promote("fleet", info.version)
         # The pointer never moved.
