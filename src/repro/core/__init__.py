@@ -7,71 +7,42 @@ with effectiveness validation — assembled into the online loop by
 :class:`~repro.core.controller.PrepareController`.
 """
 
-from repro.core.actuation import (
-    METRIC_RESOURCE_MAP,
-    EffectivenessValidator,
-    PreventionAction,
-    PreventionActuator,
-    ValidationOutcome,
-)
-from repro.core.bayes import NaiveBayesClassifier, NotTrainedError
-from repro.core.controller import AlertRecord, PrepareConfig, PrepareController
-from repro.core.discretization import DEFAULT_BINS, Discretizer
-from repro.core.events import ControllerEvent, EventLog
-from repro.core.filtering import (
-    DEFAULT_K,
-    DEFAULT_W,
-    MajorityVoteFilter,
-    filter_alert_sequence,
-)
-from repro.core.inference import CauseInference, Diagnosis, detect_change_point
-from repro.core.labeling import TrainingBuffer, label_samples
-from repro.core.markov import (
-    MarkovModel,
-    SimpleMarkovModel,
-    TwoDependentMarkovModel,
-)
-from repro.core.predictor import (
-    AnomalyPredictor,
-    PredictionResult,
-    monolithic_attributes,
-)
-from repro.core.localization import DeviationLocalizer, violation_epochs
-from repro.core.tan import TANClassifier
-from repro.core.unsupervised import OutlierDetector
+from repro._lazy import exports
 
-__all__ = [
-    "AlertRecord",
-    "AnomalyPredictor",
-    "CauseInference",
-    "DEFAULT_BINS",
-    "DEFAULT_K",
-    "DEFAULT_W",
-    "Diagnosis",
-    "Discretizer",
-    "ControllerEvent",
-    "EventLog",
-    "EffectivenessValidator",
-    "MajorityVoteFilter",
-    "MarkovModel",
-    "METRIC_RESOURCE_MAP",
-    "monolithic_attributes",
-    "NaiveBayesClassifier",
-    "NotTrainedError",
-    "PredictionResult",
-    "PrepareConfig",
-    "PrepareController",
-    "PreventionAction",
-    "PreventionActuator",
-    "SimpleMarkovModel",
-    "TANClassifier",
-    "DeviationLocalizer",
-    "OutlierDetector",
-    "violation_epochs",
-    "TrainingBuffer",
-    "TwoDependentMarkovModel",
-    "ValidationOutcome",
-    "detect_change_point",
-    "filter_alert_sequence",
-    "label_samples",
-]
+#: Submodule → the names this package re-exports from it.  Each name is
+#: imported on first access (PEP 562), so a serving process that needs
+#: the predictor never imports the controller, the simulator or the apps.
+_ORIGINS = {
+    "actuation": (
+        "METRIC_RESOURCE_MAP",
+        "EffectivenessValidator",
+        "PreventionAction",
+        "PreventionActuator",
+        "ValidationOutcome",
+    ),
+    "bayes": ("NaiveBayesClassifier", "NotTrainedError"),
+    "controller": ("AlertRecord", "PrepareConfig", "PrepareController"),
+    "discretization": ("DEFAULT_BINS", "Discretizer"),
+    "events": ("ControllerEvent", "EventLog"),
+    "filtering": (
+        "DEFAULT_K",
+        "DEFAULT_W",
+        "MajorityVoteFilter",
+        "filter_alert_sequence",
+    ),
+    "inference": ("CauseInference", "Diagnosis", "detect_change_point"),
+    "labeling": ("TrainingBuffer", "label_samples"),
+    "localization": ("DeviationLocalizer", "violation_epochs"),
+    "markov": ("MarkovModel", "SimpleMarkovModel", "TwoDependentMarkovModel"),
+    "predictor": (
+        "AnomalyPredictor",
+        "PredictionResult",
+        "monolithic_attributes",
+    ),
+    "tan": ("TANClassifier",),
+    "unsupervised": ("OutlierDetector",),
+}
+
+__all__ = sorted(name for names in _ORIGINS.values() for name in names)
+
+__getattr__, __dir__ = exports(__name__, globals(), _ORIGINS)

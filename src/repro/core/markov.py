@@ -34,6 +34,7 @@ ground truth for the equivalence tests and the baseline for the
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -333,6 +334,16 @@ class SimpleMarkovModel(MarkovModel):
         return dist
 
 
+@functools.lru_cache(maxsize=None)
+def _stay_put_targets(n_states: int) -> np.ndarray:
+    """Stay-put next state of each combined state ``(prev, cur)``: it
+    persists by emitting ``cur`` again.  Depends on ``n_states`` only,
+    so every chain of that size shares one read-only array."""
+    targets = np.tile(np.arange(n_states), n_states)
+    targets.flags.writeable = False
+    return targets
+
+
 class TwoDependentMarkovModel(MarkovModel):
     """Second-order chain over combined states (Fig. 2).
 
@@ -359,8 +370,7 @@ class TwoDependentMarkovModel(MarkovModel):
         return rows, seq[2:]
 
     def _persistence_targets(self) -> np.ndarray:
-        # Combined state (prev, cur) persists by emitting cur again.
-        return np.tile(np.arange(self.n_states), self.n_states)
+        return _stay_put_targets(self.n_states)
 
     def _predict_all(self, history: Sequence[int], steps: int) -> np.ndarray:
         n = self.n_states

@@ -51,7 +51,9 @@ __all__ = [
 
 #: Chain class of each ``markov=`` variant.  A predictor's
 #: ``history_needed`` is its chain class's, so the registry can read it
-#: from a snapshot's ``"markov"`` field without restoring the model.
+#: from a snapshot's ``"markov"`` field without restoring the model
+#: (``serve/registry.py::CHAIN_HISTORY`` copies the numbers, a test
+#: pins the copy).
 MARKOV_CHAINS: Dict[str, type] = {
     "2dep": TwoDependentMarkovModel,
     "simple": SimpleMarkovModel,

@@ -5,19 +5,19 @@ bottleneck — plus the scheduler that reproduces the paper's
 two-injections-per-run protocol.
 """
 
-from repro.faults.base import Fault, FaultKind, FaultStateError
-from repro.faults.bottleneck import BottleneckFault
-from repro.faults.cpuhog import CpuHogFault
-from repro.faults.injector import FaultInjector, Injection
-from repro.faults.memleak import MemoryLeakFault
+from repro._lazy import exports
 
-__all__ = [
-    "BottleneckFault",
-    "CpuHogFault",
-    "Fault",
-    "FaultInjector",
-    "FaultKind",
-    "FaultStateError",
-    "Injection",
-    "MemoryLeakFault",
-]
+#: Submodule → the names this package re-exports from it, each imported
+#: on first access (PEP 562): the CLI reads ``FaultKind`` without
+#: loading the fault models.
+_ORIGINS = {
+    "base": ("Fault", "FaultKind", "FaultStateError"),
+    "bottleneck": ("BottleneckFault",),
+    "cpuhog": ("CpuHogFault",),
+    "injector": ("FaultInjector", "Injection"),
+    "memleak": ("MemoryLeakFault",),
+}
+
+__all__ = sorted(name for names in _ORIGINS.values() for name in names)
+
+__getattr__, __dir__ = exports(__name__, globals(), _ORIGINS)

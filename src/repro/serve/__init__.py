@@ -38,77 +38,42 @@ See ``docs/serving.md`` for the end-to-end tour and
 ``docs/operations.md`` for the operator runbook.
 """
 
-from __future__ import annotations
+from repro._lazy import exports
 
-from repro.serve.alarms import (
-    SEVERITIES,
-    Alarm,
-    AlarmError,
-    AlarmManager,
-    AlarmState,
-    severity_rank,
-)
-from repro.serve.api import ApiConfig, OperatorAPI
-from repro.serve.fabric import (
-    FabricConfig,
-    FabricError,
-    ServingFabric,
-    shard_ring,
-)
-from repro.serve.journal import ShardJournal
-from repro.serve.supervisor import (
-    SupervisorConfig,
-    WorkerSpec,
-    WorkerSupervisor,
-)
-from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    decode_line,
-    encode_message,
-)
-from repro.serve.lifecycle import LifecycleConfig, LifecycleManager
-from repro.serve.registry import (
-    ActiveInfo,
-    ModelRegistry,
-    RegistryError,
-    SnapshotInfo,
-    SnapshotIntegrityError,
-)
-from repro.serve.replay import ReplayReport, replay_dataset
-from repro.serve.service import FleetScorer, PredictionService, ServiceConfig
+#: Submodule → the names this package re-exports from it, each imported
+#: on first access (PEP 562): the fabric router imports no numpy, and a
+#: worker imports neither the operator API nor the lifecycle loop.
+_ORIGINS = {
+    "alarms": (
+        "SEVERITIES",
+        "Alarm",
+        "AlarmError",
+        "AlarmManager",
+        "AlarmState",
+        "severity_rank",
+    ),
+    "api": ("ApiConfig", "OperatorAPI"),
+    "fabric": ("FabricConfig", "FabricError", "ServingFabric", "shard_ring"),
+    "journal": ("ShardJournal",),
+    "lifecycle": ("LifecycleConfig", "LifecycleManager"),
+    "protocol": (
+        "PROTOCOL_VERSION",
+        "ProtocolError",
+        "decode_line",
+        "encode_message",
+    ),
+    "registry": (
+        "ActiveInfo",
+        "ModelRegistry",
+        "RegistryError",
+        "SnapshotInfo",
+        "SnapshotIntegrityError",
+    ),
+    "replay": ("ReplayReport", "replay_dataset"),
+    "service": ("FleetScorer", "PredictionService", "ServiceConfig"),
+    "supervisor": ("SupervisorConfig", "WorkerSpec", "WorkerSupervisor"),
+}
 
-__all__ = [
-    "ActiveInfo",
-    "Alarm",
-    "AlarmError",
-    "AlarmManager",
-    "AlarmState",
-    "ApiConfig",
-    "FabricConfig",
-    "FabricError",
-    "FleetScorer",
-    "LifecycleConfig",
-    "LifecycleManager",
-    "ModelRegistry",
-    "OperatorAPI",
-    "PredictionService",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "RegistryError",
-    "ReplayReport",
-    "SEVERITIES",
-    "ServiceConfig",
-    "ServingFabric",
-    "ShardJournal",
-    "SnapshotInfo",
-    "SnapshotIntegrityError",
-    "SupervisorConfig",
-    "WorkerSpec",
-    "WorkerSupervisor",
-    "decode_line",
-    "encode_message",
-    "replay_dataset",
-    "severity_rank",
-    "shard_ring",
-]
+__all__ = sorted(name for names in _ORIGINS.values() for name in names)
+
+__getattr__, __dir__ = exports(__name__, globals(), _ORIGINS)

@@ -62,12 +62,12 @@ from repro.serve.protocol import (
     MAX_BATCH_SAMPLES,
     PROTOCOL_VERSION,
     ProtocolError,
+    _BatchReply,
     check_steps,
     decode_line,
     encode_message,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import _BatchReply
 from repro.serve.supervisor import (
     SupervisorConfig,
     WorkerHandle,
@@ -467,7 +467,9 @@ class ServingFabric:
                 raise FabricError(
                     f"shard {shard.index} worker not ready within "
                     f"{self.config.ready_timeout}s")
-            await asyncio.sleep(0.05)
+            # The start waits, on average, half a poll interval past the
+            # worker's readiness, so poll often.
+            await asyncio.sleep(0.01)
 
     async def _bring_up(self, shard: _Shard, version: int) -> None:
         """Spawn + hydrate + attach one shard worker (initial start and

@@ -42,7 +42,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
+
+if TYPE_CHECKING:
+    import asyncio
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -172,3 +175,43 @@ def _validate_batch(message: Dict) -> None:
             _validate_sample(sample)
         except ProtocolError as exc:
             raise ProtocolError(f"batch sample {i}: {exc}") from None
+
+
+class _BatchReply:
+    """Collects the per-sample replies of one ``batch`` request.
+
+    Replies land in their sample's slot (so the reply array is aligned
+    with the request's ``samples`` array no matter how scoring
+    interleaves) and the combined line is written once the last slot
+    fills.
+    """
+
+    __slots__ = ("writer", "lock", "msg_id", "replies", "remaining")
+
+    def __init__(
+        self,
+        writer: asyncio.StreamWriter,
+        lock: asyncio.Lock,
+        msg_id: object,
+        count: int,
+    ) -> None:
+        self.writer = writer
+        self.lock = lock
+        self.msg_id = msg_id
+        self.replies: List[Optional[Dict]] = [None] * count
+        self.remaining = count
+
+    def set(self, slot: int, reply: Dict) -> Optional[Dict]:
+        """Fill one slot; returns the combined reply when complete."""
+        if self.replies[slot] is None:
+            self.remaining -= 1
+        self.replies[slot] = reply
+        if self.remaining:
+            return None
+        return {
+            "ok": True,
+            "kind": "batch",
+            "id": self.msg_id,
+            "n": len(self.replies),
+            "replies": self.replies,
+        }

@@ -22,7 +22,9 @@ A load verifies the whole document (hash, schema, VM list) but
 restores only the VMs it is asked for, so a fabric worker pays for its
 own shard; :meth:`ModelRegistry.describe` reads each VM's attribute
 count and history length from the verified document and restores
-nothing, which is all the fabric's router needs.
+nothing, which is all the fabric's router needs.  Only
+:meth:`ModelRegistry.load` imports the model classes (and with them
+numpy), so a process that only describes snapshots never does.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.predictor import MARKOV_CHAINS, AnomalyPredictor
+if TYPE_CHECKING:
+    from repro.core.predictor import AnomalyPredictor
 
 __all__ = [
+    "CHAIN_HISTORY",
     "ModelRegistry",
     "RegistryError",
     "SnapshotIntegrityError",
@@ -58,6 +62,12 @@ _ACTIVE_FILE = "active.json"
 _MANIFEST_KEYS = frozenset(
     {"schema", "name", "version", "created_at", "sha256", "n_vms", "vms"}
 )
+
+#: ``history_needed`` of each chain variant a snapshot's ``"markov"``
+#: field may name: the chain classes of
+#: :data:`repro.core.predictor.MARKOV_CHAINS`, as plain numbers so that
+#: :meth:`ModelRegistry.describe` needs no model class.
+CHAIN_HISTORY: Dict[str, int] = {"2dep": 2, "simple": 1}
 
 
 class RegistryError(RuntimeError):
@@ -188,6 +198,8 @@ class ModelRegistry:
         and :class:`RegistryError` on missing/malformed snapshots or
         when ``vms`` names a VM the snapshot lacks.
         """
+        from repro.core.predictor import AnomalyPredictor
+
         info = self.info(name, version)
         blobs = self._read_vms(info)
         if vms is not None:
@@ -217,14 +229,15 @@ class ModelRegistry:
 
         Runs :meth:`load`'s verification of the whole document but
         restores no predictor: both numbers come from each VM's
-        ``attributes`` and ``markov`` fields.
+        ``attributes`` and ``markov`` fields (the latter through
+        :data:`CHAIN_HISTORY`).
         """
         info = self.info(name, version)
         out: Dict[str, Tuple[int, int]] = {}
         for vm, blob in self._read_vms(info).items():
             try:
                 attributes = blob["attributes"]
-                chain = MARKOV_CHAINS[blob["markov"]]
+                history = CHAIN_HISTORY[blob["markov"]]
                 if not isinstance(attributes, list) or not attributes:
                     raise ValueError("attributes must be a non-empty list")
             except (KeyError, TypeError, ValueError) as exc:
@@ -232,7 +245,7 @@ class ModelRegistry:
                     f"snapshot {info.path / _SNAPSHOT_FILE}: VM {vm!r} "
                     f"has no valid attributes/markov: {exc!r}"
                 ) from None
-            out[vm] = (len(attributes), chain.history_needed)
+            out[vm] = (len(attributes), history)
         return out
 
     def load_active(self, name: str) -> Dict[str, AnomalyPredictor]:

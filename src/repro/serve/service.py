@@ -56,6 +56,7 @@ from repro.serve.alarms import AlarmManager
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    _BatchReply,
     check_steps,
     decode_line,
     encode_message,
@@ -89,46 +90,6 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         check_steps(self.steps)
-
-
-class _BatchReply:
-    """Collects the per-sample replies of one ``batch`` request.
-
-    Replies land in their sample's slot (so the reply array is aligned
-    with the request's ``samples`` array no matter how scoring
-    interleaves) and the combined line is written once the last slot
-    fills.
-    """
-
-    __slots__ = ("writer", "lock", "msg_id", "replies", "remaining")
-
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        msg_id: object,
-        count: int,
-    ) -> None:
-        self.writer = writer
-        self.lock = lock
-        self.msg_id = msg_id
-        self.replies: List[Optional[Dict]] = [None] * count
-        self.remaining = count
-
-    def set(self, slot: int, reply: Dict) -> Optional[Dict]:
-        """Fill one slot; returns the combined reply when complete."""
-        if self.replies[slot] is None:
-            self.remaining -= 1
-        self.replies[slot] = reply
-        if self.remaining:
-            return None
-        return {
-            "ok": True,
-            "kind": "batch",
-            "id": self.msg_id,
-            "n": len(self.replies),
-            "replies": self.replies,
-        }
 
 
 @dataclass

@@ -30,11 +30,14 @@ import multiprocessing
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING, Awaitable, Callable, Dict, List, Optional, Tuple,
+)
 
 from repro.core.resilience import RetryPolicy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SupervisorConfig",
@@ -201,7 +204,9 @@ class WorkerSupervisor:
         self._health = health
         self._restart = restart
         self._on_flapping = on_flapping
-        self._rng = np.random.default_rng(self.config.seed)
+        #: jitter RNG, seeded from ``config.seed`` at the first restart
+        #: (numpy stays out of the router's start-up path)
+        self._rng: Optional[np.random.Generator] = None
         self._tasks: List[asyncio.Task] = []
         self._attempts: Dict[int, int] = {i: 0 for i in range(n_shards)}
         self._lag_strikes: Dict[int, int] = {i: 0 for i in range(n_shards)}
@@ -278,6 +283,10 @@ class WorkerSupervisor:
                     shard_index, len(self._crash_times[shard_index]))
         self._attempts[shard_index] += 1
         attempt = self._attempts[shard_index]
+        if self._rng is None:
+            import numpy as np
+
+            self._rng = np.random.default_rng(cfg.seed)
         delay = cfg.retry.delay(attempt, self._rng)
         await asyncio.sleep(delay)
         try:

@@ -8,53 +8,38 @@ control plane with the paper's measured scaling/migration latencies
 (:mod:`repro.sim.monitor`).
 """
 
-from repro.sim.cluster import Cluster
-from repro.sim.engine import Event, PeriodicTask, SimulationError, Simulator
-from repro.sim.host import Host, VCL_HOST_SPEC
-from repro.sim.hypervisor import (
-    CPU_SCALING_LATENCY,
-    MEMORY_SCALING_LATENCY,
-    MIGRATION_SECONDS_PER_512MB,
-    Hypervisor,
-    OperationRecord,
-    TransientVerbError,
-)
-from repro.sim.monitor import (
-    ATTRIBUTES,
-    DEFAULT_SAMPLING_INTERVAL,
-    MetricSample,
-    VMMonitor,
-)
-from repro.sim.resources import (
-    RESOURCE_EPSILON,
-    ResourceError,
-    ResourceKind,
-    ResourceSpec,
-)
-from repro.sim.vm import VirtualMachine, VMActivity
+from repro._lazy import exports
 
-__all__ = [
-    "ATTRIBUTES",
-    "CPU_SCALING_LATENCY",
-    "Cluster",
-    "DEFAULT_SAMPLING_INTERVAL",
-    "Event",
-    "Host",
-    "Hypervisor",
-    "MEMORY_SCALING_LATENCY",
-    "MIGRATION_SECONDS_PER_512MB",
-    "MetricSample",
-    "OperationRecord",
-    "PeriodicTask",
-    "RESOURCE_EPSILON",
-    "ResourceError",
-    "ResourceKind",
-    "ResourceSpec",
-    "SimulationError",
-    "Simulator",
-    "TransientVerbError",
-    "VCL_HOST_SPEC",
-    "VMActivity",
-    "VMMonitor",
-    "VirtualMachine",
-]
+#: Submodule → the names this package re-exports from it, each imported
+#: on first access (PEP 562): importing ``repro.sim.engine`` alone
+#: stays numpy-free.
+_ORIGINS = {
+    "cluster": ("Cluster",),
+    "engine": ("Event", "PeriodicTask", "SimulationError", "Simulator"),
+    "host": ("Host", "VCL_HOST_SPEC"),
+    "hypervisor": (
+        "CPU_SCALING_LATENCY",
+        "MEMORY_SCALING_LATENCY",
+        "MIGRATION_SECONDS_PER_512MB",
+        "Hypervisor",
+        "OperationRecord",
+        "TransientVerbError",
+    ),
+    "monitor": (
+        "ATTRIBUTES",
+        "DEFAULT_SAMPLING_INTERVAL",
+        "MetricSample",
+        "VMMonitor",
+    ),
+    "resources": (
+        "RESOURCE_EPSILON",
+        "ResourceError",
+        "ResourceKind",
+        "ResourceSpec",
+    ),
+    "vm": ("VirtualMachine", "VMActivity"),
+}
+
+__all__ = sorted(name for names in _ORIGINS.values() for name in names)
+
+__getattr__, __dir__ = exports(__name__, globals(), _ORIGINS)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core.arrays import pack_array, unpack_array
-from repro.core.predictor import AnomalyPredictor
+from repro.core.predictor import MARKOV_CHAINS, AnomalyPredictor
 from repro.serve.registry import (
+    CHAIN_HISTORY,
     SCHEMA_VERSION,
     ModelRegistry,
     RegistryError,
@@ -293,6 +294,14 @@ class TestShardLoad:
 
 
 class TestDescribe:
+    def test_history_table_matches_the_chain_classes(self):
+        # describe reads history lengths from a numpy-free copy of the
+        # chain classes' history_needed; the copy must not drift.
+        assert CHAIN_HISTORY == {
+            kind: chain.history_needed
+            for kind, chain in MARKOV_CHAINS.items()
+        }
+
     def test_reports_attribute_count_and_history(self, registry):
         rng = np.random.default_rng(2)
         predictors = {}
