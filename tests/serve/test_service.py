@@ -140,6 +140,37 @@ class TestProtocol:
                             {"vm": "", "values": [1.0]}],
             }))
 
+    @pytest.mark.parametrize("values, error", [
+        ("[1.0, true]", "sample value True is not a number"),
+        ('[1.0, "x"]', "sample value 'x' is not a number"),
+        ("[null]", "sample value None is not a number"),
+        ("[1.0, NaN]", "sample value nan is not finite"),
+        ("[1, 1e999]", "sample value inf is not finite"),
+        ("[-Infinity, 2.0]", "sample value -inf is not finite"),
+        ("[]", "sample needs a non-empty 'values' array"),
+        ("[[1.0]]", "sample value [1.0] is not a number"),
+        # The first offending value is the one named, whatever its kind.
+        ('[NaN, "x"]', "sample value nan is not finite"),
+        ('["x", NaN]', "sample value 'x' is not a number"),
+    ])
+    def test_value_errors_keep_their_exact_text(self, values, error):
+        line = '{"op": "sample", "vm": "a", "values": %s}' % values
+        with pytest.raises(ProtocolError) as exc:
+            decode_line(line.encode())
+        assert str(exc.value) == error
+        batch = ('{"op": "batch", "samples": [{"vm": "a", "values": [1]}, '
+                 '{"vm": "b", "values": [2.0]}, '
+                 '{"vm": "c", "values": %s}]}' % values)
+        with pytest.raises(ProtocolError) as exc:
+            decode_line(batch.encode())
+        assert str(exc.value) == f"batch sample 2: {error}"
+
+    def test_valid_values_become_a_float_list(self):
+        message = decode_line(
+            b'{"op": "sample", "vm": "a", "values": [1, -2.5, 0, 1e300]}')
+        assert message["values"] == [1.0, -2.5, 0.0, 1e300]
+        assert all(type(v) is float for v in message["values"])
+
 
 class TestFleetScorerTiers:
     """The scorer's one path must equal AnomalyPredictor.predict bitwise."""
