@@ -12,15 +12,21 @@ Topology::
 The router speaks the same newline-JSON protocol as a single
 :class:`~repro.serve.service.PredictionService`, so every existing
 client (``serve_check``, the replay harness, the operator API) works
-against a fabric unchanged.  Per arriving sample the router:
+against a fabric unchanged.  A client frame — one ``sample`` line, or
+a ``batch`` line of up to :data:`MAX_BATCH_SAMPLES` — is routed in one
+pass:
 
-1. validates locally (unknown VM / wrong arity get the *same* typed
-   error a single service sends),
-2. appends to the owning shard's WAL — the journal's in-memory tails
-   hold exactly ``history_needed`` trailing samples per VM, which is
-   all a restarted worker needs to score **bitwise-identically**,
-3. forwards to the shard's worker, coalescing queued samples into
-   ``batch`` lines to amortize per-line framing cost.
+1. every sample is validated locally (unknown VM / wrong arity get
+   the *same* typed error a single service sends) and grouped by its
+   VM's shard; the counters move once per frame,
+2. each shard's group is appended to that shard's WAL in one write and
+   one flush — the journal's in-memory tails hold exactly
+   ``history_needed`` trailing samples per VM, which is all a
+   restarted worker needs to score **bitwise-identically**,
+3. the group joins the shard's send queue, whose sender forwards
+   everything queued as one ``batch`` line; a worker flushes a
+   ``batch`` line as soon as it is enqueued, without waiting out its
+   micro-batch window.
 
 **Failover.**  When a worker dies or hangs (heartbeat deadline,
 bounded pending lag, process exit), the router sheds its shard
@@ -53,7 +59,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.obs import NULL_OBS, Observability
 from repro.serve.alarms import AlarmManager
@@ -298,9 +304,8 @@ class ServingFabric:
                 compact_factor=cfg.compact_factor,
             )
             journal.open()
-            for vm in sorted(vms):
-                for values in retained.get(vm, ()):
-                    journal.append(vm, values)
+            journal.extend([(vm, values) for vm in sorted(vms)
+                            for values in retained.get(vm, ())])
             if retained:
                 journal.compact()  # fsync the re-sharded history
             self.shards.append(_Shard(i, vms, journal))
@@ -857,63 +862,83 @@ class ServingFabric:
             except FabricError as exc:
                 reply = {"ok": False, "kind": "error", "error": str(exc)}
         elif op == "batch":
-            batch = _BatchReply(writer, lock, msg_id,
-                                len(message["samples"]))
-            for slot, sample in enumerate(message["samples"]):
-                await self._route_sample(
-                    sample, writer, lock, batch=batch, slot=slot)
+            samples = message["samples"]
+            await self._route_frame(samples, writer, lock, _BatchReply(
+                writer, lock, msg_id, len(samples)))
             return
-        else:  # sample / observe
-            await self._route_sample(message, writer, lock)
+        else:  # sample / observe: a frame of one, replied on its own
+            await self._route_frame((message,), writer, lock, None)
             return
         if msg_id is not None:
             reply["id"] = msg_id
         await self._client_reply(writer, lock, reply)
 
-    async def _route_sample(
+    async def _route_frame(
         self,
-        message: Dict,
+        samples: Sequence[Dict],
         writer: asyncio.StreamWriter,
         lock: asyncio.Lock,
-        batch: Optional[_BatchReply] = None,
-        slot: int = 0,
+        batch: Optional[_BatchReply],
     ) -> None:
-        op = message["op"]
-        vm = message["vm"]
-        msg_id = message.get("id")
-        entry = _Entry(
-            op=op, vm=vm, values=message["values"],
-            steps=message.get("steps"), orig_id=msg_id,
-            writer=writer, lock=lock, batch=batch, slot=slot,
-        )
-        meta = self._meta.get(vm)
-        if meta is None:
-            await self._deliver(entry, {
-                "ok": False, "kind": "error", "id": msg_id, "vm": vm,
-                "error": f"unknown vm {vm!r}"})
-            return
-        if len(entry.values) != meta.n_attrs:
-            await self._deliver(entry, {
-                "ok": False, "kind": "error", "id": msg_id, "vm": vm,
-                "error": (f"expected {meta.n_attrs} values, "
-                          f"got {len(entry.values)}")})
-            return
-        if op == "observe":
-            self._m_observed.inc()
-            self._n_observed += 1
-        else:
-            self._m_samples.inc()
-            self._n_samples += 1
-        shard = self.shards[self._shard_of[vm]]
-        # WAL first: even if the shard is down or we crash before the
-        # forward, the sample is part of history on recovery.
-        shard.journal.append(vm, entry.values)
-        if shard.state == _UP:
-            shard.outq.append(entry)
-            shard.send_wake.set()
-        elif shard.state == _PAUSED:
-            shard.pause_buffer.append(entry)
-        else:
+        """Route one client frame in a single pass.
+
+        Every sample is checked against its VM (unknown VM and wrong
+        arity get the typed error a single service sends) and grouped
+        by shard; each shard then journals its group with one WAL write
+        and queues it as one block.  Nothing awaits between a shard's
+        journal write and its queueing, so a rollover's pause sees a
+        frame either wholly before or wholly after it.
+        """
+        groups: Dict[int, List[_Entry]] = {}
+        errors: List[Tuple[_Entry, Dict]] = []
+        n_routed = n_observed = 0
+        meta_of, shard_of = self._meta, self._shard_of
+        for slot, message in enumerate(samples):
+            vm = message["vm"]
+            values = message["values"]
+            msg_id = message.get("id")
+            entry = _Entry(
+                op=message["op"], vm=vm, values=values,
+                steps=message.get("steps"), orig_id=msg_id,
+                writer=writer, lock=lock, batch=batch, slot=slot,
+            )
+            meta = meta_of.get(vm)
+            if meta is None:
+                errors.append((entry, {
+                    "ok": False, "kind": "error", "id": msg_id, "vm": vm,
+                    "error": f"unknown vm {vm!r}"}))
+            elif len(values) != meta.n_attrs:
+                errors.append((entry, {
+                    "ok": False, "kind": "error", "id": msg_id, "vm": vm,
+                    "error": (f"expected {meta.n_attrs} values, "
+                              f"got {len(values)}")}))
+            else:
+                n_routed += 1
+                if entry.op == "observe":
+                    n_observed += 1
+                groups.setdefault(shard_of[vm], []).append(entry)
+        if n_observed:
+            self._m_observed.inc(n_observed)
+            self._n_observed += n_observed
+        if n_routed > n_observed:
+            self._m_samples.inc(n_routed - n_observed)
+            self._n_samples += n_routed - n_observed
+        shed: List[Tuple[_Shard, _Entry]] = []
+        for index, entries in groups.items():
+            shard = self.shards[index]
+            # WAL first: even if the shard is down or we crash before
+            # the forward, the samples are part of history on recovery.
+            shard.journal.extend([(e.vm, e.values) for e in entries])
+            if shard.state == _UP:
+                shard.outq.extend(entries)
+                shard.send_wake.set()
+            elif shard.state == _PAUSED:
+                shard.pause_buffer.extend(entries)
+            else:
+                shed.extend((shard, e) for e in entries)
+        for entry, reply in errors:
+            await self._deliver(entry, reply)
+        for shard, entry in shed:
             await self._shed_entry(shard, entry, "worker down")
 
     async def _client_reply(

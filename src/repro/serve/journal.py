@@ -28,9 +28,18 @@ import json
 import os
 from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["ShardJournal", "decode_record", "iter_wal_records"]
+
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def _encode_record(vm: str, values: List[float]) -> bytes:
+    """One WAL line: ``{"vm":...,"values":[...]}`` + newline."""
+    return (_ENCODER.encode({"vm": vm, "values": values}) + "\n").encode(
+        "utf-8")
 
 
 def decode_record(raw: bytes) -> Optional[Tuple[str, List[float]]]:
@@ -155,21 +164,35 @@ class ShardJournal:
     # Writes
     # ------------------------------------------------------------------
     def append(self, vm: str, values: List[float]) -> None:
-        """Journal one sample (tail updated, line flushed to the OS)."""
+        """Journal one sample: the one-record case of :meth:`extend`."""
+        self.extend(((vm, values),))
+
+    def extend(self, records: Sequence[Tuple[str, List[float]]]) -> None:
+        """Journal a frame of samples with one write and one flush.
+
+        Each record's line is the one :meth:`append` writes, so the
+        file equals that of per-record appends.  Auto-compaction is
+        checked once, after the frame.  An unknown VM raises
+        ``KeyError`` before anything is written.
+        """
         if self._fh is None:
             raise RuntimeError("journal is not open")
-        tail = self._tails.get(vm)
-        if tail is None:
-            raise KeyError(f"VM {vm!r} is not part of this shard")
-        vals = [float(v) for v in values]
-        record = json.dumps(
-            {"vm": vm, "values": vals}, separators=(",", ":"),
-        )
-        self._fh.write(record.encode("utf-8") + b"\n")
+        tails = self._tails
+        frame, lines = [], []
+        for vm, values in records:
+            if vm not in tails:
+                raise KeyError(f"VM {vm!r} is not part of this shard")
+            vals = list(map(float, values))
+            frame.append((vm, vals))
+            lines.append(_encode_record(vm, vals))
+        if not frame:
+            return
+        self._fh.write(b"".join(lines))
         self._fh.flush()
-        tail.append(vals)
-        self._records_on_disk += 1
-        self._n_appended += 1
+        for vm, vals in frame:
+            tails[vm].append(vals)
+        self._records_on_disk += len(frame)
+        self._n_appended += len(frame)
         if (
             self.compact_factor > 0
             and self._records_on_disk

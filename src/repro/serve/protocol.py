@@ -68,6 +68,10 @@ REQUEST_OPS = frozenset(
 #: Sample ops a ``batch`` request may carry (control ops cannot nest).
 BATCHABLE_OPS = frozenset({"sample", "observe"})
 
+#: What ``json.loads`` yields for a JSON number (``bool``, a subclass
+#: of ``int``, is not one).
+_NUMBER_TYPES = frozenset({int, float})
+
 #: Hard cap on ``samples`` per ``batch`` request.
 MAX_BATCH_SAMPLES = 1024
 
@@ -104,7 +108,7 @@ def decode_line(line: Union[str, bytes]) -> Dict:
         raise ProtocolError("line contains NUL bytes")
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ProtocolError(f"line is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise ProtocolError(
@@ -140,17 +144,32 @@ def _validate_sample(message: Dict) -> None:
     values = message.get("values")
     if not isinstance(values, list) or not values:
         raise ProtocolError("sample needs a non-empty 'values' array")
-    floats: List[float] = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ProtocolError(f"sample value {v!r} is not a number")
-        f = float(v)
-        if not math.isfinite(f):
-            raise ProtocolError(f"sample value {v!r} is not finite")
-        floats.append(f)
+    # Two C-level passes over the values; only a bad sample walks them
+    # in Python, to name the first offender.
+    try:
+        floats = (list(map(float, values))
+                  if _NUMBER_TYPES.issuperset(map(type, values)) else None)
+    except OverflowError:  # an integer beyond the float range
+        floats = None
+    if floats is None or not all(map(math.isfinite, floats)):
+        raise _value_error(values)
     message["values"] = floats
     if message.get("steps") is not None:
         check_steps(message["steps"])
+
+
+def _value_error(values: List) -> ProtocolError:
+    """The error naming the first value that is not a finite number."""
+    for v in values:
+        if type(v) not in _NUMBER_TYPES:
+            return ProtocolError(f"sample value {v!r} is not a number")
+        try:
+            finite = math.isfinite(float(v))
+        except OverflowError:
+            finite = False
+        if not finite:
+            return ProtocolError(f"sample value {v!r} is not finite")
+    raise AssertionError("every value is a finite number")
 
 
 def _validate_batch(message: Dict) -> None:

@@ -8,6 +8,8 @@ dispatcher task coalesces everything queued within one
 ``batch_window`` into a :class:`FleetScorer` call that propagates all
 pending VMs' chains as **one** stacked-tensor contraction — the PR-1
 vectorized engine applied across the fleet instead of per VM.  The
+window gathers single ``sample`` lines; a ``batch`` line brings its
+samples at once, so they are flushed as soon as the line is enqueued.  The
 scorer itself lives in :mod:`repro.core.fleet`, shared with the
 offline controller's fleet-batched tick.
 
@@ -131,6 +133,10 @@ class PredictionService:
         }
         self._pending: Deque[_Pending] = deque()
         self._wake = asyncio.Event()
+        #: the dispatcher's accumulation wait, and whether a ``batch``
+        #: line has asked to skip it
+        self._window: Optional[asyncio.Future] = None
+        self._flush_now = False
         self._busy = False
         self._n_samples = 0
         self._n_scores = 0
@@ -436,6 +442,11 @@ class PredictionService:
             for slot, sample in enumerate(message["samples"]):
                 await self._handle_sample(
                     sample, writer, lock, batch=batch, slot=slot)
+            if self._pending:
+                # The line is all that is coming: flush without waiting
+                # out the window.
+                self._flush_now = True
+                self._end_window()
             return
         else:  # sample / observe
             await self._handle_sample(message, writer, lock)
@@ -540,14 +551,25 @@ class PredictionService:
     # Micro-batching dispatcher
     # ------------------------------------------------------------------
     async def _dispatch_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             await self._wake.wait()
             self._wake.clear()
             if not self._pending:
                 continue
-            # Let a batch accumulate across connections, then flush.
-            if len(self._pending) < self.config.max_batch:
-                await asyncio.sleep(self.config.batch_window)
+            # Let single samples accumulate across connections, then
+            # flush; a batch line that has been enqueued ends the wait.
+            if len(self._pending) < self.config.max_batch and not (
+                self._flush_now
+            ):
+                self._window = loop.create_future()
+                timer = loop.call_later(
+                    self.config.batch_window, self._end_window)
+                try:
+                    await self._window
+                finally:
+                    timer.cancel()
+                    self._window = None
             while self._pending:
                 batch = [
                     self._pending.popleft()
@@ -557,6 +579,11 @@ class PredictionService:
                 ]
                 self._m_depth.set(len(self._pending))
                 await self._flush(batch)
+            self._flush_now = False
+
+    def _end_window(self) -> None:
+        if self._window is not None and not self._window.done():
+            self._window.set_result(None)
 
     async def _flush(self, batch: List[_Pending]) -> None:
         self._busy = True

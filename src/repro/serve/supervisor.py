@@ -100,6 +100,17 @@ async def _worker_serve(spec: WorkerSpec) -> None:
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(sig, stop.set)
+    # ``daemon=True`` only reaps workers on a clean router exit.  When
+    # the router dies any other way (SIGKILL included), the kernel
+    # closes its end of the pipe this process was spawned through, and
+    # the parent sentinel becomes readable.
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        def _parent_gone() -> None:
+            loop.remove_reader(parent.sentinel)
+            stop.set()
+
+        loop.add_reader(parent.sentinel, _parent_gone)
     await stop.wait()
     # Graceful: stop accepting, flush every queued micro-batch, exit.
     await service.stop()

@@ -121,3 +121,83 @@ class TestShardJournal:
         assert replayed == 1
         assert j.tails()["web-0"] == [[1.0, 2.0]]
         j.close()
+
+
+def frame(n=5):
+    """``n`` rounds of both VMs' samples, in arrival order."""
+    return [record for t in range(n) for record in (
+        ("web-0", [float(t), float(t) + 0.5]), ("db-0", [10.0 + t]))]
+
+
+class TestFrameWrites:
+    def test_one_call_equals_per_record_appends(self, tmp_path):
+        records = frame(7) + [("web-0", [1e-300, -0.0]),
+                              ("db-0", [0.1 + 0.2])]
+        with ShardJournal(tmp_path / "each.wal", NEED,
+                          compact_factor=0) as each:
+            for vm, values in records:
+                each.append(vm, values)
+            each_tails = each.tails()
+        with ShardJournal(tmp_path / "frame.wal", NEED,
+                          compact_factor=0) as whole:
+            whole.extend(records)
+            assert whole.tails() == each_tails
+            assert whole.stats()["appended"] == len(records)
+        assert (tmp_path / "frame.wal").read_bytes() == (
+            tmp_path / "each.wal").read_bytes()
+        first = (tmp_path / "frame.wal").read_bytes().split(b"\n")[0]
+        assert first == b'{"vm":"web-0","values":[0.0,0.5]}'
+        reopened = ShardJournal(tmp_path / "frame.wal", NEED)
+        assert reopened.open() == len(records)
+        assert reopened.tails() == each_tails
+        reopened.close()
+
+    def test_truncation_inside_a_frame_keeps_the_complete_prefix(
+            self, tmp_path):
+        path = tmp_path / "s0.wal"
+        records = frame(6)
+        with ShardJournal(path, NEED, compact_factor=0) as j:
+            j.extend(records)
+        data = path.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        for cut in range(1, len(data)):
+            path.write_bytes(data[:cut])
+            complete = sum(1 for end in ends if end <= cut)
+            prefix = ShardJournal(tmp_path / "want.wal", NEED,
+                                  compact_factor=0)
+            prefix.open()
+            prefix.extend(records[:complete])
+            prefix.close()
+            (tmp_path / "want.wal").unlink()
+            torn = ShardJournal(path, NEED, compact_factor=0)
+            assert torn.open() == complete
+            assert torn.tails() == prefix.tails()
+            assert torn.stats()["torn_lines"] == int(cut not in ends)
+            torn.close()
+
+    def test_auto_compaction_fires_once_after_the_crossing_frame(
+            self, tmp_path):
+        # capacity 3 + 2 = 5, factor 2: compaction once past 10 records.
+        with ShardJournal(tmp_path / "s0.wal", NEED,
+                          compact_factor=2) as j:
+            j.extend(frame(4))                  # 8 records on disk
+            assert j.stats()["compactions"] == 0
+            j.extend(frame(3))                  # 14 > 10, mid-frame
+            stats = j.stats()
+            assert stats["compactions"] == 1
+            assert stats["records_on_disk"] == 5
+            assert stats["appended"] == 14
+            tails = j.tails()
+        reopened = ShardJournal(tmp_path / "s0.wal", NEED)
+        assert reopened.open() == 5
+        assert reopened.tails() == tails
+        reopened.close()
+
+    def test_unknown_vm_writes_nothing(self, tmp_path):
+        with ShardJournal(tmp_path / "s0.wal", NEED) as j:
+            with pytest.raises(KeyError, match="ghost"):
+                j.extend([("web-0", [1.0, 2.0]), ("ghost", [1.0])])
+            j.extend([])
+            assert j.tail_len("web-0") == 0
+            assert j.stats()["appended"] == 0
+        assert (tmp_path / "s0.wal").read_bytes() == b""

@@ -165,6 +165,16 @@ class TestProtocol:
             decode_line(batch.encode())
         assert str(exc.value) == f"batch sample 2: {error}"
 
+    def test_integers_past_the_float_or_digit_range_are_typed_errors(self):
+        huge = "1" + "0" * 400
+        with pytest.raises(ProtocolError) as exc:
+            decode_line(b'{"op": "sample", "vm": "a", "values": [1.0, %s]}'
+                        % huge.encode())
+        assert str(exc.value) == f"sample value {huge} is not finite"
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_line(b'{"op": "sample", "vm": "a", "values": [1%s]}'
+                        % (b"0" * 5000))
+
     def test_valid_values_become_a_float_list(self):
         message = decode_line(
             b'{"op": "sample", "vm": "a", "values": [1, -2.5, 0, 1e300]}')
@@ -319,11 +329,11 @@ class _Client:
         return json.loads(await self.reader.readline())
 
 
-def run_service_test(coro_factory, predictors, config=None):
+def run_service_test(coro_factory, predictors, config=None, obs=None):
     async def main():
         import tempfile
         from pathlib import Path
-        service = PredictionService(predictors, config)
+        service = PredictionService(predictors, config, obs=obs)
         with tempfile.TemporaryDirectory() as tmp:
             sock = str(Path(tmp) / "serve.sock")
             await service.start(path=sock)
@@ -615,3 +625,59 @@ class TestPredictionService:
                 await service.start()
 
         asyncio.run(no_endpoint())
+
+
+class TestDispatchWindow:
+    """A ``batch`` line is flushed once enqueued; single ``sample``
+    lines still coalesce inside ``batch_window``."""
+
+    def test_batch_line_does_not_wait_out_the_window(self):
+        predictors, traces = make_fleet(3)
+
+        async def scenario(service, sock):
+            async with _Client(sock) as client:
+                for vm in sorted(predictors):
+                    await client.request({
+                        "op": "observe", "vm": vm,
+                        "values": traces[vm][0].tolist()})
+                start = asyncio.get_running_loop().time()
+                reply = await client.request({
+                    "op": "batch", "id": 1, "samples": [
+                        {"vm": vm, "values": traces[vm][1].tolist()}
+                        for vm in sorted(predictors)]})
+                return reply, asyncio.get_running_loop().time() - start
+
+        reply, elapsed = run_service_test(
+            scenario, predictors, ServiceConfig(batch_window=5.0))
+        assert [r["kind"] for r in reply["replies"]] == ["score"] * 3
+        assert elapsed < 1.0
+
+    def test_single_samples_still_coalesce_in_the_window(self):
+        from repro.obs import Observability
+
+        predictors, traces = make_fleet(2)
+        obs = Observability()
+
+        async def scenario(service, sock):
+            async with _Client(sock) as a, _Client(sock) as b:
+                # A batch line that enqueues nothing (hydration's shape)
+                # must not make the next single sample skip the window.
+                warm = await a.request({"op": "batch", "samples": [
+                    {"op": "observe", "vm": vm,
+                     "values": traces[vm][0].tolist()}
+                    for vm in sorted(predictors)]})
+                assert warm["kind"] == "batch"
+                for client, vm in ((a, "vm0"), (b, "vm1")):
+                    client.writer.write(encode_message({
+                        "op": "sample", "vm": vm,
+                        "values": traces[vm][1].tolist()}))
+                    await client.writer.drain()
+                return [json.loads(await c.reader.readline())
+                        for c in (a, b)]
+
+        replies = run_service_test(
+            scenario, predictors, ServiceConfig(batch_window=0.05), obs)
+        assert [r["kind"] for r in replies] == ["score", "score"]
+        sizes = obs.metrics.get("serve_batch_size")
+        assert sizes.count() == 1
+        assert sizes.percentile(100) == 2

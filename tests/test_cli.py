@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import os
+import time
 
 import pytest
 
@@ -359,6 +361,81 @@ class TestGracefulShutdown:
             "--socket", str(tmp_path / "serve.sock"),
         ])
         self._assert_sigterm_drains(proc, "serving")
+
+    @staticmethod
+    def _worker_pids(parent):
+        """Spawned fabric workers whose parent is ``parent``."""
+        import os
+
+        pids = []
+        for entry in os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+                with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                    cmdline = fh.read()
+            except (OSError, IndexError, ValueError):
+                continue
+            if ppid == parent and b"spawn_main" in cmdline:
+                pids.append(int(entry))
+        return pids
+
+    @staticmethod
+    def _running(pid):
+        """Alive and not a zombie waiting for its new parent to reap."""
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except OSError:
+            return False
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads the process table from /proc")
+    def test_fabric_workers_exit_when_the_router_is_sigkilled(
+            self, tmp_path):
+        import signal
+
+        import numpy as np
+
+        from repro.core.predictor import AnomalyPredictor
+        from repro.serve.registry import ModelRegistry
+
+        rng = np.random.default_rng(4)
+        predictor = AnomalyPredictor([f"m{i}" for i in range(5)], n_bins=6)
+        values = np.cumsum(rng.normal(size=(200, 5)), axis=0)
+        predictor.train(values, (rng.random(200) < 0.3).astype(int))
+        # vm1 and vm2 hash to different shards of a 2-worker ring.
+        ModelRegistry(tmp_path / "registry").save(
+            "fleet", {"vm1": predictor, "vm2": predictor})
+        proc = self._spawn(tmp_path, [
+            "fabric", "--registry", str(tmp_path / "registry"),
+            "--name", "fleet", "--workers", "2",
+            "--run-dir", str(tmp_path / "state"),
+            "--socket", str(tmp_path / "fabric.sock"),
+        ])
+        workers = []
+        try:
+            banner = proc.stdout.readline()
+            assert "2 workers serving" in banner, banner
+            workers = self._worker_pids(proc.pid)
+            assert len(workers) == 2, workers
+            proc.send_signal(signal.SIGKILL)        # the router only
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while (any(map(self._running, workers))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [p for p in workers if self._running(p)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            for pid in workers:
+                if self._running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
 
     def test_api_sigterm_graceful_exit(self, tmp_path):
         registry = TestServingCommands._snapshot(tmp_path)
