@@ -28,6 +28,14 @@ pass:
    ``batch`` line as soon as it is enqueued, without waiting out its
    micro-batch window.
 
+The hop to a worker is compact JSON spliced from the journal's
+records: the WAL write of step 2 hands back each sample's
+``{"vm":...,"values":[...]`` text, and the sender only appends
+``"op"`` (and ``"steps"``) and joins the samples into one line, so a
+sample's values are encoded once in the router.  Key order and
+spacing on the hop are not a contract: the worker parses and
+validates every line with :func:`~repro.serve.protocol.decode_line`.
+
 **Failover.**  When a worker dies or hangs (heartbeat deadline,
 bounded pending lag, process exit), the router sheds its shard
 explicitly — in-flight and queued samples get ``shed`` replies with
@@ -175,6 +183,32 @@ class _Entry:
     lock: asyncio.Lock
     batch: Optional[_BatchReply] = None
     slot: int = 0
+    #: the journal's record text, ``{"vm":...,"values":[...]``
+    record: str = ""
+
+
+def _hop_sample(record: str, op: str, steps: Optional[int]) -> str:
+    """One sample's hop object spliced from its journal record, left
+    open (no closing brace) so a lone sample can take an ``id``."""
+    if steps is None:
+        return f'{record},"op":"{op}"'
+    return f'{record},"op":"{op}","steps":{steps}'
+
+
+def _batch_line(iid: int, samples: Sequence[str]) -> bytes:
+    """One upstream ``batch`` line over open :func:`_hop_sample`
+    objects."""
+    return (f'{{"op":"batch","id":{iid},"samples":['
+            + "},".join(samples) + "}]}\n").encode("utf-8")
+
+
+def _hop_line(iid: int, samples: Sequence[str]) -> bytes:
+    """The upstream line for queued samples: a lone sample goes as
+    itself, so it still gathers inside the worker's window; more go
+    as one ``batch``."""
+    if len(samples) == 1:
+        return f'{samples[0]},"id":{iid}}}\n'.encode("utf-8")
+    return _batch_line(iid, samples)
 
 
 # Shard states.  PAUSED only happens inside a rollover window: the
@@ -451,6 +485,7 @@ class ServingFabric:
         handle = WorkerHandle(spec)
         handle.start()
         deadline = time.monotonic() + self.config.ready_timeout
+        ping = encode_message({"op": "ping", "id": 0})
         while True:
             if handle.exitcode is not None:
                 raise FabricError(
@@ -460,7 +495,7 @@ class ServingFabric:
                 reader, writer = await asyncio.open_unix_connection(
                     spec.socket_path, limit=self.config.max_line_bytes)
                 pong = await self._request_direct(
-                    reader, writer, {"op": "ping", "id": 0}, timeout=5.0)
+                    reader, writer, ping, timeout=5.0)
                 if pong.get("kind") == "pong":
                     return handle, spec, reader, writer
                 self._close_writer(writer)
@@ -490,7 +525,7 @@ class ServingFabric:
         handle, spec, reader, writer = await self._spawn_worker(
             shard, version)
         await self._hydrate(reader, writer,
-                            shard.journal.hydration_samples())
+                            shard.journal.hydration_records())
         shard.handle, shard.spec = handle, spec
         shard.reader, shard.writer = reader, writer
         shard.version = version
@@ -522,25 +557,23 @@ class ServingFabric:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        samples: List[Tuple[str, List[float]]],
+        records: List[str],
     ) -> None:
-        """``reset`` then ``observe`` the WAL tails on a fresh worker —
-        after this its trailing histories are bitwise-identical to an
-        uninterrupted worker's."""
+        """``reset`` then ``observe`` the WAL tails (the journal's
+        records, in replay order) on a fresh worker — after this its
+        trailing histories are bitwise-identical to an uninterrupted
+        worker's."""
         timeout = self.config.control_timeout
         reply = await self._request_direct(
-            reader, writer, {"op": "reset", "id": 0}, timeout)
+            reader, writer, encode_message({"op": "reset", "id": 0}),
+            timeout)
         if reply.get("kind") != "reset":
             raise FabricError(f"hydration reset failed: {reply}")
-        for start in range(0, len(samples), MAX_BATCH_SAMPLES):
-            chunk = samples[start:start + MAX_BATCH_SAMPLES]
-            reply = await self._request_direct(reader, writer, {
-                "op": "batch", "id": 0,
-                "samples": [
-                    {"op": "observe", "vm": vm, "values": values}
-                    for vm, values in chunk
-                ],
-            }, timeout)
+        for start in range(0, len(records), MAX_BATCH_SAMPLES):
+            chunk = records[start:start + MAX_BATCH_SAMPLES]
+            reply = await self._request_direct(reader, writer, _batch_line(
+                0, [_hop_sample(record, "observe", None)
+                    for record in chunk]), timeout)
             if reply.get("kind") != "batch":
                 raise FabricError(f"hydration observe failed: {reply}")
 
@@ -548,11 +581,11 @@ class ServingFabric:
     async def _request_direct(
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        message: Dict,
+        request: bytes,
         timeout: float,
     ) -> Dict:
         """One request/reply on a connection with no tasks attached."""
-        writer.write(encode_message(message))
+        writer.write(request)
         await writer.drain()
         line = await asyncio.wait_for(reader.readline(), timeout)
         if not line:
@@ -599,24 +632,11 @@ class ServingFabric:
                 entries = [shard.outq.popleft() for _ in range(n)]
                 iid = self._alloc_iid()
                 shard.inflight[iid] = {"entries": entries}
-                if len(entries) == 1:
-                    e = entries[0]
-                    msg = {"op": e.op, "vm": e.vm, "values": e.values,
-                           "id": iid}
-                    if e.steps is not None:
-                        msg["steps"] = e.steps
-                else:
-                    samples = []
-                    for e in entries:
-                        s: Dict = {"op": e.op, "vm": e.vm,
-                                   "values": e.values}
-                        if e.steps is not None:
-                            s["steps"] = e.steps
-                        samples.append(s)
-                    msg = {"op": "batch", "id": iid, "samples": samples}
-                self._m_forward.observe(len(entries))
+                line = _hop_line(iid, [
+                    _hop_sample(e.record, e.op, e.steps) for e in entries])
+                self._m_forward.observe(n)
                 try:
-                    shard.writer.write(encode_message(msg))
+                    shard.writer.write(line)
                     await shard.writer.drain()
                 except (ConnectionResetError, BrokenPipeError,
                         AttributeError):
@@ -928,7 +948,10 @@ class ServingFabric:
             shard = self.shards[index]
             # WAL first: even if the shard is down or we crash before
             # the forward, the samples are part of history on recovery.
-            shard.journal.extend([(e.vm, e.values) for e in entries])
+            records = shard.journal.extend(
+                [(e.vm, e.values) for e in entries])
+            for entry, record in zip(entries, records):
+                entry.record = record
             if shard.state == _UP:
                 shard.outq.extend(entries)
                 shard.send_wake.set()
@@ -1111,7 +1134,7 @@ class ServingFabric:
             # will be scored by blue; everything after buffers for
             # green.  No sample is in both, none is in neither.
             shard.state = _PAUSED
-            snapshot = shard.journal.hydration_samples()
+            snapshot = shard.journal.hydration_records()
             await self._drain_shard(shard)
             await self._hydrate(g_reader, g_writer, snapshot)
         except Exception:
@@ -1138,7 +1161,7 @@ class ServingFabric:
             b_reader, b_writer = await asyncio.open_unix_connection(
                 b_spec.socket_path, limit=self.config.max_line_bytes)
         shard.state = _PAUSED
-        snapshot = shard.journal.hydration_samples()
+        snapshot = shard.journal.hydration_records()
         try:
             await self._drain_shard(shard)
             # The standby's histories are stale (it missed everything

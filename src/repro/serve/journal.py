@@ -8,8 +8,13 @@ by ``observe`` per retained sample), so the recovered worker's
 trailing histories — and therefore its scores — are bitwise-identical
 to an uninterrupted worker's.
 
-Format: one JSON object per line, ``{"vm": ..., "values": [...]}``,
-UTF-8, append-only.  Only the **trailing window** per VM matters (a
+Format: one compact JSON object per line,
+``{"vm":...,"values":[...]}``, UTF-8, append-only.  Each line is
+spliced from the VM's JSON name, encoded once per journal, and the
+sample's values text, encoded once per sample; :meth:`ShardJournal.extend`
+hands those *records* (a line without its closing ``}``) back so the
+router splices the same text into the worker hop.  Replay reads any
+JSON object of that shape.  Only the **trailing window** per VM matters (a
 VM's deque holds ``history_needed`` samples), so the file is
 periodically compacted: the retained tails are rewritten to a temp
 file which atomically replaces the log (write + fsync + rename, the
@@ -36,10 +41,9 @@ __all__ = ["ShardJournal", "decode_record", "iter_wal_records"]
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _encode_record(vm: str, values: List[float]) -> bytes:
-    """One WAL line: ``{"vm":...,"values":[...]}`` + newline."""
-    return (_ENCODER.encode({"vm": vm, "values": values}) + "\n").encode(
-        "utf-8")
+def _wal_bytes(records: Sequence[str]) -> bytes:
+    """WAL lines for records: each record closed with ``}`` + newline."""
+    return ("}\n".join(records) + "}\n").encode("utf-8") if records else b""
 
 
 def decode_record(raw: bytes) -> Optional[Tuple[str, List[float]]]:
@@ -118,6 +122,11 @@ class ShardJournal:
         self._tails: Dict[str, Deque[List[float]]] = {
             vm: deque(maxlen=need) for vm, need in history_needed.items()
         }
+        #: each VM's record prefix, ``{"vm":<JSON name>,"values":``
+        self._heads: Dict[str, str] = {
+            vm: '{"vm":' + _ENCODER.encode(vm) + ',"values":'
+            for vm in history_needed
+        }
         self._fh = None
         self._records_on_disk = 0
         self._torn_lines = 0
@@ -167,28 +176,34 @@ class ShardJournal:
         """Journal one sample: the one-record case of :meth:`extend`."""
         self.extend(((vm, values),))
 
-    def extend(self, records: Sequence[Tuple[str, List[float]]]) -> None:
+    def extend(
+        self, records: Sequence[Tuple[str, List[float]]]
+    ) -> List[str]:
         """Journal a frame of samples with one write and one flush.
 
         Each record's line is the one :meth:`append` writes, so the
-        file equals that of per-record appends.  Auto-compaction is
-        checked once, after the frame.  An unknown VM raises
-        ``KeyError`` before anything is written.
+        file equals that of per-record appends.  Returns each record's
+        text: its line without the closing ``}`` and newline, i.e.
+        ``{"vm":...,"values":[...]``, open for more fields.
+        Auto-compaction is checked once, after the frame.  An unknown
+        VM raises ``KeyError`` before anything is written.
         """
         if self._fh is None:
             raise RuntimeError("journal is not open")
-        tails = self._tails
-        frame, lines = [], []
+        heads, encode = self._heads, _ENCODER.encode
+        frame, texts = [], []
         for vm, values in records:
-            if vm not in tails:
+            head = heads.get(vm)
+            if head is None:
                 raise KeyError(f"VM {vm!r} is not part of this shard")
             vals = list(map(float, values))
             frame.append((vm, vals))
-            lines.append(_encode_record(vm, vals))
+            texts.append(head + encode(vals))
         if not frame:
-            return
-        self._fh.write(b"".join(lines))
+            return texts
+        self._fh.write(_wal_bytes(texts))
         self._fh.flush()
+        tails = self._tails
         for vm, vals in frame:
             tails[vm].append(vals)
         self._records_on_disk += len(frame)
@@ -199,6 +214,7 @@ class ShardJournal:
             > self.compact_factor * self._capacity
         ):
             self.compact()
+        return texts
 
     def compact(self) -> int:
         """Atomically rewrite the log from the retained tails.
@@ -212,14 +228,10 @@ class ShardJournal:
         self._fh.close()
         self._fh = None
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        kept = 0
+        records = self.hydration_records()
+        kept = len(records)
         with open(tmp, "wb") as out:
-            for vm in sorted(self._tails):
-                for values in self._tails[vm]:
-                    out.write(json.dumps(
-                        {"vm": vm, "values": values}, sort_keys=True,
-                    ).encode("utf-8") + b"\n")
-                    kept += 1
+            out.write(_wal_bytes(records))
             out.flush()
             os.fsync(out.fileno())
         os.replace(tmp, self.path)
@@ -262,6 +274,14 @@ class ShardJournal:
             for values in self._tails[vm]:
                 out.append((vm, list(values)))
         return out
+
+    def hydration_records(self) -> List[str]:
+        """:meth:`hydration_samples` as records, the text
+        :meth:`extend` returns: what compaction writes and a restarted
+        worker observes."""
+        heads, encode = self._heads, _ENCODER.encode
+        return [heads[vm] + encode(values)
+                for vm, values in self.hydration_samples()]
 
     def stats(self) -> Dict[str, int]:
         return {
