@@ -29,8 +29,8 @@ under injected infrastructure faults with the resilient control plane
 armed (see ``docs/resilience.md``).  ``serve`` / ``replay`` / ``models``
 drive the online serving layer: start a streaming scorer from a model
 registry snapshot, load-test it with a recorded trace, and manage the
-stored snapshots — including the champion pointer that continuous
-learning promotes and rolls back (see ``docs/serving.md``).
+stored snapshots — including the champion pointer that ``models
+promote`` / ``models rollback`` move (see ``docs/serving.md``).
 
 Also runnable as ``python -m repro ...``.
 """
@@ -731,9 +731,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         registry = ModelRegistry(args.registry)
         if args.version is None:
-            # Serve the champion pointer when one exists (continuous
-            # learning promotes/rolls back through it); otherwise the
-            # latest version, as before.
+            # Serve the champion pointer when one exists (`models
+            # promote` / `models rollback` move it); otherwise the
+            # latest version.
             predictors = registry.load_active(args.name)
         else:
             predictors = registry.load(args.name, args.version)

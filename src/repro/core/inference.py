@@ -28,7 +28,6 @@ from repro.core.predictor import PredictionResult
 __all__ = [
     "Diagnosis",
     "CauseInference",
-    "DriftDetector",
     "detect_change_point",
 ]
 
@@ -170,61 +169,3 @@ def _fraction_changed(
         columns = np.ascontiguousarray(np.stack(group).transpose(0, 2, 1))
         changed += int(_mean_shift(columns, threshold).any(axis=1).sum())
     return changed / len(recent_windows)
-
-
-class DriftDetector:
-    """Online model-drift trigger for the serving champion/challenger
-    loop (:mod:`repro.serve.lifecycle`).
-
-    Repurposes the workload-change discriminator: a model has drifted
-    out from under its training distribution exactly when the
-    simultaneity check fires — at least ``min_fraction`` of the
-    observed components show a mean-shift change point in some metric
-    within their recent windows.  The detector owns only trigger
-    state (a cooldown in :meth:`check` calls, so one regime shift
-    raises one drift event, not one per tick); callers pass the
-    per-VM trailing raw-value windows each check.
-    """
-
-    def __init__(
-        self,
-        threshold: float = 4.5,
-        min_fraction: float = 1.0,
-        min_samples: int = 12,
-        cooldown: int = 24,
-    ) -> None:
-        if not 0.0 < min_fraction <= 1.0:
-            raise ValueError(
-                f"min_fraction must be in (0, 1], got {min_fraction}"
-            )
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        self.threshold = threshold
-        self.min_fraction = min_fraction
-        self.min_samples = min_samples
-        self.cooldown = cooldown
-        #: Fraction of components that showed a change point at the
-        #: last completed check (-1.0 before any full check).
-        self.last_fraction = -1.0
-        self._calls = 0
-        self._cooldown_until = 0
-
-    def check(self, recent_windows: Mapping[str, np.ndarray]) -> bool:
-        """One detector tick; True when drift fires (starts cooldown).
-
-        ``recent_windows`` maps component name to its recent raw value
-        matrix (n_samples, n_attributes).  Windows shorter than
-        ``min_samples`` rows make the whole check inconclusive — a
-        fleet that is still warming up cannot vote.
-        """
-        self._calls += 1
-        if self._calls <= self._cooldown_until:
-            return False
-        self.last_fraction = _fraction_changed(
-            recent_windows, self.threshold, self.min_samples
-        )
-        if self.last_fraction >= self.min_fraction:
-            self._cooldown_until = self._calls + self.cooldown
-            return True
-        return False
-

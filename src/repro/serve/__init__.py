@@ -14,9 +14,6 @@ scorer, the operational counterpart of the paper's batch simulations:
 * :mod:`repro.serve.replay` — load harness replaying recorded trace
   datasets against a service and checking alert parity vs the offline
   controller;
-* :mod:`repro.serve.lifecycle` — continuous-learning loop: online
-  drift trigger, challenger shadow scoring, agreement-gated champion
-  promotion and instant rollback;
 * :mod:`repro.serve.alarms` — operator alarm lifecycle (raise → ack →
   silence → escalate → resolve) with dedup, severity latching and
   bounded history;
@@ -42,7 +39,7 @@ from repro._lazy import exports
 
 #: Submodule → the names this package re-exports from it, each imported
 #: on first access (PEP 562): the fabric router imports no numpy, and a
-#: worker imports neither the operator API nor the lifecycle loop.
+#: worker does not import the operator API.
 _ORIGINS = {
     "alarms": (
         "SEVERITIES",
@@ -55,7 +52,6 @@ _ORIGINS = {
     "api": ("ApiConfig", "OperatorAPI"),
     "fabric": ("FabricConfig", "FabricError", "ServingFabric", "shard_ring"),
     "journal": ("ShardJournal",),
-    "lifecycle": ("LifecycleConfig", "LifecycleManager"),
     "protocol": (
         "PROTOCOL_VERSION",
         "ProtocolError",

@@ -26,8 +26,7 @@ Endpoints (all JSON unless noted):
 ``POST /alarms/<id>/resolve``         resolve
 ``GET  /fleet``                       per-VM health, breaker state,
                                       staleness
-``GET  /models``                      registry versions + champion /
-                                      challenger status
+``GET  /models``                      registry versions + champion
 ``GET  /funnel``                      alert-funnel counters
 ``GET  /metrics``                     Prometheus text format (0.0.4)
 ``GET  /ws``                          WebSocket event stream
@@ -35,12 +34,11 @@ Endpoints (all JSON unless noted):
 
 The WebSocket stream pushes every alarm transition the moment it
 happens (the API registers an :meth:`AlarmManager.add_listener`
-callback) plus anything published through :meth:`OperatorAPI.publish`
-— the continuous-learning wiring uses that for shadow-promotion
-events.  Invalid lifecycle transitions (double-ack, resolve twice)
-come back as HTTP 409 with the :class:`~repro.serve.alarms.AlarmError`
-message, so operator tooling can distinguish "bad request" from "lost
-the race with another operator".
+callback) plus anything published through :meth:`OperatorAPI.publish`.
+Invalid alarm transitions (double-ack, resolve twice) come back as
+HTTP 409 with the :class:`~repro.serve.alarms.AlarmError` message, so
+operator tooling can distinguish "bad request" from "lost the race
+with another operator".
 """
 
 from __future__ import annotations
@@ -131,9 +129,9 @@ class OperatorAPI:
 
     Every collaborator is optional except the alarm manager: without a
     ``service`` the fleet endpoint reports an empty fleet, without a
-    ``registry`` the models endpoint only carries the in-memory
-    champion/challenger state, and without a ``funnel_fn`` the funnel
-    is derived from service counters plus alarm-state tallies.
+    ``registry`` the models endpoint only carries the serving champion
+    version, and without a ``funnel_fn`` the funnel is derived from
+    service counters plus alarm-state tallies.
     """
 
     def __init__(
@@ -486,13 +484,10 @@ class OperatorAPI:
         return payload
 
     def model_status(self) -> Dict:
-        """Registry versions plus live champion/challenger state."""
+        """Registry versions plus the serving champion version."""
         payload: Dict = {"name": self.model_name}
         if self.service is not None:
             payload["champion_version"] = self.service.champion_version
-            payload["shadowing"] = self.service._challenger is not None
-            if payload["shadowing"]:
-                payload["shadow"] = self.service.shadow_stats()
         if self.registry is not None and self.model_name is not None:
             active = self.registry.active_info(self.model_name)
             payload["registry"] = {

@@ -1139,6 +1139,7 @@ class ServingFabric:
             await self._hydrate(g_reader, g_writer, snapshot)
         except Exception:
             handle.kill()
+            self._close_writer(g_writer)
             shard.state = _UP
             shard.outq.extend(shard.pause_buffer)
             shard.pause_buffer.clear()

@@ -271,7 +271,7 @@ class ModelRegistry:
 
         Verifies the target version exists and its snapshot bytes
         still match the manifest hash before moving the pointer — a
-        corrupt challenger must never become the champion.  The
+        corrupt snapshot must never become the champion.  The
         displaced champion (if any) is retained as ``previous`` so
         :meth:`rollback` can restore it instantly.
         """

@@ -162,28 +162,9 @@ class PredictionService:
             buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256))
         self._m_latency = m.histogram(
             "serve_score_seconds", "Enqueue-to-reply latency per sample")
-        # Champion/challenger shadow scoring: a challenger fleet rides
-        # along in _flush (one extra FleetScorer pass per micro-batch);
-        # its decisions are logged against the champion's, never served.
-        self._challenger: Optional[FleetScorer] = None
-        self._challenger_version: Optional[int] = None
-        self._previous: Optional[FleetScorer] = None
-        self._previous_version: Optional[int] = None
-        self._champion_version: Optional[int] = None
-        self._shadow = {
-            "scored": 0, "agreements": 0,
-            "champion_alerts": 0, "challenger_alerts": 0,
-        }
-        self._m_shadow_scored = m.counter(
-            "serve_shadow_scored_total",
-            "Samples shadow-scored by the challenger fleet")
-        self._m_shadow_agree = m.counter(
-            "serve_shadow_agreements_total",
-            "Shadow scores whose alert decision matched the champion")
-        self._m_shadow_alerts = m.counter(
-            "serve_shadow_alerts_total",
-            "Alert decisions during shadow scoring, by fleet role",
-            labelnames=("role",))
+        #: registry version of the serving fleet (None when unknown);
+        #: ``repro serve`` sets it and ``/models`` reports it
+        self.champion_version: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -239,7 +220,6 @@ class PredictionService:
             "scores": self._n_scores,
             "sheds": self._n_sheds,
             "observed": self._n_observed,
-            "shadowing": self._challenger is not None,
         }
 
     def reset_histories(self) -> int:
@@ -274,90 +254,6 @@ class PredictionService:
                 ),
             })
         return rows
-
-    # ------------------------------------------------------------------
-    # Champion / challenger lifecycle
-    # ------------------------------------------------------------------
-    def set_challenger(
-        self,
-        predictors: Dict[str, AnomalyPredictor],
-        version: Optional[int] = None,
-    ) -> None:
-        """Start shadow-scoring ``predictors`` alongside the champion.
-
-        Every flushed sample whose VM the challenger also covers gets
-        a second scoring pass; agreement with the champion's alert
-        decision is tallied in :meth:`shadow_stats`.  Replies always
-        carry the champion's decision — the challenger is invisible to
-        clients until :meth:`promote_challenger`.
-        """
-        challenger = FleetScorer(predictors)
-        for vm, predictor in challenger.predictors.items():
-            champion = self.scorer.predictors.get(vm)
-            if champion is not None and (
-                predictor.attributes != champion.attributes
-                or predictor.history_needed > champion.history_needed
-            ):
-                raise ValueError(
-                    f"challenger for VM {vm!r} is incompatible with the "
-                    f"champion (attributes or history window differ)"
-                )
-        self._challenger = challenger
-        self._challenger_version = version
-        self._shadow = {
-            "scored": 0, "agreements": 0,
-            "champion_alerts": 0, "challenger_alerts": 0,
-        }
-
-    def clear_challenger(self) -> None:
-        """Stop shadow scoring and discard the challenger fleet."""
-        self._challenger = None
-        self._challenger_version = None
-
-    def promote_challenger(self) -> Dict:
-        """Swap the challenger in as the serving champion.
-
-        The displaced champion is retained in memory, so
-        :meth:`rollback_champion` restores it instantly (same scorer
-        object — bitwise-identical decisions).  Returns the shadow
-        stats the promotion was based on.
-        """
-        if self._challenger is None:
-            raise RuntimeError("no challenger to promote")
-        stats = self.shadow_stats()
-        self._previous = self.scorer
-        self._previous_version = self._champion_version
-        self.scorer = self._challenger
-        self._champion_version = self._challenger_version
-        self.clear_challenger()
-        return stats
-
-    def rollback_champion(self) -> None:
-        """Restore the champion displaced by the last promotion."""
-        if self._previous is None:
-            raise RuntimeError("no previous champion to roll back to")
-        self.scorer = self._previous
-        self._champion_version = self._previous_version
-        self._previous = None
-        self._previous_version = None
-
-    @property
-    def champion_version(self) -> Optional[int]:
-        return self._champion_version
-
-    @champion_version.setter
-    def champion_version(self, version: Optional[int]) -> None:
-        self._champion_version = version
-
-    def shadow_stats(self) -> Dict:
-        """Champion-vs-challenger tallies since ``set_challenger``."""
-        stats = dict(self._shadow)
-        scored = stats["scored"]
-        stats["agreement"] = (
-            stats["agreements"] / scored if scored else 0.0
-        )
-        stats["challenger_version"] = self._challenger_version
-        return stats
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -600,8 +496,6 @@ class PredictionService:
                             "ok": False, "kind": "error", "id": p.msg_id,
                             "vm": p.vm, "error": f"scoring failed: {exc}"})
                     return
-            if self._challenger is not None:
-                self._shadow_score(batch, results)
             now = time.perf_counter()
             self._n_scores += len(batch)
             for p, r in zip(batch, results):
@@ -632,38 +526,3 @@ class PredictionService:
                 })
         finally:
             self._busy = False
-
-    def _shadow_score(self, batch: List[_Pending], results: List) -> None:
-        """One challenger pass over the flushed batch (decisions logged,
-        champion's replies untouched)."""
-        challenger = self._challenger
-        items = [
-            (i, p) for i, p in enumerate(batch)
-            if p.vm in challenger.predictors
-            and p.recent.shape[0]
-            >= challenger.predictors[p.vm].history_needed
-        ]
-        if not items:
-            return
-        try:
-            shadow = challenger.score(
-                [(p.vm, p.recent, p.steps) for _, p in items]
-            )
-        except Exception:  # pragma: no cover - defensive
-            # A failing challenger must never take down serving; it
-            # simply stops accruing evidence for promotion.
-            return
-        for (i, _p), s in zip(items, shadow):
-            champion_abnormal = bool(results[i].abnormal)
-            challenger_abnormal = bool(s.abnormal)
-            self._shadow["scored"] += 1
-            self._m_shadow_scored.inc()
-            if champion_abnormal:
-                self._shadow["champion_alerts"] += 1
-                self._m_shadow_alerts.inc(role="champion")
-            if challenger_abnormal:
-                self._shadow["challenger_alerts"] += 1
-                self._m_shadow_alerts.inc(role="challenger")
-            if champion_abnormal == challenger_abnormal:
-                self._shadow["agreements"] += 1
-                self._m_shadow_agree.inc()

@@ -256,7 +256,6 @@ class TestFleetAndModels:
             assert models["registry"]["active"] == info.version
             assert models["registry"]["versions"] == [info.version]
             assert models["champion_version"] == info.version
-            assert models["shadowing"] is False
 
         service = PredictionService(predictors, ServiceConfig())
         service.champion_version = info.version

@@ -406,3 +406,87 @@ class TestCorruptPackedArrays:
             registry.load("fleet")
         with pytest.raises(RegistryError, match="re-save"):
             registry.describe("fleet")
+
+
+# ----------------------------------------------------------------------
+# Registry champion pointer
+# ----------------------------------------------------------------------
+class TestRegistryPromotion:
+    def test_promote_and_rollback_pointer_mechanics(self, registry):
+        predictors = fleet_of(1)
+        v1 = registry.save("fleet", predictors).version
+        v2 = registry.save("fleet", predictors).version
+
+        active = registry.promote("fleet", v1)
+        assert (active.version, active.previous) == (v1, None)
+        active = registry.promote("fleet", v2)
+        assert (active.version, active.previous) == (v2, v1)
+        assert registry.active_version("fleet") == v2
+
+        active = registry.rollback("fleet")
+        assert active.version == v1
+        # The demoted version is retained, so a roll *forward* works.
+        assert active.previous == v2
+
+    def test_promote_unknown_version_raises(self, registry):
+        predictors = fleet_of(1)
+        registry.save("fleet", predictors)
+        with pytest.raises(RegistryError):
+            registry.promote("fleet", 99)
+        with pytest.raises(RegistryError):
+            registry.promote("ghost", 1)
+
+    def test_promote_refuses_corrupt_snapshot(self, registry):
+        predictors = fleet_of(1)
+        info = registry.save("fleet", predictors)
+        snap = info.path / "snapshot.json"
+        document = snap.read_text(encoding="utf-8")
+        schema = f'"schema":{SCHEMA_VERSION}'
+        corrupted = document.replace(schema, schema + " ", 1)
+        assert corrupted != document
+        snap.write_text(corrupted, encoding="utf-8")
+        with pytest.raises(SnapshotIntegrityError):
+            registry.promote("fleet", info.version)
+        # The pointer never moved.
+        assert registry.active_info("fleet") is None
+
+    def test_rollback_without_previous_raises(self, registry):
+        predictors = fleet_of(1)
+        info = registry.save("fleet", predictors)
+        with pytest.raises(RegistryError):
+            registry.rollback("fleet")  # never promoted
+        registry.promote("fleet", info.version)
+        with pytest.raises(RegistryError):
+            registry.rollback("fleet")  # promoted, nothing displaced
+
+    def test_repromoting_active_version_keeps_previous(self, registry):
+        predictors = fleet_of(1)
+        v1 = registry.save("fleet", predictors).version
+        v2 = registry.save("fleet", predictors).version
+        registry.promote("fleet", v1)
+        registry.promote("fleet", v2)
+        again = registry.promote("fleet", v2)
+        assert (again.version, again.previous) == (v2, v1)
+
+    def test_load_active_follows_pointer_or_latest(self, registry):
+        predictors = fleet_of(1)
+        v1 = registry.save("fleet", predictors).version
+        registry.save("fleet", predictors)
+        # No pointer: latest wins (backwards-compatible default).
+        assert registry.load_active("fleet").keys() == predictors.keys()
+        registry.promote("fleet", v1)
+        loaded = registry.load_active("fleet")
+        want = registry.load("fleet", v1)
+        assert {
+            vm: p.to_dict() for vm, p in loaded.items()
+        } == {
+            vm: p.to_dict() for vm, p in want.items()
+        }
+
+    def test_malformed_active_file_raises(self, registry):
+        predictors = fleet_of(1)
+        registry.save("fleet", predictors)
+        active_path = registry.root / "fleet" / "active.json"
+        active_path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(RegistryError):
+            registry.active_info("fleet")

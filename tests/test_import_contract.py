@@ -4,9 +4,9 @@ A ``repro fabric`` cold start is a window without predictions, and
 most of it is imports.  The router only routes, journals and reads
 snapshot metadata, so it must never import numpy; a worker scores its
 shard, so it must not import the simulator, the apps, the fault
-models, the experiment harness, the controller, the operator API or
-the lifecycle loop.  Each check runs in a fresh interpreter, because
-this test process has imported everything already.
+models, the experiment harness, the controller or the operator API.
+Each check runs in a fresh interpreter, because this test process has
+imported everything already.
 """
 
 import importlib
@@ -62,7 +62,6 @@ WORKER_FORBIDDEN = (
     "repro.experiments",
     "repro.core.controller",
     "repro.serve.api",
-    "repro.serve.lifecycle",
 )
 
 
