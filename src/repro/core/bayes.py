@@ -479,67 +479,6 @@ class NaiveBayesClassifier(BayesClassifier):
         self.parents = np.full(self.n_attributes, -1, dtype=np.intp)
         self._build_scoring_tensors(np.arange(self.n_attributes))
 
-    def strengths_reference(self, x: Sequence[int]) -> List[float]:
-        """Pre-vectorization :meth:`attribute_strengths` (reference)."""
-        self._require_trained()
-        x = np.asarray(x, dtype=np.intp)
-        if x.shape != (self.n_attributes,):
-            raise ValueError(
-                f"expected {self.n_attributes} attributes, got shape {x.shape}"
-            )
-        x = np.clip(x, 0, self.n_bins - 1)
-        idx = np.arange(self.n_attributes)
-        diff = (
-            self._log_cpt[idx, ABNORMAL, x] - self._log_cpt[idx, NORMAL, x]
-        )
-        diff = np.where(self._support[idx, x], diff, 0.0)
-        diff = np.where(self.attribute_mask, diff, 0.0)
-        return [float(v) for v in diff]
-
-    def log_odds_reference(self, x: Sequence[int]) -> float:
-        """Pre-vectorization :meth:`log_odds` (reference)."""
-        self._require_trained()
-        return float(
-            sum(self.strengths_reference(x))
-            + self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
-
-    def expected_strengths_reference(
-        self, distributions: Sequence[np.ndarray]
-    ) -> List[float]:
-        """Pre-vectorization :meth:`expected_strengths` (reference)."""
-        self._require_trained()
-        if len(distributions) != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} distributions, got {len(distributions)}"
-            )
-        strengths = []
-        for i, dist in enumerate(distributions):
-            p = np.asarray(dist, dtype=float)
-            if p.shape != (self.n_bins,):
-                raise ValueError(
-                    f"distribution {i} must have shape ({self.n_bins},)"
-                )
-            if not self.attribute_mask[i]:
-                strengths.append(0.0)
-                continue
-            diff = np.clip(
-                self._log_cpt[i, ABNORMAL] - self._log_cpt[i, NORMAL],
-                -STRENGTH_CLIP, STRENGTH_CLIP,
-            )
-            diff = np.where(self._support[i], diff, 0.0)
-            strengths.append(float(p @ diff))
-        return strengths
-
-    def expected_log_odds_reference(
-        self, distributions: Sequence[np.ndarray]
-    ) -> float:
-        """Pre-vectorization :meth:`expected_log_odds` (reference)."""
-        prior = self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        return float(
-            sum(self.expected_strengths_reference(distributions)) + prior
-        )
-
     # ------------------------------------------------------------------
     # Snapshot / restore (model registry hooks)
     # ------------------------------------------------------------------

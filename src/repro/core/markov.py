@@ -27,9 +27,7 @@ contractions over the combined-state distribution, and
 one propagation so look-ahead sweeps do the O(steps) work once.
 :meth:`~MarkovModel._build_transition_matrix` is the uncached builder
 behind :meth:`~MarkovModel.transition_matrix`.  The pre-vectorization
-propagation is preserved verbatim as ``_predict_reference`` — the
-ground truth for the equivalence tests and the baseline for the
-``benchmarks/perf_prediction.py`` speedup measurements.
+propagation is a test oracle in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -229,11 +227,6 @@ class MarkovModel:
     def _predict_all(self, history: Sequence[int], steps: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _predict_reference(self, history: Sequence[int], steps: int) -> np.ndarray:
-        """The pre-vectorization prediction path (kept for equivalence
-        tests and as the benchmark baseline)."""
-        raise NotImplementedError
-
     def predict_state(self, history: Sequence[int], steps: int = 1) -> int:
         """Expected state ``steps`` ahead (distribution mean, rounded).
 
@@ -325,14 +318,6 @@ class SimpleMarkovModel(MarkovModel):
             out[k] = dist
         return out
 
-    def _predict_reference(self, history: Sequence[int], steps: int) -> np.ndarray:
-        matrix = self._build_transition_matrix()
-        dist = np.zeros(self.n_states)
-        dist[self._condition_index(history)] = 1.0
-        for _ in range(steps):
-            dist = dist @ matrix
-        return dist
-
 
 @functools.lru_cache(maxsize=None)
 def _stay_put_targets(n_states: int) -> np.ndarray:
@@ -387,31 +372,6 @@ class TwoDependentMarkovModel(MarkovModel):
             combined = np.einsum("pc,pcx->cx", combined, tensor)
             out[k] = combined.sum(axis=0)
         return out
-
-    def _predict_reference(self, history: Sequence[int], steps: int) -> np.ndarray:
-        matrix = self._build_transition_matrix()  # (n^2, n)
-        n = self.n_states
-        combined = np.zeros(n * n)
-        combined[self._condition_index(history)] = 1.0
-        single = np.zeros(n)
-        for _ in range(steps):
-            # P(next single state) given the combined-state distribution.
-            single = combined @ matrix
-            # Advance the combined distribution: (prev, cur) -> (cur, next).
-            next_combined = np.zeros(n * n)
-            rows = combined.reshape(n, n)  # rows[prev, cur]
-            cur_mass = rows.sum(axis=0)    # P(cur = c)
-            for cur in range(n):
-                if cur_mass[cur] <= 0.0:
-                    continue
-                # Distribution of next given cur, weighted over prev;
-                # combined rows for (prev, cur) live at index prev*n+cur.
-                weights = rows[:, cur]
-                row_indices = np.arange(n) * n + cur
-                next_given = weights @ matrix[row_indices]
-                next_combined[cur * n: (cur + 1) * n] += next_given
-            combined = next_combined
-        return single
 
 
 #: Snapshot tags for the two chain variants (see ``to_dict``).

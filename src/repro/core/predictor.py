@@ -19,9 +19,8 @@ per-attribute chains are stacked into one
 :class:`BatchedAttributeChains` operator and propagated as a single
 tensor contraction per step, and the classifiers score with
 precomputed log-CPT tensors (see ``docs/performance.md``).  The
-pre-vectorization code path is preserved as
-:meth:`AnomalyPredictor.predict_reference` for equivalence tests and
-benchmark baselines.
+pre-vectorization code path is the test oracle ``oracle_predict`` in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -529,48 +528,6 @@ class AnomalyPredictor:
             )
             for k in range(steps)
         ]
-
-    def predict_reference(
-        self, recent_values: np.ndarray, steps: int
-    ) -> PredictionResult:
-        """The pre-vectorization prediction path, preserved verbatim.
-
-        Recomputes each chain's transition matrix from raw counts,
-        propagates attribute-by-attribute in Python, and scores with
-        the classifiers' scalar reference loops.  Ground truth for the
-        equivalence tests and the baseline the
-        ``benchmarks/perf_prediction.py`` speedups are measured
-        against.
-        """
-        self._require_trained()
-        recent = self._check_recent(recent_values, steps)
-        binned = self.discretizer.transform(recent)
-        distributions: List[np.ndarray] = []
-        predicted_bins: List[int] = []
-        for j, model in enumerate(self.value_models):
-            history = binned[:, j].tolist()
-            dist = model._predict_reference(history, steps)
-            distributions.append(dist)
-            expected = float(np.dot(np.arange(self.n_bins), dist))
-            predicted_bins.append(int(np.clip(round(expected), 0, self.n_bins - 1)))
-        bins = tuple(predicted_bins)
-        if self.prediction_mode == "hard":
-            score = self.classifier.log_odds_reference(bins)
-            strengths = tuple(self.classifier.strengths_reference(bins))
-        else:
-            strengths = tuple(
-                self.classifier.expected_strengths_reference(distributions)
-            )
-            score = self.classifier.expected_log_odds_reference(distributions)
-        return PredictionResult(
-            abnormal=score > 0.0,
-            probability=float(1.0 / (1.0 + np.exp(-score))),
-            score=float(score),
-            bins=bins,
-            strengths=strengths,
-            attributes=self.attributes,
-            steps=steps,
-        )
 
     def _classify_soft(
         self,

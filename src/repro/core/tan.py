@@ -30,8 +30,8 @@ i, j, bin_i, bin_j)`` index, all CPTs are built in one pass, and the
 per-attribute log-likelihood-ratio tables are flattened at fit time
 into dense ``(n_attrs, n_bins, n_bins)`` difference tensors so scoring
 is a single vectorized gather (hard path) or contraction (soft path).
-The pre-vectorization scoring loops are preserved here as
-``*_reference`` methods for equivalence tests and benchmark baselines.
+The pre-vectorization scoring loops are the test oracles in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.core.bayes import (
     NORMAL,
     BayesClassifier,
     ORDINAL_KERNEL_WEIGHT,
-    STRENGTH_CLIP,
     _class_log_prior_from_counts,
     check_training_data,
     ordinal_smooth,
@@ -216,89 +215,6 @@ class TANClassifier(BayesClassifier):
             for i in range(self.n_attributes)
         ]
         self._build_scoring_tensors(parent_or_self)
-
-    # ------------------------------------------------------------------
-    # Pre-vectorization scoring loops (equivalence references)
-    # ------------------------------------------------------------------
-    def _raw_strengths_reference(self, x: np.ndarray) -> np.ndarray:
-        """Unmasked Eq. (2) terms for one binned sample — the
-        pre-vectorization per-attribute loop (equivalence reference)."""
-        strengths = np.empty(self.n_attributes)
-        for i in range(self.n_attributes):
-            parent = self.parents[i]
-            table = self._log_cpt[i]
-            support = self._support[i]
-            if parent < 0:
-                if not support[x[i]]:
-                    strengths[i] = 0.0
-                else:
-                    strengths[i] = table[ABNORMAL, x[i]] - table[NORMAL, x[i]]
-            elif not support[x[parent], x[i]]:
-                strengths[i] = 0.0
-            else:
-                strengths[i] = (
-                    table[ABNORMAL, x[parent], x[i]]
-                    - table[NORMAL, x[parent], x[i]]
-                )
-        return strengths
-
-    def strengths_reference(self, x: Sequence[int]) -> List[float]:
-        """Pre-vectorization :meth:`attribute_strengths` (reference)."""
-        self._require_trained()
-        x = self._check_sample(x)
-        raw = self._raw_strengths_reference(x)
-        raw = np.where(self.attribute_mask, raw, 0.0)
-        return [float(v) for v in raw]
-
-    def log_odds_reference(self, x: Sequence[int]) -> float:
-        """Pre-vectorization :meth:`log_odds` (reference)."""
-        strengths = self.strengths_reference(x)
-        return float(
-            sum(strengths) + self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
-
-    def expected_strengths_reference(
-        self, distributions: Sequence[np.ndarray]
-    ) -> List[float]:
-        """Pre-vectorization :meth:`expected_strengths` (reference)."""
-        self._require_trained()
-        if len(distributions) != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} distributions, got {len(distributions)}"
-            )
-        dists = []
-        for i, dist in enumerate(distributions):
-            p = np.asarray(dist, dtype=float)
-            if p.shape != (self.n_bins,):
-                raise ValueError(
-                    f"distribution {i} must have shape ({self.n_bins},)"
-                )
-            dists.append(p)
-        strengths: List[float] = []
-        for i in range(self.n_attributes):
-            if not self.attribute_mask[i]:
-                strengths.append(0.0)
-                continue
-            parent = self.parents[i]
-            table = self._log_cpt[i]
-            diff = np.clip(
-                table[ABNORMAL] - table[NORMAL], -STRENGTH_CLIP, STRENGTH_CLIP
-            )
-            diff = np.where(self._support[i], diff, 0.0)
-            if parent < 0:
-                strengths.append(float(dists[i] @ diff))         # (n_bins,)
-            else:
-                strengths.append(float(dists[parent] @ diff @ dists[i]))
-        return strengths
-
-    def expected_log_odds_reference(
-        self, distributions: Sequence[np.ndarray]
-    ) -> float:
-        """Pre-vectorization :meth:`expected_log_odds` (reference)."""
-        prior = self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        return float(
-            sum(self.expected_strengths_reference(distributions)) + prior
-        )
 
     # ------------------------------------------------------------------
     # Snapshot / restore (model registry hooks)

@@ -61,11 +61,9 @@ def scalability_cell(
 
     Self-contained: the RNG derives from ``(seed, n_vms)``, so a cell
     measures the same fleet no matter which worker (or which sweep)
-    runs it.  Returns ``{"round_ms", "per_vm_ms",
-    "reference_round_ms", "speedup"}`` where a round is one sampling
-    interval's work — sample every VM and run each VM's look-ahead
-    prediction — and the reference row repeats it on the preserved
-    pre-vectorization prediction path.
+    runs it.  Returns ``{"round_ms", "per_vm_ms"}`` where a round is
+    one sampling interval's work — sample every VM and run each VM's
+    look-ahead prediction.
     """
     rng = np.random.default_rng([seed, n_vms])
     vms, monitor = _build_fleet(n_vms, seed)
@@ -85,24 +83,7 @@ def scalability_cell(
             predictor.predict(history, steps=6)
         samples.append(1000.0 * (time.perf_counter() - start))
     round_ms = float(np.median(samples))
-
-    # Same round with the preserved pre-vectorization prediction
-    # path, so the sweep tracks what the engine rework buys.
-    reference_samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for vm, predictor, history in zip(vms, predictors, histories):
-            monitor.sample_vm(vm, 10.0)
-            predictor.predict_reference(history, steps=6)
-        reference_samples.append(1000.0 * (time.perf_counter() - start))
-    reference_round_ms = float(np.median(reference_samples))
-
-    return {
-        "round_ms": round_ms,
-        "per_vm_ms": round_ms / n_vms,
-        "reference_round_ms": reference_round_ms,
-        "speedup": reference_round_ms / round_ms if round_ms else float("inf"),
-    }
+    return {"round_ms": round_ms, "per_vm_ms": round_ms / n_vms}
 
 
 def scalability_sweep(

@@ -15,8 +15,9 @@ questions around it — how often, how fast, and at what host cost:
 single handle threaded through the controller, actuator wiring and
 hypervisor.  Instrumentation is **off by default**: components fall
 back to :data:`NULL_OBS`, whose metrics and spans are shared no-op
-objects, so the hot predict path pays only a no-op call per stage
-(<5% on ``BENCH_prediction`` — see ``docs/observability.md``).
+objects, so the hot predict path pays only a no-op call per stage.
+``bench/run.py`` reads what enabled telemetry costs as
+``trace.overhead_share`` (see ``docs/observability.md``).
 """
 
 from __future__ import annotations

@@ -25,6 +25,15 @@ the fleet step, the thrash tick and the monitor's round as array
 kernels over it; :class:`OracleVM`, :class:`OracleFleetApp` and
 :class:`OracleMonitor` are the per-VM objects and loops they replaced.
 ``tests/sim/test_state_kernels.py`` demands bitwise equality with them.
+
+``src/`` propagates a VM's chains as one stacked einsum and scores
+from fit-time log-likelihood-ratio tensors; the ``oracle_*propagate``,
+``oracle_*strengths``, ``oracle_*log_odds`` and :func:`oracle_predict`
+functions are the per-attribute chain propagation and the scalar
+scoring loops it replaced, each taking the model as its first argument.
+They used BLAS matmul and Python ``sum``, so
+``test_vectorized_equivalence.py`` demands allclose scores and
+identical decisions, not bitwise equality.
 """
 
 import dataclasses
@@ -43,12 +52,15 @@ from repro.core.bayes import (
     ABNORMAL,
     NORMAL,
     ORDINAL_KERNEL_WEIGHT,
+    STRENGTH_CLIP,
     _class_log_prior_from_counts,
     check_training_data,
     ordinal_smooth,
     select_attributes,
 )
 from repro.core.localization import DeviationLocalizer
+from repro.core.markov import SimpleMarkovModel, TwoDependentMarkovModel
+from repro.core.predictor import PredictionResult
 from repro.core.tan import CPT_BACKOFF, TANClassifier
 from repro.sim.engine import Simulator
 from repro.sim.engine import PeriodicTask
@@ -234,6 +246,271 @@ def oracle_horizon_operator(tensor, steps, n, two_dependent) -> np.ndarray:
     for _ in range(steps - 1):
         dist = np.einsum("asc,acx->asx", dist, tensor)
     return dist
+
+
+# ----------------------------------------------------------------------
+# Prediction and scoring path
+# ----------------------------------------------------------------------
+def oracle_tan_raw_strengths(tan, x: np.ndarray) -> np.ndarray:
+    """Unmasked Eq. (2) terms for one binned sample — the
+    pre-vectorization per-attribute loop."""
+    strengths = np.empty(tan.n_attributes)
+    for i in range(tan.n_attributes):
+        parent = tan.parents[i]
+        table = tan._log_cpt[i]
+        support = tan._support[i]
+        if parent < 0:
+            if not support[x[i]]:
+                strengths[i] = 0.0
+            else:
+                strengths[i] = table[ABNORMAL, x[i]] - table[NORMAL, x[i]]
+        elif not support[x[parent], x[i]]:
+            strengths[i] = 0.0
+        else:
+            strengths[i] = (
+                table[ABNORMAL, x[parent], x[i]]
+                - table[NORMAL, x[parent], x[i]]
+            )
+    return strengths
+
+
+def oracle_tan_strengths(tan, x: Sequence[int]) -> List[float]:
+    """Pre-vectorization TAN ``attribute_strengths``."""
+    tan._require_trained()
+    x = tan._check_sample(x)
+    raw = oracle_tan_raw_strengths(tan, x)
+    raw = np.where(tan.attribute_mask, raw, 0.0)
+    return [float(v) for v in raw]
+
+
+def oracle_tan_log_odds(tan, x: Sequence[int]) -> float:
+    """Pre-vectorization TAN ``log_odds``."""
+    strengths = oracle_tan_strengths(tan, x)
+    return float(
+        sum(strengths) + tan._log_prior[ABNORMAL] - tan._log_prior[NORMAL]
+    )
+
+
+def oracle_tan_expected_strengths(
+    tan, distributions: Sequence[np.ndarray]
+) -> List[float]:
+    """Pre-vectorization TAN ``expected_strengths``."""
+    tan._require_trained()
+    if len(distributions) != tan.n_attributes:
+        raise ValueError(
+            f"expected {tan.n_attributes} distributions, got {len(distributions)}"
+        )
+    dists = []
+    for i, dist in enumerate(distributions):
+        p = np.asarray(dist, dtype=float)
+        if p.shape != (tan.n_bins,):
+            raise ValueError(
+                f"distribution {i} must have shape ({tan.n_bins},)"
+            )
+        dists.append(p)
+    strengths: List[float] = []
+    for i in range(tan.n_attributes):
+        if not tan.attribute_mask[i]:
+            strengths.append(0.0)
+            continue
+        parent = tan.parents[i]
+        table = tan._log_cpt[i]
+        diff = np.clip(
+            table[ABNORMAL] - table[NORMAL], -STRENGTH_CLIP, STRENGTH_CLIP
+        )
+        diff = np.where(tan._support[i], diff, 0.0)
+        if parent < 0:
+            strengths.append(float(dists[i] @ diff))         # (n_bins,)
+        else:
+            strengths.append(float(dists[parent] @ diff @ dists[i]))
+    return strengths
+
+
+def oracle_tan_expected_log_odds(
+    tan, distributions: Sequence[np.ndarray]
+) -> float:
+    """Pre-vectorization TAN ``expected_log_odds``."""
+    prior = tan._log_prior[ABNORMAL] - tan._log_prior[NORMAL]
+    return float(
+        sum(oracle_tan_expected_strengths(tan, distributions)) + prior
+    )
+
+
+def oracle_naive_strengths(naive, x: Sequence[int]) -> List[float]:
+    """Pre-vectorization naive-Bayes ``attribute_strengths``."""
+    naive._require_trained()
+    x = np.asarray(x, dtype=np.intp)
+    if x.shape != (naive.n_attributes,):
+        raise ValueError(
+            f"expected {naive.n_attributes} attributes, got shape {x.shape}"
+        )
+    x = np.clip(x, 0, naive.n_bins - 1)
+    idx = np.arange(naive.n_attributes)
+    diff = (
+        naive._log_cpt[idx, ABNORMAL, x] - naive._log_cpt[idx, NORMAL, x]
+    )
+    diff = np.where(naive._support[idx, x], diff, 0.0)
+    diff = np.where(naive.attribute_mask, diff, 0.0)
+    return [float(v) for v in diff]
+
+
+def oracle_naive_log_odds(naive, x: Sequence[int]) -> float:
+    """Pre-vectorization naive-Bayes ``log_odds``."""
+    naive._require_trained()
+    return float(
+        sum(oracle_naive_strengths(naive, x))
+        + naive._log_prior[ABNORMAL] - naive._log_prior[NORMAL]
+    )
+
+
+def oracle_naive_expected_strengths(
+    naive, distributions: Sequence[np.ndarray]
+) -> List[float]:
+    """Pre-vectorization naive-Bayes ``expected_strengths``."""
+    naive._require_trained()
+    if len(distributions) != naive.n_attributes:
+        raise ValueError(
+            f"expected {naive.n_attributes} distributions, got {len(distributions)}"
+        )
+    strengths = []
+    for i, dist in enumerate(distributions):
+        p = np.asarray(dist, dtype=float)
+        if p.shape != (naive.n_bins,):
+            raise ValueError(
+                f"distribution {i} must have shape ({naive.n_bins},)"
+            )
+        if not naive.attribute_mask[i]:
+            strengths.append(0.0)
+            continue
+        diff = np.clip(
+            naive._log_cpt[i, ABNORMAL] - naive._log_cpt[i, NORMAL],
+            -STRENGTH_CLIP, STRENGTH_CLIP,
+        )
+        diff = np.where(naive._support[i], diff, 0.0)
+        strengths.append(float(p @ diff))
+    return strengths
+
+
+def oracle_naive_expected_log_odds(
+    naive, distributions: Sequence[np.ndarray]
+) -> float:
+    """Pre-vectorization naive-Bayes ``expected_log_odds``."""
+    prior = naive._log_prior[ABNORMAL] - naive._log_prior[NORMAL]
+    return float(
+        sum(oracle_naive_expected_strengths(naive, distributions)) + prior
+    )
+
+
+def _per_classifier(tan_oracle, naive_oracle):
+    """One oracle over both classifiers: TAN's loop for a TAN, naive
+    Bayes's for naive Bayes."""
+    def oracle(clf, *args):
+        if isinstance(clf, TANClassifier):
+            return tan_oracle(clf, *args)
+        return naive_oracle(clf, *args)
+    return oracle
+
+
+oracle_strengths = _per_classifier(oracle_tan_strengths, oracle_naive_strengths)
+oracle_log_odds = _per_classifier(oracle_tan_log_odds, oracle_naive_log_odds)
+oracle_expected_strengths = _per_classifier(
+    oracle_tan_expected_strengths, oracle_naive_expected_strengths
+)
+oracle_expected_log_odds = _per_classifier(
+    oracle_tan_expected_log_odds, oracle_naive_expected_log_odds
+)
+
+
+def oracle_simple_propagate(
+    model, history: Sequence[int], steps: int
+) -> np.ndarray:
+    """Pre-vectorization first-order propagation (``dist @ matrix``)."""
+    matrix = model._build_transition_matrix()
+    dist = np.zeros(model.n_states)
+    dist[model._condition_index(history)] = 1.0
+    for _ in range(steps):
+        dist = dist @ matrix
+    return dist
+
+
+def oracle_two_dependent_propagate(
+    model, history: Sequence[int], steps: int
+) -> np.ndarray:
+    """Pre-vectorization 2-dependent propagation: the per-current-state
+    loop over the flat combined-state distribution."""
+    matrix = model._build_transition_matrix()  # (n^2, n)
+    n = model.n_states
+    combined = np.zeros(n * n)
+    combined[model._condition_index(history)] = 1.0
+    single = np.zeros(n)
+    for _ in range(steps):
+        # P(next single state) given the combined-state distribution.
+        single = combined @ matrix
+        # Advance the combined distribution: (prev, cur) -> (cur, next).
+        next_combined = np.zeros(n * n)
+        rows = combined.reshape(n, n)  # rows[prev, cur]
+        cur_mass = rows.sum(axis=0)    # P(cur = c)
+        for cur in range(n):
+            if cur_mass[cur] <= 0.0:
+                continue
+            # Distribution of next given cur, weighted over prev;
+            # combined rows for (prev, cur) live at index prev*n+cur.
+            weights = rows[:, cur]
+            row_indices = np.arange(n) * n + cur
+            next_given = weights @ matrix[row_indices]
+            next_combined[cur * n: (cur + 1) * n] += next_given
+        combined = next_combined
+    return single
+
+
+def oracle_propagate(model, history: Sequence[int], steps: int) -> np.ndarray:
+    """Pre-vectorization distribution ``steps`` transitions ahead, for
+    either chain variant."""
+    if isinstance(model, TwoDependentMarkovModel):
+        return oracle_two_dependent_propagate(model, history, steps)
+    if isinstance(model, SimpleMarkovModel):
+        return oracle_simple_propagate(model, history, steps)
+    raise NotImplementedError
+
+
+def oracle_predict(
+    predictor, recent_values: np.ndarray, steps: int
+) -> PredictionResult:
+    """The pre-vectorization ``AnomalyPredictor.predict``.
+
+    Recomputes each chain's transition matrix from raw counts,
+    propagates attribute-by-attribute in Python, and scores with the
+    classifiers' scalar loops above.
+    """
+    predictor._require_trained()
+    recent = predictor._check_recent(recent_values, steps)
+    binned = predictor.discretizer.transform(recent)
+    distributions: List[np.ndarray] = []
+    predicted_bins: List[int] = []
+    for j, model in enumerate(predictor.value_models):
+        history = binned[:, j].tolist()
+        dist = oracle_propagate(model, history, steps)
+        distributions.append(dist)
+        expected = float(np.dot(np.arange(predictor.n_bins), dist))
+        predicted_bins.append(int(np.clip(round(expected), 0, predictor.n_bins - 1)))
+    bins = tuple(predicted_bins)
+    if predictor.prediction_mode == "hard":
+        score = oracle_log_odds(predictor.classifier, bins)
+        strengths = tuple(oracle_strengths(predictor.classifier, bins))
+    else:
+        strengths = tuple(
+            oracle_expected_strengths(predictor.classifier, distributions)
+        )
+        score = oracle_expected_log_odds(predictor.classifier, distributions)
+    return PredictionResult(
+        abnormal=score > 0.0,
+        probability=float(1.0 / (1.0 + np.exp(-score))),
+        score=float(score),
+        bins=bins,
+        strengths=strengths,
+        attributes=predictor.attributes,
+        steps=steps,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ result.  Two tiers of guarantees are asserted here:
   single-horizon calls, stacked-operator vs scalar-fallback
   propagation, and batch vs single-sample classifier scoring (the
   scalar methods route through the batch ones);
-* **allclose + identical discrete decisions** against the preserved
-  pre-vectorization ``*_reference`` implementations: those used
+* **allclose + identical discrete decisions** against the
+  pre-vectorization loops kept in ``oracles.py``: those used
   different BLAS kernels / summation orders, so the last float ulp can
   differ, but predicted bins, alert booleans, and classifications must
   match exactly on seeded data.
@@ -30,7 +30,16 @@ from repro.core.predictor import AnomalyPredictor, BatchedAttributeChains
 from repro.core.tan import TANClassifier
 from repro.core.unsupervised import OutlierDetector, rolling_outlier_flags
 
-from .oracles import oracle_cmi_per_pair
+from .oracles import (
+    oracle_cmi_per_pair,
+    oracle_expected_log_odds,
+    oracle_expected_strengths,
+    oracle_log_odds,
+    oracle_predict,
+    oracle_propagate,
+    oracle_strengths,
+    oracle_tan_raw_strengths,
+)
 
 N_STATES = 6
 
@@ -93,7 +102,7 @@ class TestMarkovEquivalence:
         model = cls(N_STATES).fit(seq)
         history = seq[-2:]
         vectorized = model.predict_distribution(history, steps)
-        reference = model._predict_reference(list(history), steps)
+        reference = oracle_propagate(model, list(history), steps)
         np.testing.assert_allclose(
             vectorized, reference, rtol=1e-12, atol=1e-14
         )
@@ -107,7 +116,7 @@ class TestMarkovEquivalence:
             history = seq[-2:].tolist()
             for steps in (1, 3, 8):
                 vec = model.predict_distribution(history, steps)
-                ref = model._predict_reference(history, steps)
+                ref = oracle_propagate(model, history, steps)
                 assert int(expected_bins(vec)) == int(expected_bins(ref))
 
 
@@ -187,7 +196,7 @@ class TestClassifierEquivalence:
         batch = tan._raw_strengths_batch(X)
         for k, row in enumerate(X):
             np.testing.assert_array_equal(
-                batch[k], tan._raw_strengths_reference(row)
+                batch[k], oracle_tan_raw_strengths(tan, row)
             )
 
     def test_attribute_mask_matches_reference_selection(
@@ -195,7 +204,7 @@ class TestClassifierEquivalence:
     ):
         tan, _, X, y, _ = trained_classifiers
         reference_strengths = np.stack(
-            [tan._raw_strengths_reference(row) for row in X]
+            [oracle_tan_raw_strengths(tan, row) for row in X]
         )
         np.testing.assert_array_equal(
             tan.attribute_mask, select_attributes(reference_strengths, y)
@@ -233,14 +242,14 @@ class TestClassifierEquivalence:
             for _ in range(30):
                 x = rng.integers(0, b, size=9)
                 np.testing.assert_allclose(
-                    clf.log_odds(x), clf.log_odds_reference(x),
+                    clf.log_odds(x), oracle_log_odds(clf, x),
                     rtol=1e-10, atol=1e-12,
                 )
                 np.testing.assert_allclose(
-                    clf.attribute_strengths(x), clf.strengths_reference(x),
+                    clf.attribute_strengths(x), oracle_strengths(clf, x),
                     rtol=1e-10, atol=1e-12,
                 )
-                assert clf.classify(x) == (clf.log_odds_reference(x) > 0.0)
+                assert clf.classify(x) == (oracle_log_odds(clf, x) > 0.0)
 
     def test_expected_batch_is_bitwise_scalar(self, trained_classifiers):
         tan, naive, _, _, b = trained_classifiers
@@ -264,12 +273,12 @@ class TestClassifierEquivalence:
                 D = list(rng.dirichlet(np.ones(b), size=9))
                 np.testing.assert_allclose(
                     clf.expected_strengths(D),
-                    clf.expected_strengths_reference(D),
+                    oracle_expected_strengths(clf, D),
                     rtol=1e-10, atol=1e-12,
                 )
                 np.testing.assert_allclose(
                     clf.expected_log_odds(D),
-                    clf.expected_log_odds_reference(D),
+                    oracle_expected_log_odds(clf, D),
                     rtol=1e-10, atol=1e-12,
                 )
 
@@ -318,7 +327,7 @@ class TestPredictorEquivalence:
             assert horizon.strengths == vectorized.strengths
             assert horizon.steps == steps
             # Pre-vectorization path: same decisions, allclose scores.
-            reference = predictor.predict_reference(recent, steps)
+            reference = oracle_predict(predictor, recent, steps)
             assert vectorized.bins == reference.bins
             assert vectorized.abnormal == reference.abnormal
             np.testing.assert_allclose(

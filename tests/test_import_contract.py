@@ -7,8 +7,13 @@ shard, so it must not import the simulator, the apps, the fault
 models, the experiment harness, the controller or the operator API.
 Each check runs in a fresh interpreter, because this test process has
 imported everything already.
+
+The run-time checks see only the imports a process executes; an import
+inside a function that never runs slips past them.  The layering check
+reads every module's source instead, so such an import counts too.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -25,6 +30,21 @@ from repro.serve.registry import ModelRegistry
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 LAZY_PACKAGES = ("repro.core", "repro.serve", "repro.sim", "repro.faults")
+
+#: Which ``repro`` packages each package may import.  ``cli`` (and
+#: ``__main__``, which only calls it) wires everything together and
+#: may import anything; every package may use ``repro._lazy``.
+LAYERS = {
+    "obs": set(),
+    "sim": {"obs"},
+    "apps": {"sim"},
+    "faults": {"apps", "sim"},
+    "core": {"apps", "obs", "sim"},
+    "serve": {"core", "obs"},
+    "chaos": {"core", "obs", "sim"},
+    "experiments": {"apps", "chaos", "core", "faults", "obs", "sim"},
+}
+ENTRY_POINTS = ("cli", "__main__")
 
 #: What ``repro fabric`` runs in the router before it accepts clients.
 ROUTER = """
@@ -121,3 +141,43 @@ def test_every_public_name_imports(package):
         assert name in dir(module)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(module, "no_such_name")
+
+
+def imported_packages(tree):
+    """The ``repro.<pkg>`` names every import statement in ``tree``
+    reaches, wherever in the module the statement sits."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+            if node.module == "repro":
+                names = [f"repro.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1]
+
+
+def layering_violations(src):
+    """``(file, imported package)`` pairs outside :data:`LAYERS`."""
+    root = Path(src) / "repro"
+    violations = []
+    for path in sorted(root.rglob("*.py")):
+        package = path.relative_to(root).parts[0].removesuffix(".py")
+        if package in ENTRY_POINTS:
+            continue
+        allowed = LAYERS.get(package, set()) | {package, "_lazy"}
+        tree = ast.parse(path.read_text(), filename=str(path))
+        violations.extend(
+            (str(path.relative_to(root)), imported)
+            for imported in imported_packages(tree)
+            if imported not in allowed
+        )
+    return violations
+
+
+def test_packages_import_only_their_layers():
+    assert layering_violations(SRC) == []
