@@ -160,8 +160,9 @@ class BayesClassifier:
     ``_log_prior``, ``_log_cpt`` and ``_support`` — a root's table is
     ``(2, n_bins)`` and its support ``(n_bins,)``, a child's ``(2,
     n_bins parent values, n_bins child values)`` and ``(n_bins,
-    n_bins)`` — then calls :meth:`_build_scoring_tensors`; every
-    scoring method below reads only the tensors that builds.
+    n_bins)`` — then calls :meth:`_build_scoring_tensors`.  The point
+    methods below and :class:`~repro.core.fleet.FleetScorer`, which
+    scores predicted distributions, read only the tensors that builds.
     """
 
     def __init__(
@@ -201,9 +202,6 @@ class BayesClassifier:
         self._parent_or_self: Optional[np.ndarray] = None
         self._diff_hard: Optional[np.ndarray] = None
         self._diff_soft: Optional[np.ndarray] = None
-        self._root_idx: Optional[np.ndarray] = None
-        self._child_idx: Optional[np.ndarray] = None
-        self._root_diff_soft: Optional[np.ndarray] = None
 
     @property
     def trained(self) -> bool:
@@ -215,10 +213,20 @@ class BayesClassifier:
         ``_diff_hard[i, p, c]`` is the Eq. (2) log-likelihood-ratio of
         attribute ``i`` at child bin ``c`` under parent bin ``p``
         (support-masked, unclipped — the hard path); ``_diff_soft`` is
-        the clipped variant the soft/expected path uses.  Root
-        attributes are broadcast along the parent axis with their own
-        index as pseudo-parent, so one fancy-indexed gather covers the
-        whole attribute vector.
+        the clipped variant the soft path uses.  Root attributes are
+        broadcast along the parent axis with their own index as
+        pseudo-parent, so one fancy-indexed gather covers the whole
+        attribute vector.
+
+        The soft path classifies the *distributions* the value
+        predictor returns: a child's expected strength runs over its
+        own and its parent's predicted distribution, E[L_i] =
+        sum_{p,s} P_pi(p) P_i(s) _diff_soft[i, p, s].  Averaging avoids
+        the brittleness of rounding every attribute to one bin, and the
+        clip to ±:data:`STRENGTH_CLIP` keeps a small tail probability
+        on a severe bin from dominating the expectation (the alert
+        should fire on *probable* anomalies, not improbable
+        catastrophic ones).
         """
         n_attrs, b = self.n_attributes, self.n_bins
         diff = np.empty((n_attrs, b, b))
@@ -232,12 +240,7 @@ class BayesClassifier:
         self._diff_soft = np.where(
             support, np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP), 0.0
         )
-        self._root_idx = np.flatnonzero(self.parents < 0)
-        self._child_idx = np.flatnonzero(self.parents >= 0)
-        # Root rows are constant along the parent axis; keep the
-        # compact (n_roots, b) view the soft path contracts with.
-        self._root_diff_soft = self._diff_soft[self._root_idx, 0, :]
-        # Per-fit scalar-path caches: the attribute index vector and
+        # Per-fit point-path caches: the attribute index vector and
         # the class-prior log-difference.  Rebuilt on every fit() /
         # from_dict(), so they are keyed to the model version and the
         # single-sample path never re-assembles them per call.
@@ -258,14 +261,6 @@ class BayesClassifier:
                 f"expected {self.n_attributes} attributes, got shape {x.shape}"
             )
         return np.clip(x, 0, self.n_bins - 1)
-
-    def _check_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        X = np.asarray(X, dtype=np.intp)
-        if X.ndim != 2 or X.shape[1] != self.n_attributes:
-            raise ValueError(
-                f"expected (n, {self.n_attributes}) samples, got shape {X.shape}"
-            )
-        return np.clip(X, 0, self.n_bins - 1)
 
     def _raw_strengths_batch(self, X: np.ndarray) -> np.ndarray:
         """Unmasked Eq. (2) terms for already-validated binned samples:
@@ -290,37 +285,18 @@ class BayesClassifier:
         raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
         return [float(v) for v in np.where(self.attribute_mask, raw, 0.0)]
 
-    def strengths_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Masked Eq. (2) strengths for a batch of binned samples.
-
-        ``X`` has shape (m, n_attributes); returns (m, n_attributes).
-        Row ``k`` is bitwise-identical to ``attribute_strengths(X[k])``.
-        """
-        self._require_trained()
-        X = self._check_batch(np.atleast_2d(np.asarray(X, dtype=np.intp)))
-        raw = self._raw_strengths_batch(X)
-        return np.where(self.attribute_mask[None, :], raw, 0.0)
-
     def log_odds(self, x: Sequence[int]) -> float:
         """Left-hand side of Eq. (1).
 
-        Single-sample fast path: one gather over the cached difference
-        tensor instead of routing through the (m, a) batch machinery —
-        at fleet scale the controller's classify tick calls this once
-        per VM, and the batch path's shape plumbing costs more than
-        the 13-element reduction itself.  Bitwise-identical to
-        ``log_odds_batch(x[None])[0]``: same gathered elements, same
-        contiguous 13-element pairwise sum, same prior difference.
+        One gather over the cached difference tensor.  The scoring
+        path (:class:`~repro.core.fleet.FleetScorer`) gathers from the
+        same ``_diff_hard`` tensor, and sums each VM's strengths as one
+        contiguous row plus the same prior difference.
         """
         self._require_trained()
         x = self._check_sample(x)
         raw = self._diff_hard[self._attr_idx, x[self._parent_or_self], x]
         return float(np.where(self.attribute_mask, raw, 0.0).sum() + self._prior_diff)
-
-    def log_odds_batch(self, X: Sequence[Sequence[int]]) -> np.ndarray:
-        """Eq. (1) statistic for a batch of binned samples, shape (m,)."""
-        strengths = self.strengths_batch(X)
-        return strengths.sum(axis=1) + self._prior_diff
 
     def predict_proba(self, x: Sequence[int]) -> float:
         """Posterior probability of the abnormal class."""
@@ -330,88 +306,6 @@ class BayesClassifier:
     def classify(self, x: Sequence[int]) -> bool:
         """Eq. (1): abnormal when the log-odds sum is positive."""
         return self.log_odds(x) > 0.0
-
-    # ------------------------------------------------------------------
-    # Soft (distribution-based) classification
-    # ------------------------------------------------------------------
-    def _as_distribution_matrix(
-        self, distributions: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        if len(distributions) != self.n_attributes:
-            raise ValueError(
-                f"expected {self.n_attributes} distributions, got {len(distributions)}"
-            )
-        dists = np.empty((self.n_attributes, self.n_bins))
-        for i, dist in enumerate(distributions):
-            p = np.asarray(dist, dtype=float)
-            if p.shape != (self.n_bins,):
-                raise ValueError(
-                    f"distribution {i} must have shape ({self.n_bins},)"
-                )
-            dists[i] = p
-        return dists
-
-    def expected_strengths(self, distributions: Sequence[np.ndarray]) -> List[float]:
-        """Expected L_i under independent predicted bin distributions
-        (one probability vector per attribute).
-
-        For a child attribute the expectation runs over both its own
-        and its parent's predicted distribution:
-        E[L_i] = sum_{p,s} P_pi(p) P_i(s) (log P(s|p,1) - log P(s|p,0)).
-        This is how predicted future states are classified: the value
-        predictor returns a distribution per attribute, and averaging
-        the decision statistic over it avoids the brittleness of
-        rounding every attribute to a single bin.  The per-bin
-        log-ratios are clipped to ±:data:`STRENGTH_CLIP` first so that
-        a small tail probability on a severe bin cannot dominate the
-        expectation (the alert should fire on *probable* anomalies,
-        not improbable catastrophic ones).
-        """
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return [float(v) for v in self.expected_strengths_batch(D[None])[0]]
-
-    def expected_strengths_batch(self, D: np.ndarray) -> np.ndarray:
-        """Expected strengths for a batch of distribution sets.
-
-        ``D`` has shape (m, n_attributes, n_bins) — e.g. the ``m``
-        look-ahead horizons of one propagation.  Returns (m,
-        n_attributes); row ``k`` is bitwise-identical to
-        ``expected_strengths(list(D[k]))``.
-        """
-        self._require_trained()
-        D = np.asarray(D, dtype=float)
-        if D.ndim != 3 or D.shape[1:] != (self.n_attributes, self.n_bins):
-            raise ValueError(
-                f"expected (m, {self.n_attributes}, {self.n_bins}) "
-                f"distributions, got shape {D.shape}"
-            )
-        S = np.zeros((D.shape[0], self.n_attributes))
-        roots, children = self._root_idx, self._child_idx
-        if roots.size:
-            S[:, roots] = np.einsum(
-                "mrc,rc->mr", D[:, roots], self._root_diff_soft
-            )
-        if children.size:
-            S[:, children] = np.einsum(
-                "mrp,rpc,mrc->mr",
-                D[:, self._parent_or_self[children]],
-                self._diff_soft[children],
-                D[:, children],
-            )
-        return np.where(self.attribute_mask[None, :], S, 0.0)
-
-    def expected_log_odds(self, distributions: Sequence[np.ndarray]) -> float:
-        """Eq. (1) statistic averaged over predicted distributions."""
-        self._require_trained()
-        D = self._as_distribution_matrix(distributions)
-        return float(self.expected_log_odds_batch(D[None])[0])
-
-    def expected_log_odds_batch(self, D: np.ndarray) -> np.ndarray:
-        """Batched :meth:`expected_log_odds`, shape (m,)."""
-        return self.expected_strengths_batch(D).sum(axis=1) + (
-            self._log_prior[ABNORMAL] - self._log_prior[NORMAL]
-        )
 
 
 class NaiveBayesClassifier(BayesClassifier):

@@ -1,13 +1,20 @@
-"""Fleet-wide batched scoring: one stacked operator for many VMs.
+"""Fleet-wide batched scoring: the one scoring path of the predictor.
 
-This is the shared engine behind both consumers of fleet batching:
+PREPARE's per-tick work (Sec. II-B) is the Markov look-ahead of every
+attribute followed by the TAN Eq. (1)/(2) statistic with its L_i
+attribution.  :class:`FleetScorer` is the only code that computes it,
+for every consumer:
 
 * the **online serving layer** (:mod:`repro.serve.service`), whose
   micro-batching dispatcher coalesces samples from many connections
-  into one :class:`FleetScorer` call, and
+  into one :class:`FleetScorer` call;
 * the **offline controller** (:mod:`repro.core.controller`), whose
-  predictive and reactive paths score every monitored VM each tick and
-  batch those per-VM pipeline calls into a single fleet contraction.
+  predictive and reactive paths score every monitored VM each tick in
+  one fleet contraction;
+* the **per-VM API** (:meth:`AnomalyPredictor.predict` /
+  :meth:`~AnomalyPredictor.predict_horizons` /
+  :meth:`~AnomalyPredictor.classify_current`), which answers through a
+  one-VM scorer the predictor caches.
 
 :class:`FleetScorer` concatenates every VM's per-attribute Markov
 chains into a single :class:`~repro.core.predictor.
@@ -19,17 +26,19 @@ einsums instead of one full pipeline pass per sample.  Naive Bayes and
 TAN stack alike: naive Bayes is the TAN whose every attribute is a root
 (:class:`~repro.core.bayes.BayesClassifier`).
 
-There is one scoring path, bitwise-identical to the per-VM code
-(:meth:`AnomalyPredictor.predict` / :meth:`AnomalyPredictor.
-classify_current`): the stacked einsum reductions are independent
-along the attribute axis, and per-VM reductions keep their shapes.
-Its one precondition is that the fleet's chains stack: every VM must
-share one chain variant and ``n_bins``.  A fleet that does not raises
-:class:`ValueError` naming the VMs of each group — at construction,
-or from :meth:`FleetScorer.sync` after a refit that breaks the rule.
-Any other refit is repaired before the next call.
-``serve_check.py``, the replay harness and the golden decision digests
-assert the parity end to end.
+A VM's result does not depend on which other VMs share the stack or
+the batch: the stacked einsum reductions are independent along the
+attribute axis, and per-VM reductions keep their shapes.  So a fleet
+scorer answers bitwise what each VM's own one-VM scorer answers.  The
+independent reference is the pre-vectorization loop
+``tests/core/oracles.py::oracle_predict``.  The scorer's one
+precondition is that the fleet's chains stack: every VM must share one
+chain variant and ``n_bins``.  A fleet that does not raises
+:class:`ValueError` naming the VMs of each group — at construction, or
+from :meth:`FleetScorer.sync` after a refit that breaks the rule.  Any
+other refit is repaired before the next call.  ``serve_check.py``, the
+replay harness and the golden decision digests assert the parity end
+to end.
 
 Staleness rule: current = the objects the predictor holds now, not
 refit since — chains, classifier and discretizer are each compared by
@@ -305,8 +314,7 @@ class FleetScorer:
         A per-``steps`` table remembers the row of every ``(chain,
         start state)`` already propagated, behind a validity mask.
         Rows this batch visits and the table lacks are filled by one
-        :meth:`BatchedAttributeChains.predict_subset` call — the live
-        recurrence :meth:`AnomalyPredictor.predict` itself runs, so a
+        :meth:`BatchedAttributeChains.predict_subset` call, so a
         gathered row is bitwise what propagating live gives.
         :meth:`refresh` only clears a refit VM's mask rows; nothing is
         recomputed until a batch asks for it.
@@ -337,8 +345,10 @@ class FleetScorer:
     ) -> List[PredictionResult]:
         """Score ``(vm, recent_values, steps)`` items, preserving order.
 
-        Each result is bitwise-identical to
-        ``predictors[vm].predict(recent, steps)``.
+        ``recent_values`` is an ``(n >= history_needed, a)`` history of
+        raw samples, oldest first.  Each same-``steps`` group costs one
+        batched transform, one horizon-table gather and the row
+        classification of :meth:`_classify_rows`.
         """
         self.sync()
         results: List[Optional[PredictionResult]] = [None] * len(batch)
@@ -348,8 +358,43 @@ class FleetScorer:
         for steps, positions in by_steps.items():
             if steps < 1:
                 raise ValueError(f"steps must be >= 1, got {steps}")
-            self._score_group(batch, positions, steps, results)
+            items = [batch[i] for i in positions]
+            bins, sel, bounds = self._gather(
+                items, self._stacked.history_needed
+            )
+            group = self._classify_rows(
+                [(vm, steps) for vm, *_ in items],
+                self._horizon_rows(steps, sel, bins), sel, bounds,
+            )
+            for i, result in zip(positions, group):
+                results[i] = result
         return results  # type: ignore[return-value]
+
+    def score_horizons(
+        self, vm: str, recent_values: np.ndarray, steps: int
+    ) -> List[PredictionResult]:
+        """Score ``vm``'s predicted state at every horizon ``1..steps``.
+
+        Entry ``k`` is bitwise ``score([(vm, recent_values, k + 1)])``'s
+        result, from one propagation: the recurrence visits every
+        intermediate horizon, and each horizon's rows go through the
+        same :meth:`_classify_rows` as an item of :meth:`score`.
+        (Sweeping through :meth:`score` would fill one horizon table
+        per depth and thrash the table LRU.)
+        """
+        self.sync()
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
+        bins, sel, _ = self._gather(
+            [(vm, recent_values)], self._stacked.history_needed
+        )
+        dists = self._stacked.predict_subset(bins, sel, steps)
+        a = sel.shape[0]
+        return self._classify_rows(
+            [(vm, k + 1) for k in range(steps)],
+            dists.reshape(steps * a, -1), np.tile(sel, steps),
+            np.arange(steps + 1) * a,
+        )
 
     def classify_batch(
         self, batch: Sequence[Tuple[str, np.ndarray]]
@@ -357,13 +402,12 @@ class FleetScorer:
         """Classify ``(vm, observed_values)`` items, preserving order.
 
         The observed-state (``steps=0``) companion of :meth:`score`,
-        used by the controller's reactive path.  Each result is
-        bitwise-identical to
-        ``predictors[vm].classify_current(values)``: the batched
-        transform counts ``edges <= value`` exactly like
-        ``searchsorted(side="right")``, and the per-VM strength sums
-        reduce the same contiguous 13-element rows the scalar
-        ``log_odds`` path reduces.
+        used by the controller's reactive path and
+        :meth:`AnomalyPredictor.classify_current`.  The batched
+        transform counts ``edges <= value`` exactly like the
+        discretizer's ``searchsorted(side="right")`` for every finite
+        value, and each VM's strengths sum as one contiguous row, like
+        the point ``log_odds`` (Eq. 1) of its classifier.
         """
         self.sync()
         if not batch:
@@ -434,20 +478,23 @@ class FleetScorer:
         ).sum(axis=2)
         return bins, sel, np.asarray(bounds, dtype=np.intp)
 
-    def _score_group(
+    def _classify_rows(
         self,
-        batch: Sequence[Tuple[str, np.ndarray, int]],
-        positions: List[int],
-        steps: int,
-        results: List[Optional[PredictionResult]],
-    ) -> None:
-        """One same-steps group: one batched transform, one
-        horizon-table gather, and two fleet-wide classifier einsums."""
+        items: Sequence[Tuple[str, int]],
+        final: np.ndarray,
+        sel: np.ndarray,
+        bounds: np.ndarray,
+    ) -> List[PredictionResult]:
+        """Eq. (1)/(2) results for ``(vm, steps)`` items from predicted
+        distributions.
+
+        Item ``j`` owns rows ``bounds[j]:bounds[j + 1]`` of ``final``
+        (``(rows, n)``, its VM's attributes in order); ``sel`` is each
+        row's global attribute index.  Soft strengths are two
+        fleet-wide einsums over every row; a ``"hard"`` predictor
+        instead gathers the unclipped ratio at its expected bins.
+        """
         tensors = self._tensors
-        bins, sel, bounds = self._gather(
-            [batch[i] for i in positions], self._stacked.history_needed
-        )
-        final = self._horizon_rows(steps, sel, bins)
         rel_parent = tensors.rel_parent[sel]
         parent_local = rel_parent + np.repeat(
             bounds[:-1], np.diff(bounds)
@@ -470,8 +517,8 @@ class FleetScorer:
             )
         strengths_all = np.where(mask, strengths_all, 0.0)
         diff_hard = tensors.diff_hard[sel]
-        for j, i in enumerate(positions):
-            vm = batch[i][0]
+        results: List[PredictionResult] = []
+        for j, (vm, steps) in enumerate(items):
             predictor = self.predictors[vm]
             lo, hi = bounds[j], bounds[j + 1]
             predicted = expected_bins(final[lo:hi])
@@ -483,7 +530,8 @@ class FleetScorer:
                 strengths = np.where(mask[lo:hi], raw, 0.0)
             else:
                 strengths = strengths_all[lo:hi]
-            results[i] = PredictionResult.from_score(
+            results.append(PredictionResult.from_score(
                 strengths.sum() + tensors.prior_diff[vm],
                 predicted, strengths, predictor.attributes, steps,
-            )
+            ))
+        return results

@@ -21,13 +21,14 @@ measurements to adapt to dynamic systems".
 
 Performance notes (see ``docs/performance.md``): the smoothed
 transition matrix is cached with dirty-flag invalidation on
-:meth:`fit`/:meth:`update`, multi-step propagation runs as tensor
-contractions over the combined-state distribution, and
-:meth:`predict_distributions` returns *every* intermediate horizon of
-one propagation so look-ahead sweeps do the O(steps) work once.
-:meth:`~MarkovModel._build_transition_matrix` is the uncached builder
-behind :meth:`~MarkovModel.transition_matrix`.  The pre-vectorization
-propagation is a test oracle in ``tests/core/oracles.py``.
+:meth:`fit`/:meth:`update`, and multi-step propagation is one
+recurrence, :func:`propagate`, over a stack of chains: the predictor's
+fleet-stacked operator runs it over every chain it holds, and a single
+chain's :meth:`~MarkovModel.predict_distributions` runs it as a one-row
+stack.  :meth:`~MarkovModel._build_transition_matrix` is the uncached
+builder behind :meth:`~MarkovModel.transition_matrix`.  The
+pre-vectorization propagation is a test oracle in
+``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "TwoDependentMarkovModel",
     "expected_bin",
     "expected_bins",
+    "propagate",
 ]
 
 
@@ -66,6 +68,43 @@ def expected_bins(distributions: np.ndarray) -> np.ndarray:
 def expected_bin(distribution: np.ndarray) -> int:
     """Expectation-rounded bin of one state distribution."""
     return int(expected_bins(distribution))
+
+
+def propagate(
+    tensor: np.ndarray, histories: np.ndarray, steps: int
+) -> np.ndarray:
+    """The look-ahead recurrence over a stack of ``a`` chains.
+
+    ``tensor`` is ``(a, cur, next)`` for first-order chains and ``(a,
+    prev, cur, next)`` for 2-dependent ones; ``histories`` is an
+    integer ``(>= history_needed, a)`` matrix of trailing states, oldest
+    first.  Returns ``(steps, a, n)``: slice ``[k, j]`` is chain ``j``'s
+    distribution ``k + 1`` transitions ahead.  The einsum reductions
+    are independent along the chain axis, so any row subset of a stack
+    (one chain included) propagates to the same bits as the full stack.
+    """
+    a, n = tensor.shape[0], tensor.shape[-1]
+    out = np.empty((steps, a, n))
+    chains = np.arange(a)
+    if tensor.ndim == 4:
+        combined = np.zeros((a, n, n))  # combined[a, prev, cur]
+        combined[chains, histories[-2], histories[-1]] = 1.0
+        for k in range(steps):
+            # One contraction advances (prev, cur) -> (cur, next):
+            # combined'[a, c, x] = sum_p combined[a, p, c] *
+            # tensor[a, p, c, x], and marginalizing the new "previous"
+            # axis gives the single-state distribution at this horizon.
+            # (einsum, not BLAS matmul, whose accumulation order would
+            # depend on the stack's shape in the last ulp.)
+            combined = np.einsum("apc,apcx->acx", combined, tensor)
+            out[k] = combined.sum(axis=1)
+    else:
+        dist = np.zeros((a, n))
+        dist[chains, histories[-1]] = 1.0
+        for k in range(steps):
+            dist = np.einsum("ac,acx->ax", dist, tensor)
+            out[k] = dist
+    return out
 
 
 class MarkovModel:
@@ -106,10 +145,6 @@ class MarkovModel:
 
     # -- subclass hooks -------------------------------------------------
     def _n_condition_states(self) -> int:
-        raise NotImplementedError
-
-    def _condition_index(self, history: Sequence[int]) -> int:
-        """Row index for the conditioning state given trailing history."""
         raise NotImplementedError
 
     def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -191,6 +226,15 @@ class MarkovModel:
             self._matrix_cache = matrix
         return self._matrix_cache
 
+    def operator(self) -> np.ndarray:
+        """The transition matrix as a :func:`propagate` tensor row:
+        ``(cur, next)``, or ``(prev, cur, next)`` for a 2-dependent
+        chain."""
+        n = self.n_states
+        return self.transition_matrix().reshape(
+            (n,) * (self.history_needed + 1)
+        )
+
     # -- prediction --------------------------------------------------------
     def _check_prediction_inputs(self, history: Sequence[int], steps: int) -> None:
         if not self._trained:
@@ -209,8 +253,7 @@ class MarkovModel:
         :attr:`history_needed` of them; extra leading entries are
         ignored).
         """
-        self._check_prediction_inputs(history, steps)
-        return self._predict_all(list(history), steps)[-1]
+        return self.predict_distributions(history, steps)[-1]
 
     def predict_distributions(self, history: Sequence[int], steps: int) -> np.ndarray:
         """State distributions at *every* horizon ``1..steps``.
@@ -222,10 +265,10 @@ class MarkovModel:
         bitwise-identical to ``predict_distribution(history, k + 1)``.
         """
         self._check_prediction_inputs(history, steps)
-        return self._predict_all(list(history), steps)
-
-    def _predict_all(self, history: Sequence[int], steps: int) -> np.ndarray:
-        raise NotImplementedError
+        histories = np.asarray(history, dtype=np.intp)[-self.history_needed:]
+        return propagate(
+            self.operator()[None], histories[:, None], steps
+        )[:, 0]
 
     def predict_state(self, history: Sequence[int], steps: int = 1) -> int:
         """Expected state ``steps`` ahead (distribution mean, rounded).
@@ -294,29 +337,11 @@ class SimpleMarkovModel(MarkovModel):
     def _n_condition_states(self) -> int:
         return self.n_states
 
-    def _condition_index(self, history: Sequence[int]) -> int:
-        return int(history[-1])
-
     def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return seq[:-1], seq[1:]
 
     def _persistence_targets(self) -> np.ndarray:
         return np.arange(self.n_states)
-
-    def _predict_all(self, history: Sequence[int], steps: int) -> np.ndarray:
-        matrix = self.transition_matrix()
-        dist = np.zeros(self.n_states)
-        dist[self._condition_index(history)] = 1.0
-        out = np.empty((steps, self.n_states))
-        for k in range(steps):
-            # einsum rather than `dist @ matrix`: the stacked operator
-            # (BatchedAttributeChains) advances with the same einsum
-            # kernel plus a batch axis, which keeps the two paths
-            # bitwise-identical; BLAS matmul orders the accumulation
-            # differently in the last ulp.
-            dist = np.einsum("c,cx->x", dist, matrix)
-            out[k] = dist
-        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,31 +372,12 @@ class TwoDependentMarkovModel(MarkovModel):
         """Combined-state index for a (previous, current) pair."""
         return int(prev) * self.n_states + int(cur)
 
-    def _condition_index(self, history: Sequence[int]) -> int:
-        return self.encode(history[-2], history[-1])
-
     def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         rows = seq[:-2] * self.n_states + seq[1:-1]
         return rows, seq[2:]
 
     def _persistence_targets(self) -> np.ndarray:
         return _stay_put_targets(self.n_states)
-
-    def _predict_all(self, history: Sequence[int], steps: int) -> np.ndarray:
-        n = self.n_states
-        # tensor[prev, cur, next] = P(next | combined state (prev, cur)).
-        tensor = self.transition_matrix().reshape(n, n, n)
-        combined = np.zeros((n, n))  # combined[prev, cur]
-        combined[int(history[-2]), int(history[-1])] = 1.0
-        out = np.empty((steps, n))
-        for k in range(steps):
-            # One contraction advances (prev, cur) -> (cur, next):
-            # combined'[c, x] = sum_p combined[p, c] * tensor[p, c, x],
-            # and marginalizing the new "previous" axis gives the
-            # single-state distribution at this horizon.
-            combined = np.einsum("pc,pcx->cx", combined, tensor)
-            out[k] = combined.sum(axis=0)
-        return out
 
 
 #: Snapshot tags for the two chain variants (see ``to_dict``).

@@ -12,21 +12,21 @@ trained over the concatenated attributes of every VM (see
 :func:`monolithic_attributes` and
 :meth:`AnomalyPredictor.concat_histories`).
 
-The per-tick prediction (13 chains × a multi-step look-ahead window,
-every 5 s, for every VM) is the unit of work the paper's scalability
-argument rests on, so it is fully vectorized: all of a VM's
-per-attribute chains are stacked into one
-:class:`BatchedAttributeChains` operator and propagated as a single
-tensor contraction per step, and the classifiers score with
-precomputed log-CPT tensors (see ``docs/performance.md``).  The
-pre-vectorization code path is the test oracle ``oracle_predict`` in
-``tests/core/oracles.py``.
+This module fits the models and stacks their chains.  There is one
+scoring path, :class:`~repro.core.fleet.FleetScorer`: the
+controller and the servers score whole fleets through it, and
+:meth:`AnomalyPredictor.predict`, :meth:`~AnomalyPredictor.
+predict_horizons` and :meth:`~AnomalyPredictor.classify_current`
+answer through a cached one-VM scorer.  The scorer propagates stacked
+chains with :class:`BatchedAttributeChains` (see
+``docs/performance.md``).  The pre-vectorization code path is the test
+oracle ``oracle_predict`` in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,12 @@ from repro.core.markov import (
     MarkovModel,
     SimpleMarkovModel,
     TwoDependentMarkovModel,
-    expected_bins,
+    propagate,
 )
 from repro.core.tan import TANClassifier
+
+if TYPE_CHECKING:
+    from repro.core.fleet import FleetScorer
 
 __all__ = [
     "AnomalyPredictor",
@@ -113,13 +116,13 @@ def monolithic_attributes(
 
 
 class BatchedAttributeChains:
-    """All of one VM's per-attribute Markov chains as one tensor operator.
+    """Many same-shaped Markov chains as one tensor operator.
 
-    Stacks the smoothed transition matrices of ``n_attrs`` same-shaped
-    chains into a ``(n_attrs, n_condition_states, n_states)`` tensor
-    and propagates *every* attribute's state distribution
-    simultaneously — one contraction per look-ahead step instead of
-    ``n_attrs`` separate matrix products per step.
+    Stacks the chains' :meth:`~repro.core.markov.MarkovModel.operator`
+    rows into one ``(n_attrs, [prev,] cur, next)`` tensor and
+    propagates any subset of them with one contraction per look-ahead
+    step (:func:`~repro.core.markov.propagate`) instead of one matrix
+    product per chain per step.
 
     The operator snapshots each model's training version at build
     time; :meth:`fresh` reports whether any underlying chain has been
@@ -142,16 +145,8 @@ class BatchedAttributeChains:
         self.n_states = models[0].n_states
         self.two_dependent = isinstance(models[0], TwoDependentMarkovModel)
         self.history_needed = models[0].history_needed
-        n = self.n_states
-        stacked = np.stack([m.transition_matrix() for m in models])
-        if self.two_dependent:
-            #: (n_attrs, prev, cur, next)
-            self._tensor = np.ascontiguousarray(
-                stacked.reshape(len(models), n, n, n)
-            )
-        else:
-            #: (n_attrs, cur, next)
-            self._tensor = np.ascontiguousarray(stacked)
+        #: (n_attrs, [prev,] cur, next)
+        self._tensor = np.stack([m.operator() for m in models])
         self._versions = tuple(m._version for m in models)
 
     @property
@@ -206,14 +201,9 @@ class BatchedAttributeChains:
                 )
             if not m._trained:
                 raise ValueError("replacement chains must be trained")
-        n = self.n_states
-        stacked = np.stack([m.transition_matrix() for m in models])
-        if self.two_dependent:
-            self._tensor[start:start + len(models)] = stacked.reshape(
-                len(models), n, n, n
-            )
-        else:
-            self._tensor[start:start + len(models)] = stacked
+        self._tensor[start:start + len(models)] = [
+            m.operator() for m in models
+        ]
         all_models = list(self._models)
         all_versions = list(self._versions)
         all_models[start:start + len(models)] = models
@@ -223,40 +213,16 @@ class BatchedAttributeChains:
         self._models = tuple(all_models)
         self._versions = tuple(all_versions)
 
-    def predict_all(self, histories: np.ndarray, steps: int) -> np.ndarray:
-        """Distributions for every attribute at every horizon.
-
-        ``histories`` is a ``(>= history_needed, n_attrs)`` integer
-        matrix of trailing observed states, oldest first (one column
-        per attribute).  Returns ``(steps, n_attrs, n_states)``; slice
-        ``[k, j]`` equals ``models[j].predict_distribution(histories[:,
-        j], k + 1)`` bitwise.
-        """
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        histories = np.asarray(histories, dtype=np.intp)
-        if histories.ndim != 2 or histories.shape[1] != self.n_attrs:
-            raise ValueError(
-                f"expected (n, {self.n_attrs}) histories, got {histories.shape}"
-            )
-        if histories.shape[0] < self.history_needed:
-            raise ValueError(
-                f"need {self.history_needed} trailing states, "
-                f"got {histories.shape[0]}"
-            )
-        return self._propagate(self._tensor, histories, steps)
-
     def predict_subset(
         self, histories: np.ndarray, attrs_idx: np.ndarray, steps: int
     ) -> np.ndarray:
-        """Distributions for a *subset* of the stacked attributes.
+        """Distributions of the stacked chains ``attrs_idx`` at every
+        horizon ``1..steps``, ``(steps, len(attrs_idx), n_states)``.
 
-        Identical to :meth:`predict_all` restricted to the attribute
-        indices in ``attrs_idx`` — the einsum reductions are
-        independent along the attribute axis, so slice ``[k, i]``
-        equals ``predict_all(full_histories, steps)[k, attrs_idx[i]]``
-        bitwise.  Lets a fleet-wide operator score only the VMs with
-        pending samples.
+        ``histories`` is a ``(>= history_needed, len(attrs_idx))``
+        integer matrix of trailing observed states, oldest first.  The
+        recurrence is independent along the chain axis, so slice ``[k,
+        i]`` does not depend on which other chains are in the subset.
         """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps}")
@@ -272,33 +238,11 @@ class BatchedAttributeChains:
                 f"need {self.history_needed} trailing states, "
                 f"got {histories.shape[0]}"
             )
-        return self._propagate(self._tensor[attrs_idx], histories, steps)
+        return propagate(self._tensor[attrs_idx], histories, steps)
 
-    def _propagate(
-        self, tensor: np.ndarray, histories: np.ndarray, steps: int
-    ) -> np.ndarray:
-        """The look-ahead recurrence over ``tensor``'s attribute rows.
 
-        The einsum reductions are independent along the attribute
-        axis, so any row subset of the stack propagates to the same
-        bits as the full stack.
-        """
-        a, n = tensor.shape[0], self.n_states
-        out = np.empty((steps, a, n))
-        attrs = np.arange(a)
-        if self.two_dependent:
-            combined = np.zeros((a, n, n))
-            combined[attrs, histories[-2], histories[-1]] = 1.0
-            for k in range(steps):
-                combined = np.einsum("apc,apcx->acx", combined, tensor)
-                out[k] = combined.sum(axis=1)
-        else:
-            dist = np.zeros((a, n))
-            dist[attrs, histories[-1]] = 1.0
-            for k in range(steps):
-                dist = np.einsum("ac,acx->ax", dist, tensor)
-                out[k] = dist
-        return out
+#: The VM key a predictor's one-VM scorer files it under.
+_ONE_VM = "vm"
 
 
 class AnomalyPredictor:
@@ -347,7 +291,8 @@ class AnomalyPredictor:
         self.discretizer = Discretizer(n_bins=n_bins)
         self.value_models: List[MarkovModel] = []
         self.robust = robust
-        self._batched: Optional[BatchedAttributeChains] = None
+        #: This predictor as a one-VM fleet (see :meth:`_one_vm`).
+        self._scorer: Optional["FleetScorer"] = None
         if classifier == "tan":
             self.classifier: "TANClassifier | NaiveBayesClassifier" = TANClassifier(
                 n_bins=n_bins, smoothing=smoothing, class_prior=class_prior,
@@ -434,11 +379,9 @@ class AnomalyPredictor:
                 "segment shorter than the chain history); need longer "
                 "contiguous runs"
             )
-        batched = BatchedAttributeChains(chains)
         # The classifier validates before it mutates, so it goes first.
         self.classifier.fit(binned, labels)
         self.discretizer, self.value_models = discretizer, chains
-        self._batched = batched
         self._trained = True
         return self
 
@@ -449,40 +392,22 @@ class AnomalyPredictor:
         if not self._trained:
             raise RuntimeError("predictor is not trained")
 
+    def _one_vm(self) -> "FleetScorer":
+        """This predictor as a one-VM :class:`~repro.core.fleet.
+        FleetScorer`, the one scoring path.  Built on first use and
+        kept: the scorer's staleness rule repairs it after a refit (a
+        shallow copy of the predictor builds its own)."""
+        self._require_trained()
+        if self._scorer is None or self._scorer.predictors[_ONE_VM] is not self:
+            # fleet imports this module, so import it on first use.
+            from repro.core.fleet import FleetScorer
+
+            self._scorer = FleetScorer({_ONE_VM: self})
+        return self._scorer
+
     def classify_current(self, values: Sequence[float]) -> PredictionResult:
         """Classify the *observed* current state (the reactive path)."""
-        self._require_trained()
-        bins = self.discretizer.transform(np.asarray(values, dtype=float))
-        return self._classify(tuple(int(b) for b in bins), steps=0)
-
-    def _check_recent(self, recent_values: np.ndarray, steps: int) -> np.ndarray:
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        recent = np.asarray(recent_values, dtype=float)
-        if recent.ndim != 2 or recent.shape[1] != len(self.attributes):
-            raise ValueError(
-                f"expected (n, {len(self.attributes)}) recent values, "
-                f"got {recent.shape}"
-            )
-        if recent.shape[0] < self.history_needed:
-            raise ValueError(
-                f"need {self.history_needed} recent samples, got {recent.shape[0]}"
-            )
-        return recent
-
-    def _distributions_all(self, binned: np.ndarray, steps: int) -> np.ndarray:
-        """(steps, n_attrs, n_bins) attribute distributions at every
-        horizon, through the stacked-tensor operator."""
-        batched = self._batched
-        if (
-            batched is None
-            or not batched.fresh()
-            or batched.n_attrs != len(self.value_models)
-        ):
-            # A chain was updated behind the operator's back: re-stack
-            # from the live models rather than propagate stale rows.
-            batched = self._batched = BatchedAttributeChains(self.value_models)
-        return batched.predict_all(binned, steps)
+        return self._one_vm().classify_batch([(_ONE_VM, values)])[0]
 
     def predict(self, recent_values: np.ndarray, steps: int) -> PredictionResult:
         """Classify the *predicted* state ``steps`` samples ahead.
@@ -490,62 +415,18 @@ class AnomalyPredictor:
         ``recent_values`` is a (>= history_needed, n_attributes) matrix
         of the most recent raw samples, oldest first.
         """
-        self._require_trained()
-        recent = self._check_recent(recent_values, steps)
-        binned = self.discretizer.transform(recent)
-        final = self._distributions_all(binned, steps)[-1]
-        predicted_bins = tuple(int(b) for b in expected_bins(final))
-        if self.prediction_mode == "hard":
-            return self._classify(predicted_bins, steps=steps)
-        return self._classify_soft(list(final), predicted_bins, steps)
+        return self._one_vm().score([(_ONE_VM, recent_values, steps)])[0]
 
     def predict_horizons(
         self, recent_values: np.ndarray, steps: int
     ) -> List[PredictionResult]:
         """Classify the predicted state at *every* horizon ``1..steps``.
 
-        One chain propagation plus one batched classifier evaluation
-        covers the whole look-ahead sweep; entry ``k`` equals
-        ``predict(recent_values, k + 1)`` (iterative propagation visits
-        the same intermediate distributions, and the batched classifier
-        scores each horizon with the same tensors as the single-sample
-        path).
+        One chain propagation covers the whole look-ahead sweep; entry
+        ``k`` equals ``predict(recent_values, k + 1)`` (see
+        :meth:`~repro.core.fleet.FleetScorer.score_horizons`).
         """
-        self._require_trained()
-        recent = self._check_recent(recent_values, steps)
-        binned = self.discretizer.transform(recent)
-        dists = self._distributions_all(binned, steps)  # (steps, a, n)
-        bins = expected_bins(dists)                      # (steps, a)
-        if self.prediction_mode == "hard":
-            scores = self.classifier.log_odds_batch(bins)
-            strengths = self.classifier.strengths_batch(bins)
-        else:
-            strengths = self.classifier.expected_strengths_batch(dists)
-            scores = self.classifier.expected_log_odds_batch(dists)
-        return [
-            PredictionResult.from_score(
-                scores[k], bins[k], strengths[k], self.attributes, k + 1
-            )
-            for k in range(steps)
-        ]
-
-    def _classify_soft(
-        self,
-        distributions: List[np.ndarray],
-        bins: Tuple[int, ...],
-        steps: int,
-    ) -> PredictionResult:
-        return PredictionResult.from_score(
-            self.classifier.expected_log_odds(distributions), bins,
-            self.classifier.expected_strengths(distributions),
-            self.attributes, steps,
-        )
-
-    def _classify(self, bins: Tuple[int, ...], steps: int) -> PredictionResult:
-        return PredictionResult.from_score(
-            self.classifier.log_odds(bins), bins,
-            self.classifier.attribute_strengths(bins), self.attributes, steps,
-        )
+        return self._one_vm().score_horizons(_ONE_VM, recent_values, steps)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (model registry hooks)
@@ -555,10 +436,10 @@ class AnomalyPredictor:
 
         Bundles the discretizer bins, every per-attribute chain's raw
         transition counts and the classifier's fitted tables.  All
-        derived scoring state (stacked chain operator, classifier diff
-        tensors, transition-matrix caches) is rebuilt deterministically
-        by :meth:`from_dict`, so the restored predictor's
-        :meth:`predict` output is bitwise-identical to this one's.
+        derived scoring state (classifier diff tensors, transition-matrix
+        caches, the one-VM scorer) is rebuilt deterministically by
+        :meth:`from_dict`, so the restored predictor's :meth:`predict`
+        output is bitwise-identical to this one's.
         """
         return {
             "kind": "predictor",
@@ -620,7 +501,6 @@ class AnomalyPredictor:
                     clf_payload
                 )
             predictor.value_models = models
-            predictor._batched = BatchedAttributeChains(models)
             predictor._trained = True
         else:
             predictor.value_models = models

@@ -29,7 +29,8 @@ count comes from one integer ``np.bincount`` over a combined ``(class,
 i, j, bin_i, bin_j)`` index, all CPTs are built in one pass, and the
 per-attribute log-likelihood-ratio tables are flattened at fit time
 into dense ``(n_attrs, n_bins, n_bins)`` difference tensors so scoring
-is a single vectorized gather (hard path) or contraction (soft path).
+is a single vectorized gather (hard path) or, in
+:class:`~repro.core.fleet.FleetScorer`, one contraction (soft path).
 The pre-vectorization scoring loops are the test oracles in
 ``tests/core/oracles.py``.
 """

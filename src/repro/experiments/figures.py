@@ -287,18 +287,24 @@ def fig13_sampling_intervals(
 # ----------------------------------------------------------------------
 # Table I: system overhead
 # ----------------------------------------------------------------------
-def _time_call(fn, repeat: int = 9) -> Tuple[float, float]:
-    """(median, std) wall time of ``fn`` in milliseconds.
+def _time_calls(fns, repeat: int = 9) -> List[Tuple[float, float]]:
+    """(median, std) wall time of each of ``fns`` in milliseconds.
 
-    The median is robust against the occasional GC pause or scheduler
-    hiccup that would otherwise make tiny (<1 ms) measurements flap.
+    Each repeat times every function once, alternating the order
+    between repeats, so host drift (frequency scaling, a noisy
+    neighbour) lands on all of them alike rather than on whichever ran
+    later.  The median is robust against the occasional GC pause or
+    scheduler hiccup that would otherwise make tiny (<1 ms)
+    measurements flap.
     """
-    samples = []
-    for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        samples.append(1000.0 * (time.perf_counter() - start))
-    return float(np.median(samples)), float(np.std(samples))
+    samples: List[List[float]] = [[] for _ in fns]
+    order = list(range(len(fns)))
+    for r in range(repeat):
+        for i in order if r % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            fns[i]()
+            samples[i].append(1000.0 * (time.perf_counter() - start))
+    return [(float(np.median(s)), float(np.std(s))) for s in samples]
 
 
 def table1_overhead(
@@ -335,40 +341,45 @@ def table1_overhead(
         ["vm1"], ResourceSpec(1.0, 1024.0), spares=0
     )
     monitor = VMMonitor(sim, vms)
-    mean, std = _time_call(lambda: monitor.sample_vm(vms[0], 0.0), repeat=50)
+    mean, std = _time_calls(
+        [lambda: monitor.sample_vm(vms[0], 0.0)], repeat=50
+    )[0]
     rows["vm_monitoring_13_attributes"] = {"mean_ms": mean, "std_ms": std}
 
-    # -- Value-predictor training on 600 samples.
+    # -- Value-predictor training on 600 samples, the two chain
+    #    variants timed in turn so they see the same host.
     states = rng.integers(0, n_bins, training_samples)
-    mean, std = _time_call(
+    simple, two_dep = _time_calls([
         lambda: [SimpleMarkovModel(n_bins).fit(states) for _ in range(n_attributes)],
-        repeat=15,
-    )
-    rows["simple_markov_training_600"] = {"mean_ms": mean, "std_ms": std}
-    mean, std = _time_call(
         lambda: [
             TwoDependentMarkovModel(n_bins).fit(states)
             for _ in range(n_attributes)
         ],
-        repeat=15,
-    )
-    rows["two_dep_markov_training_600"] = {"mean_ms": mean, "std_ms": std}
+    ], repeat=45)
+    for name, (mean, std) in (
+        ("simple_markov_training_600", simple),
+        ("two_dep_markov_training_600", two_dep),
+    ):
+        rows[name] = {"mean_ms": mean, "std_ms": std}
 
     # -- TAN training on 600 samples.
     X = rng.integers(0, n_bins, (training_samples, n_attributes))
     y = (rng.random(training_samples) < 0.2).astype(int)
-    mean, std = _time_call(lambda: TANClassifier(n_bins).fit(X, y))
+    mean, std = _time_calls([lambda: TANClassifier(n_bins).fit(X, y)])[0]
     rows["tan_training_600"] = {"mean_ms": mean, "std_ms": std}
 
     # -- One anomaly prediction (value prediction + classification +
-    #    attribution) over 13 attributes.
+    #    attribution) over 13 attributes, through the one scoring path
+    #    (the predictor's one-VM FleetScorer).
     values = rng.normal(50.0, 10.0, (training_samples, n_attributes))
     labels = y
     predictor = AnomalyPredictor([f"a{i}" for i in range(n_attributes)],
                                  n_bins=n_bins)
     predictor.train(values, labels)
     recent = values[-2:]
-    mean, std = _time_call(lambda: predictor.predict(recent, steps=6), repeat=20)
+    mean, std = _time_calls(
+        [lambda: predictor.predict(recent, steps=6)], repeat=20
+    )[0]
     rows["anomaly_prediction"] = {"mean_ms": mean, "std_ms": std}
 
     # -- Prevention verbs: the platform latencies (paper Table I values).

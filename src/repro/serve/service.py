@@ -15,10 +15,10 @@ offline controller's fleet-batched tick.
 
 Scoring a sample batched is bitwise-identical to scoring it alone:
 the stacked operator's einsum reductions are independent along the
-attribute axis, and classification stays per-VM through the same
-code path :meth:`AnomalyPredictor.predict` uses.  ``serve_check.py``
-and the replay harness assert alert parity against the offline
-controller end to end.
+attribute axis, and :class:`FleetScorer` is the one scoring path —
+:meth:`AnomalyPredictor.predict` answers through a one-VM scorer.
+``serve_check.py`` and the replay harness assert alert parity against
+the offline controller end to end.
 
 Overload is explicit, never silent: when the pending queue is full
 the service immediately answers ``shed`` (the sample still extends

@@ -34,6 +34,11 @@ scoring loops it replaced, each taking the model as its first argument.
 They used BLAS matmul and Python ``sum``, so
 ``test_vectorized_equivalence.py`` demands allclose scores and
 identical decisions, not bitwise equality.
+
+``src/`` answers ``AnomalyPredictor.predict`` / ``predict_horizons`` /
+``classify_current`` through a one-VM ``FleetScorer``; the
+``oracle_vm_*`` functions are the per-VM scoring copy that replaced,
+and ``test_one_scoring_path.py`` demands bitwise equality with them.
 """
 
 import dataclasses
@@ -59,7 +64,11 @@ from repro.core.bayes import (
     select_attributes,
 )
 from repro.core.localization import DeviationLocalizer
-from repro.core.markov import SimpleMarkovModel, TwoDependentMarkovModel
+from repro.core.markov import (
+    SimpleMarkovModel,
+    TwoDependentMarkovModel,
+    expected_bins,
+)
 from repro.core.predictor import PredictionResult
 from repro.core.tan import CPT_BACKOFF, TANClassifier
 from repro.sim.engine import Simulator
@@ -421,13 +430,21 @@ oracle_expected_log_odds = _per_classifier(
 )
 
 
+def oracle_condition_index(model, history: Sequence[int]) -> int:
+    """Transition-matrix row of the conditioning state of ``history``:
+    the current state, or the ``(prev, cur)`` combined state."""
+    if isinstance(model, TwoDependentMarkovModel):
+        return model.encode(history[-2], history[-1])
+    return int(history[-1])
+
+
 def oracle_simple_propagate(
     model, history: Sequence[int], steps: int
 ) -> np.ndarray:
     """Pre-vectorization first-order propagation (``dist @ matrix``)."""
     matrix = model._build_transition_matrix()
     dist = np.zeros(model.n_states)
-    dist[model._condition_index(history)] = 1.0
+    dist[oracle_condition_index(model, history)] = 1.0
     for _ in range(steps):
         dist = dist @ matrix
     return dist
@@ -441,7 +458,7 @@ def oracle_two_dependent_propagate(
     matrix = model._build_transition_matrix()  # (n^2, n)
     n = model.n_states
     combined = np.zeros(n * n)
-    combined[model._condition_index(history)] = 1.0
+    combined[oracle_condition_index(model, history)] = 1.0
     single = np.zeros(n)
     for _ in range(steps):
         # P(next single state) given the combined-state distribution.
@@ -483,7 +500,7 @@ def oracle_predict(
     classifiers' scalar loops above.
     """
     predictor._require_trained()
-    recent = predictor._check_recent(recent_values, steps)
+    recent = oracle_check_recent(predictor, recent_values, steps)
     binned = predictor.discretizer.transform(recent)
     distributions: List[np.ndarray] = []
     predicted_bins: List[int] = []
@@ -510,6 +527,165 @@ def oracle_predict(
         strengths=strengths,
         attributes=predictor.attributes,
         steps=steps,
+    )
+
+
+# ----------------------------------------------------------------------
+# The per-VM scoring copy
+# ----------------------------------------------------------------------
+# The VM's chains stacked into one operator, then the classifiers'
+# batch methods, as they stood.
+def oracle_check_recent(
+    predictor, recent_values: np.ndarray, steps: int
+) -> np.ndarray:
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    recent = np.asarray(recent_values, dtype=float)
+    if recent.ndim != 2 or recent.shape[1] != len(predictor.attributes):
+        raise ValueError(
+            f"expected (n, {len(predictor.attributes)}) recent values, "
+            f"got {recent.shape}"
+        )
+    if recent.shape[0] < predictor.history_needed:
+        raise ValueError(
+            f"need {predictor.history_needed} recent samples, "
+            f"got {recent.shape[0]}"
+        )
+    return recent
+
+
+def oracle_vm_distributions(
+    predictor, histories: np.ndarray, steps: int
+) -> np.ndarray:
+    """``BatchedAttributeChains(value_models).predict_all``: every
+    attribute's distribution at every horizon, ``(steps, a, n)``."""
+    models = predictor.value_models
+    n = models[0].n_states
+    stacked = np.stack([m.transition_matrix() for m in models])
+    two_dependent = isinstance(models[0], TwoDependentMarkovModel)
+    if two_dependent:
+        tensor = np.ascontiguousarray(stacked.reshape(len(models), n, n, n))
+    else:
+        tensor = np.ascontiguousarray(stacked)
+    histories = np.asarray(histories, dtype=np.intp)
+    a = tensor.shape[0]
+    out = np.empty((steps, a, n))
+    attrs = np.arange(a)
+    if two_dependent:
+        combined = np.zeros((a, n, n))
+        combined[attrs, histories[-2], histories[-1]] = 1.0
+        for k in range(steps):
+            combined = np.einsum("apc,apcx->acx", combined, tensor)
+            out[k] = combined.sum(axis=1)
+    else:
+        dist = np.zeros((a, n))
+        dist[attrs, histories[-1]] = 1.0
+        for k in range(steps):
+            dist = np.einsum("ac,acx->ax", dist, tensor)
+            out[k] = dist
+    return out
+
+
+def oracle_vm_strengths_batch(clf, X) -> np.ndarray:
+    """``BayesClassifier.strengths_batch``: masked Eq. (2) strengths of
+    binned samples, ``(m, a)``."""
+    clf._require_trained()
+    X = np.clip(np.atleast_2d(np.asarray(X, dtype=np.intp)), 0, clf.n_bins - 1)
+    raw = clf._raw_strengths_batch(X)
+    return np.where(clf.attribute_mask[None, :], raw, 0.0)
+
+
+def oracle_vm_log_odds_batch(clf, X) -> np.ndarray:
+    """``BayesClassifier.log_odds_batch``, ``(m,)``."""
+    return oracle_vm_strengths_batch(clf, X).sum(axis=1) + clf._prior_diff
+
+
+def oracle_vm_expected_strengths_batch(clf, D: np.ndarray) -> np.ndarray:
+    """``BayesClassifier.expected_strengths_batch``: expected (soft)
+    strengths of ``(m, a, n)`` distribution sets, ``(m, a)``."""
+    clf._require_trained()
+    D = np.asarray(D, dtype=float)
+    roots = np.flatnonzero(clf.parents < 0)
+    children = np.flatnonzero(clf.parents >= 0)
+    S = np.zeros((D.shape[0], clf.n_attributes))
+    if roots.size:
+        S[:, roots] = np.einsum(
+            "mrc,rc->mr", D[:, roots], clf._diff_soft[roots, 0, :]
+        )
+    if children.size:
+        S[:, children] = np.einsum(
+            "mrp,rpc,mrc->mr",
+            D[:, clf._parent_or_self[children]],
+            clf._diff_soft[children],
+            D[:, children],
+        )
+    return np.where(clf.attribute_mask[None, :], S, 0.0)
+
+
+def oracle_vm_expected_log_odds_batch(clf, D: np.ndarray) -> np.ndarray:
+    """``BayesClassifier.expected_log_odds_batch``, ``(m,)``."""
+    return oracle_vm_expected_strengths_batch(clf, D).sum(axis=1) + (
+        clf._log_prior[ABNORMAL] - clf._log_prior[NORMAL]
+    )
+
+
+def oracle_vm_predict_horizons(
+    predictor, recent_values: np.ndarray, steps: int
+) -> List[PredictionResult]:
+    """The per-VM ``AnomalyPredictor.predict_horizons``."""
+    predictor._require_trained()
+    recent = oracle_check_recent(predictor, recent_values, steps)
+    binned = predictor.discretizer.transform(recent)
+    dists = oracle_vm_distributions(predictor, binned, steps)
+    bins = expected_bins(dists)
+    clf = predictor.classifier
+    if predictor.prediction_mode == "hard":
+        scores = oracle_vm_log_odds_batch(clf, bins)
+        strengths = oracle_vm_strengths_batch(clf, bins)
+    else:
+        strengths = oracle_vm_expected_strengths_batch(clf, dists)
+        scores = oracle_vm_expected_log_odds_batch(clf, dists)
+    return [
+        PredictionResult.from_score(
+            scores[k], bins[k], strengths[k], predictor.attributes, k + 1
+        )
+        for k in range(steps)
+    ]
+
+
+def oracle_vm_predict(
+    predictor, recent_values: np.ndarray, steps: int
+) -> PredictionResult:
+    """The per-VM ``AnomalyPredictor.predict``: the last horizon of one
+    propagation, scored as a single sample."""
+    predictor._require_trained()
+    recent = oracle_check_recent(predictor, recent_values, steps)
+    binned = predictor.discretizer.transform(recent)
+    final = oracle_vm_distributions(predictor, binned, steps)[-1]
+    bins = tuple(int(b) for b in expected_bins(final))
+    clf = predictor.classifier
+    if predictor.prediction_mode == "hard":
+        return PredictionResult.from_score(
+            clf.log_odds(bins), bins, clf.attribute_strengths(bins),
+            predictor.attributes, steps,
+        )
+    D = np.asarray(final)[None]
+    return PredictionResult.from_score(
+        float(oracle_vm_expected_log_odds_batch(clf, D)[0]), bins,
+        [float(v) for v in oracle_vm_expected_strengths_batch(clf, D)[0]],
+        predictor.attributes, steps,
+    )
+
+
+def oracle_vm_classify_current(predictor, values) -> PredictionResult:
+    """The per-VM ``AnomalyPredictor.classify_current``."""
+    predictor._require_trained()
+    bins = predictor.discretizer.transform(np.asarray(values, dtype=float))
+    bins = tuple(int(b) for b in bins)
+    clf = predictor.classifier
+    return PredictionResult.from_score(
+        clf.log_odds(bins), bins, clf.attribute_strengths(bins),
+        predictor.attributes,
     )
 
 

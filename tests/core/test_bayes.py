@@ -13,6 +13,8 @@ from repro.core.bayes import (
 )
 from repro.core.tan import TANClassifier
 
+from .soft_scoring import score_distributions
+
 
 def labelled_data(n=200, n_bins=8, seed=0):
     """Attribute 0 carries the class signal; attribute 1-2 are noise."""
@@ -159,21 +161,9 @@ class TestSoftClassification:
             dists.append(d)
         # Clipping makes these differ when |L| > clip, so compare to
         # the clipped point strengths.
-        expected = clf.expected_strengths(dists)
+        _scores, expected = score_distributions(clf, [dists])
         point = np.clip(clf.attribute_strengths(x), -2.5, 2.5)
-        np.testing.assert_allclose(expected, point, atol=1e-9)
-
-    def test_wrong_distribution_count_rejected(self):
-        X, y = labelled_data()
-        clf = NaiveBayesClassifier(8).fit(X, y)
-        with pytest.raises(ValueError):
-            clf.expected_strengths([np.ones(8) / 8])
-
-    def test_wrong_distribution_width_rejected(self):
-        X, y = labelled_data()
-        clf = NaiveBayesClassifier(8).fit(X, y)
-        with pytest.raises(ValueError):
-            clf.expected_strengths([np.ones(4) / 4] * 3)
+        np.testing.assert_allclose(expected[0], point, atol=1e-9)
 
 
 class TestOrdinalSmooth:
@@ -275,19 +265,15 @@ class TestNaiveIsRootOnlyTAN:
         # Out-of-range bins exercise the clip as well.
         X = rng.integers(-1, b + 1, size=(64, a))
         D = rng.dirichlet(np.ones(b), size=(16, a))
-        for method in ("log_odds_batch", "strengths_batch"):
-            got, want = getattr(naive, method)(X), getattr(tan, method)(X)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), method
-        for method in ("expected_strengths_batch", "expected_log_odds_batch"):
-            got, want = getattr(naive, method)(D), getattr(tan, method)(D)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), method
-        for x in X[:16]:
+        for x in X:
             assert naive.log_odds(x) == tan.log_odds(x)
             assert naive.attribute_strengths(x) == tan.attribute_strengths(x)
-        for dists in D:
-            assert (naive.expected_strengths(list(dists))
-                    == tan.expected_strengths(list(dists)))
-            assert (naive.expected_log_odds(list(dists))
-                    == tan.expected_log_odds(list(dists)))
+        # The scorer reads these tensors and nothing else.
+        for name in ("_diff_hard", "_diff_soft", "_parent_or_self",
+                     "parents", "attribute_mask", "_log_prior"):
+            got, want = getattr(naive, name), getattr(tan, name)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        for got, want in zip(score_distributions(naive, D),
+                             score_distributions(tan, D)):
+            assert got.tobytes() == want.tobytes()

@@ -75,6 +75,31 @@ class TestEpisodeTracking:
         # The high-score sample's attribute must dominate the mean.
         assert merged.strengths[1] > merged.strengths[0]
 
+    def test_window_average_floors_weights_at_a_tenth(self):
+        # A barely-abnormal sample (score 0.05) weighs 0.1, a confident
+        # one (0.5) its score: the confident sample's metric ranks
+        # first even though the weak one's raw strength is larger.
+        _testbed, managed = deployed()
+        controller = managed.controller
+        attrs = controller.attributes
+        weak = [0.0] * ATTRS_N
+        weak[0] = 1.0
+        confident = [0.0] * ATTRS_N
+        confident[1] = 0.8
+        controller._note_strengths(
+            "vm_db", fake_result(attrs, score=0.05, strengths=weak)
+        )
+        controller._note_strengths(
+            "vm_db", fake_result(attrs, score=0.5, strengths=confident)
+        )
+        merged = controller._window_averaged(
+            "vm_db", fake_result(attrs, score=0.5, strengths=confident)
+        )
+        assert merged.ranked_attributes()[0][0] == attrs[1]
+        np.testing.assert_allclose(
+            merged.strengths[:2], [0.1 / 0.6, 0.4 / 0.6]
+        )
+
     def test_fresh_violation_clears_all_episodes(self):
         testbed, managed = deployed()
         controller = managed.controller

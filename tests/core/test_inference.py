@@ -93,9 +93,12 @@ class TestWorkloadChange:
         assert inference.is_workload_change(windows)
 
     def test_single_component_shift_is_internal_fault(self):
+        # A workload change moves *every* component (Sec. II-C); one or
+        # two shifted components out of three are an internal fault.
         inference = CauseInference()
-        windows = self._windows({"vm1"})
-        assert not inference.is_workload_change(windows)
+        for shifted in ({"vm1"}, {"vm0", "vm1"}):
+            windows = self._windows(shifted)
+            assert not inference.is_workload_change(windows), shifted
 
     def test_empty_windows(self):
         assert not CauseInference().is_workload_change({})

@@ -43,6 +43,13 @@ def snapshot(clf) -> bytes:
     return json.dumps(clf.to_dict(), sort_keys=True).encode()
 
 
+def assert_point_scores_identical(got, want, probe):
+    """Eq. (1) and (2) of every probe row, bit for bit."""
+    for x in probe:
+        assert got.log_odds(x) == want.log_odds(x)
+        assert got.attribute_strengths(x) == want.attribute_strengths(x)
+
+
 # ----------------------------------------------------------------------
 # Counts and tables
 # ----------------------------------------------------------------------
@@ -56,12 +63,8 @@ def test_tan_fit_is_bitwise_the_onehot_fit(prior, robust, rows):
     assert snapshot(new) == snapshot(old)
     # Probe every bin, the unvisited one included.
     probe = np.random.default_rng(1).integers(0, N_BINS, size=(256, N_ATTRS))
-    for method in ("log_odds_batch", "strengths_batch"):
-        assert (
-            getattr(new, method)(probe).tobytes()
-            == getattr(old, method)(probe).tobytes()
-        )
-    for name in ("_diff_hard", "_diff_soft", "_root_diff_soft"):
+    assert_point_scores_identical(new, old, probe)
+    for name in ("_diff_hard", "_diff_soft", "_parent_or_self"):
         got, want = getattr(new, name), getattr(old, name)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.flags.c_contiguous == want.flags.c_contiguous
@@ -97,11 +100,7 @@ def assert_classifiers_identical(got, want):
     for name in ("_diff_hard", "_diff_soft"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     probe = np.random.default_rng(2).integers(0, N_BINS, size=(128, N_ATTRS))
-    for method in ("log_odds_batch", "strengths_batch"):
-        assert (
-            getattr(got, method)(probe).tobytes()
-            == getattr(want, method)(probe).tobytes()
-        )
+    assert_point_scores_identical(got, want, probe)
 
 
 @pytest.mark.parametrize("cls", [NaiveBayesClassifier, TANClassifier])

@@ -8,6 +8,8 @@ from repro.core.arrays import pack_array, unpack_array
 from repro.core.bayes import NotTrainedError
 from repro.core.tan import TANClassifier
 
+from .soft_scoring import score_distributions
+
 
 def correlated_data(n=400, n_bins=8, seed=0):
     """a0 drives the class; a1 copies a0 (strong dependency); a2 noise."""
@@ -127,21 +129,15 @@ class TestSoftClassification:
             d = np.zeros(8)
             d[row[j]] = 1.0
             dists.append(d)
-        soft = clf.expected_log_odds(dists)
+        (soft,), _strengths = score_distributions(clf, [dists])
         hard = sum(np.clip(clf.attribute_strengths(row), -2.5, 2.5))
         assert soft == pytest.approx(hard, abs=1e-9)
 
     def test_uniform_dists_give_finite_score(self):
         X, y = correlated_data()
         clf = TANClassifier(8).fit(X, y)
-        score = clf.expected_log_odds([np.ones(8) / 8] * 3)
+        (score,), _strengths = score_distributions(clf, [[np.ones(8) / 8] * 3])
         assert np.isfinite(score)
-
-    def test_distribution_validation(self):
-        X, y = correlated_data()
-        clf = TANClassifier(8).fit(X, y)
-        with pytest.raises(ValueError):
-            clf.expected_strengths([np.ones(8) / 8] * 2)
 
 
 class TestRobustVsClassic:

@@ -6,9 +6,8 @@ result.  Two tiers of guarantees are asserted here:
 
 * **bitwise** between the new code paths themselves: cached vs
   freshly-built matrices, ``predict_distributions`` rows vs repeated
-  single-horizon calls, stacked-operator vs scalar-fallback
-  propagation, and batch vs single-sample classifier scoring (the
-  scalar methods route through the batch ones);
+  single-horizon calls, and a stacked operator vs each chain on its
+  own;
 * **allclose + identical discrete decisions** against the
   pre-vectorization loops kept in ``oracles.py``: those used
   different BLAS kernels / summation orders, so the last float ulp can
@@ -18,7 +17,7 @@ result.  Two tiers of guarantees are asserted here:
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.bayes import NaiveBayesClassifier, select_attributes
 from repro.core.markov import (
@@ -26,7 +25,11 @@ from repro.core.markov import (
     TwoDependentMarkovModel,
     expected_bins,
 )
-from repro.core.predictor import AnomalyPredictor, BatchedAttributeChains
+from repro.core.predictor import (
+    AnomalyPredictor,
+    BatchedAttributeChains,
+    PredictionResult,
+)
 from repro.core.tan import TANClassifier
 from repro.core.unsupervised import OutlierDetector, rolling_outlier_flags
 
@@ -40,6 +43,7 @@ from .oracles import (
     oracle_strengths,
     oracle_tan_raw_strengths,
 )
+from .soft_scoring import score_distributions
 
 N_STATES = 6
 
@@ -134,7 +138,7 @@ class TestBatchedChains:
         ]
         batched = BatchedAttributeChains(models)
         histories = rng.integers(0, N_STATES, size=(3, n_attrs))
-        stacked = batched.predict_all(histories, steps)
+        stacked = batched.predict_subset(histories, np.arange(n_attrs), steps)
         assert stacked.shape == (steps, n_attrs, N_STATES)
         for j, model in enumerate(models):
             expected = model.predict_distributions(
@@ -210,29 +214,6 @@ class TestClassifierEquivalence:
             tan.attribute_mask, select_attributes(reference_strengths, y)
         )
 
-    @given(data=st.data())
-    @settings(
-        max_examples=40, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    def test_batch_scoring_is_bitwise_scalar(self, trained_classifiers, data):
-        tan, naive, _, _, b = trained_classifiers
-        m = data.draw(st.integers(1, 6))
-        X = np.array([
-            data.draw(
-                st.lists(st.integers(0, b - 1), min_size=9, max_size=9)
-            )
-            for _ in range(m)
-        ])
-        for clf in (tan, naive):
-            odds = clf.log_odds_batch(X)
-            strengths = clf.strengths_batch(X)
-            for k, row in enumerate(X):
-                assert odds[k] == clf.log_odds(row)
-                np.testing.assert_array_equal(
-                    strengths[k], np.asarray(clf.attribute_strengths(row))
-                )
-
     def test_scoring_matches_reference_on_seeded_samples(
         self, trained_classifiers
     ):
@@ -251,34 +232,19 @@ class TestClassifierEquivalence:
                 )
                 assert clf.classify(x) == (oracle_log_odds(clf, x) > 0.0)
 
-    def test_expected_batch_is_bitwise_scalar(self, trained_classifiers):
-        tan, naive, _, _, b = trained_classifiers
-        rng = np.random.default_rng(29)
-        D = rng.dirichlet(np.ones(b), size=(4, 9))
-        for clf in (tan, naive):
-            strengths = clf.expected_strengths_batch(D)
-            odds = clf.expected_log_odds_batch(D)
-            for k in range(D.shape[0]):
-                assert odds[k] == clf.expected_log_odds(list(D[k]))
-                np.testing.assert_array_equal(
-                    strengths[k],
-                    np.asarray(clf.expected_strengths(list(D[k]))),
-                )
-
     def test_expected_scoring_matches_reference(self, trained_classifiers):
         tan, naive, _, _, b = trained_classifiers
         rng = np.random.default_rng(31)
         for clf in (tan, naive):
-            for _ in range(20):
-                D = list(rng.dirichlet(np.ones(b), size=9))
+            D = rng.dirichlet(np.ones(b), size=(20, 9))
+            scores, strengths = score_distributions(clf, D)
+            for k in range(D.shape[0]):
                 np.testing.assert_allclose(
-                    clf.expected_strengths(D),
-                    oracle_expected_strengths(clf, D),
+                    strengths[k], oracle_expected_strengths(clf, list(D[k])),
                     rtol=1e-10, atol=1e-12,
                 )
                 np.testing.assert_allclose(
-                    clf.expected_log_odds(D),
-                    oracle_expected_log_odds(clf, D),
+                    scores[k], oracle_expected_log_odds(clf, list(D[k])),
                     rtol=1e-10, atol=1e-12,
                 )
 
@@ -288,16 +254,22 @@ class TestClassifierEquivalence:
 # ----------------------------------------------------------------------
 def _per_chain_predict(predictor, recent, steps):
     """Oracle for ``predict``: every chain propagated on its own with
-    :meth:`MarkovModel.predict_distributions`, then the classifier."""
+    :meth:`MarkovModel.predict_distributions`, then the classifier's
+    point API (hard) or the soft row scoring."""
     binned = predictor.discretizer.transform(np.asarray(recent, dtype=float))
     final = np.stack([
         model.predict_distributions(binned[:, j].tolist(), steps)[-1]
         for j, model in enumerate(predictor.value_models)
     ])
     bins = tuple(int(b) for b in expected_bins(final))
+    clf = predictor.classifier
     if predictor.prediction_mode == "hard":
-        return predictor._classify(bins, steps=steps)
-    return predictor._classify_soft(list(final), bins, steps)
+        score, strengths = clf.log_odds(bins), clf.attribute_strengths(bins)
+    else:
+        (score,), (strengths,) = score_distributions(clf, final[None])
+    return PredictionResult.from_score(
+        score, bins, strengths, predictor.attributes, steps
+    )
 
 
 class TestPredictorEquivalence:
@@ -345,19 +317,19 @@ class TestPredictorEquivalence:
         labels = (rng.random(n) < 0.3).astype(int)
         predictor = AnomalyPredictor([f"a{i}" for i in range(a)])
         predictor.train(values, labels)
-        assert predictor._batched is not None and predictor._batched.fresh()
-        # Mutate one chain behind the operator's back; the predictor
-        # must detect staleness, re-stack and answer from the live
-        # chains.
-        predictor.value_models[0].update([0, 1, 2, 3, 2, 1])
-        stale = predictor._batched
-        assert not stale.fresh()
         recent = values[-2:]
+        predictor.predict(recent, steps=3)
+        scorer = predictor._scorer
+        assert scorer.stacked
+        # Mutate one chain behind the operator's back; the predictor's
+        # scorer must detect staleness, re-stack and answer from the
+        # live chains.
+        predictor.value_models[0].update([0, 1, 2, 3, 2, 1])
+        assert not scorer.stacked
         assert predictor.predict(recent, steps=3) == _per_chain_predict(
             predictor, recent, steps=3
         )
-        assert predictor._batched is not stale
-        assert predictor._batched.fresh()
+        assert predictor._scorer is scorer and scorer.stacked
 
 
 # ----------------------------------------------------------------------
