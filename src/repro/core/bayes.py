@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import refits
 from repro.core.arrays import pack_array, unpack_array
 
 __all__ = ["NaiveBayesClassifier", "NotTrainedError", "check_training_data"]
@@ -123,14 +124,15 @@ def ordinal_smooth(counts: np.ndarray, axis: int = -1) -> np.ndarray:
     anomaly recognise a recurrence whose values land one bin over
     (workload drift, different noise draw) — without granting any
     support to regions far outside everything ever observed.
+
+    The result keeps ``axis`` innermost in memory.  Later row sums
+    reduce in an order that follows the layout, so the fit relies on it.
     """
-    counts = np.asarray(counts, dtype=float)
-    w = ORDINAL_KERNEL_WEIGHT
-    moved = np.moveaxis(counts, axis, -1)
+    moved = np.asarray(counts, dtype=float).swapaxes(axis, -1)
     out = moved.copy()
-    out[..., 1:] += w * moved[..., :-1]
-    out[..., :-1] += w * moved[..., 1:]
-    return np.moveaxis(out, -1, axis)
+    out[..., 1:] += ORDINAL_KERNEL_WEIGHT * moved[..., :-1]
+    out[..., :-1] += ORDINAL_KERNEL_WEIGHT * moved[..., 1:]
+    return out.swapaxes(axis, -1)
 
 
 def check_training_data(X: np.ndarray, y: np.ndarray, n_bins: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -143,7 +145,7 @@ def check_training_data(X: np.ndarray, y: np.ndarray, n_bins: int) -> Tuple[np.n
         raise ValueError(f"y shape {y.shape} does not match X rows {X.shape[0]}")
     if X.size and (X.min() < 0 or X.max() >= n_bins):
         raise ValueError(f"X entries must lie in [0, {n_bins})")
-    if not np.isin(y, (NORMAL, ABNORMAL)).all():
+    if ((y != NORMAL) & (y != ABNORMAL)).any():
         raise ValueError("labels must be 0 (normal) or 1 (abnormal)")
     if X.shape[0] == 0:
         raise ValueError("training set is empty")
@@ -160,7 +162,8 @@ class BayesClassifier:
     ``_log_prior``, ``_log_cpt`` and ``_support`` — a root's table is
     ``(2, n_bins)`` and its support ``(n_bins,)``, a child's ``(2,
     n_bins parent values, n_bins child values)`` and ``(n_bins,
-    n_bins)`` — then calls :meth:`_build_scoring_tensors`.  The point
+    n_bins)`` — then hands every attribute's log-likelihood ratio and
+    support to :meth:`_build_scoring_tensors`.  The point
     methods below and :class:`~repro.core.fleet.FleetScorer`, which
     scores predicted distributions, read only the tensors that builds.
     """
@@ -207,8 +210,13 @@ class BayesClassifier:
     def trained(self) -> bool:
         return self._log_cpt is not None
 
-    def _build_scoring_tensors(self, parent_or_self: np.ndarray) -> None:
-        """Flatten the per-attribute CPTs into dense gather tensors.
+    def _build_scoring_tensors(
+        self, parent_or_self: np.ndarray, diff: np.ndarray,
+        support: np.ndarray,
+    ) -> None:
+        """The dense gather tensors, from every attribute's
+        ``table[ABNORMAL] - table[NORMAL]`` and support, each
+        broadcastable to ``(n_attrs, n_bins, n_bins)``.
 
         ``_diff_hard[i, p, c]`` is the Eq. (2) log-likelihood-ratio of
         attribute ``i`` at child bin ``c`` under parent bin ``p``
@@ -229,12 +237,10 @@ class BayesClassifier:
         catastrophic ones).
         """
         n_attrs, b = self.n_attributes, self.n_bins
-        diff = np.empty((n_attrs, b, b))
-        support = np.empty((n_attrs, b, b), dtype=bool)
-        for i, table in enumerate(self._log_cpt):
-            # A root's (b,) row broadcasts along the parent axis.
-            diff[i] = table[ABNORMAL] - table[NORMAL]
-            support[i] = self._support[i]
+        diff = np.ascontiguousarray(np.broadcast_to(diff, (n_attrs, b, b)))
+        support = np.ascontiguousarray(
+            np.broadcast_to(support, (n_attrs, b, b))
+        )
         self._parent_or_self = parent_or_self
         self._diff_hard = np.where(support, diff, 0.0)
         self._diff_soft = np.where(
@@ -246,6 +252,7 @@ class BayesClassifier:
         # single-sample path never re-assembles them per call.
         self._attr_idx = np.arange(n_attrs)
         self._prior_diff = float(self._log_prior[ABNORMAL] - self._log_prior[NORMAL])
+        refits.bump()
 
     # ------------------------------------------------------------------
     # Inference
@@ -371,7 +378,11 @@ class NaiveBayesClassifier(BayesClassifier):
     def _build_root_tensors(self) -> None:
         """Score as a TAN with no tree edges: every attribute a root."""
         self.parents = np.full(self.n_attributes, -1, dtype=np.intp)
-        self._build_scoring_tensors(np.arange(self.n_attributes))
+        diff = self._log_cpt[:, ABNORMAL] - self._log_cpt[:, NORMAL]
+        self._build_scoring_tensors(
+            np.arange(self.n_attributes), diff[:, None, :],
+            self._support[:, None, :],
+        )
 
     # ------------------------------------------------------------------
     # Snapshot / restore (model registry hooks)

@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.apps.base import DistributedApplication
+from repro.core import refits
 from repro.core.actuation import (
     EffectivenessValidator,
     PreventionAction,
@@ -278,8 +279,10 @@ class PrepareController:
         }
         self._reactive_abnormal: Dict[str, bool] = {}
         #: Lazily built fleet-wide scorer shared by the predictive and
-        #: reactive paths (see :meth:`_fleet_scorer`).
+        #: reactive paths, and the refit count its membership was read
+        #: at (see :meth:`_fleet_scorer`).
         self._scorer: Optional[FleetScorer] = None
+        self._scorer_refits = -1
         self._last_action_at: Dict[str, float] = {}
         self._suppressed_until: Dict[str, float] = {}
         self._ops_seen = 0
@@ -591,14 +594,19 @@ class PrepareController:
         Between retrains every tick reuses the same stacked operators
         and horizon cache; the scorer itself repairs the rows of VMs
         refit in place (:meth:`FleetScorer.sync`).  Only a change of
-        trained membership builds a new one.
+        trained membership builds a new one; membership can change only
+        when some model does, so it is re-read only after the refit
+        counter moved.
         """
-        trained = {
-            name: p for name, p in self.predictors.items() if p.trained
-        }
-        scorer = self._scorer
-        if scorer is None or list(scorer.predictors) != list(trained):
-            self._scorer = FleetScorer(trained)
+        count = refits.count()
+        if count != self._scorer_refits:
+            trained = {
+                name: p for name, p in self.predictors.items() if p.trained
+            }
+            scorer = self._scorer
+            if scorer is None or list(scorer.predictors) != list(trained):
+                self._scorer = FleetScorer(trained)
+            self._scorer_refits = count
         return self._scorer
 
     def _predictive_path(self, now: float) -> None:

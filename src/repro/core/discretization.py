@@ -8,16 +8,18 @@ classifier's CPTs are over the same discrete bins.
 
 :class:`Discretizer` learns per-attribute bin edges from training data
 (equal-width by default, equal-frequency optionally) and maps values to
-bin indices and back to representative bin centers.
+bin indices and back to representative bin centers.  Every column is
+fitted and transformed at once; the per-column loops they replaced are
+the test oracle ``OracleDiscretizer`` in ``tests/core/oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.core import refits
 from repro.core.arrays import pack_array, unpack_array
 
 __all__ = ["Discretizer", "DEFAULT_BINS"]
@@ -29,14 +31,6 @@ DEFAULT_BINS = 8
 #: canonical-JSON snapshots stay valid) but above any real metric
 #: value, which clamps every input to bin 0 as the docstring promises.
 _CONSTANT_EDGE = np.finfo(float).max
-
-
-@dataclass
-class _AttributeBins:
-    """Learned binning for one attribute."""
-
-    edges: np.ndarray    # interior edges, length n_bins - 1
-    centers: np.ndarray  # representative value per bin, length n_bins
 
 
 class Discretizer:
@@ -54,87 +48,95 @@ class Discretizer:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.n_bins = n_bins
         self.strategy = strategy
-        self._bins: Optional[List[_AttributeBins]] = None
+        #: Interior edges ``(n_attrs, n_bins - 1)`` and representative
+        #: values ``(n_attrs, n_bins)``, one row per attribute.
+        self._edges: Optional[np.ndarray] = None
+        self._centers: Optional[np.ndarray] = None
 
     @property
     def fitted(self) -> bool:
-        return self._bins is not None
+        return self._edges is not None
 
     @property
     def n_attributes(self) -> int:
-        if self._bins is None:
-            raise RuntimeError("discretizer is not fitted")
-        return len(self._bins)
+        return self._require_fitted().shape[0]
 
     def fit(self, data: np.ndarray) -> "Discretizer":
-        """Learn bin edges from ``data`` of shape (n_samples, n_attrs)."""
+        """Learn bin edges from ``data`` of shape (n_samples, n_attrs).
+
+        A constant attribute gets a single informative bin: every
+        interior edge sits above any representable metric value, so the
+        whole real line maps to bin 0 — an attribute that was idle
+        during training cannot invent states 1..n-1 when it later
+        becomes active.  Constant columns stay out of the one
+        ``linspace`` call over the others: a zero step in any column
+        switches its formula for every column.
+        """
         data = np.asarray(data, dtype=float)
         if data.ndim != 2 or data.shape[0] < 2:
             raise ValueError(
                 f"expected 2-D training data with >= 2 rows, got shape {data.shape}"
             )
-        bins: List[_AttributeBins] = []
-        for col in data.T:
-            bins.append(self._fit_column(col))
-        self._bins = bins
+        n = self.n_bins
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        edges = np.full((data.shape[1], n - 1), _CONSTANT_EDGE)
+        centers = np.repeat(lo[:, None], n, axis=1)
+        live = np.flatnonzero(~(hi - lo < 1e-12))
+        if live.size:
+            if self.strategy == "width":
+                all_edges = np.linspace(lo[live], hi[live], n + 1, axis=1)
+            else:
+                all_edges = np.quantile(
+                    data[:, live], np.linspace(0.0, 1.0, n + 1), axis=0
+                ).T
+                # Guard against duplicate quantile edges on spiky data.
+                all_edges = np.maximum.accumulate(
+                    all_edges + np.arange(n + 1) * 1e-9, axis=1
+                )
+            edges[live] = all_edges[:, 1:-1]
+            centers[live] = 0.5 * (all_edges[:, :-1] + all_edges[:, 1:])
+        self._edges, self._centers = edges, centers
+        refits.bump()
         return self
-
-    def _fit_column(self, col: np.ndarray) -> _AttributeBins:
-        lo, hi = float(np.min(col)), float(np.max(col))
-        if hi - lo < 1e-12:
-            # Constant attribute: single informative bin.  Push every
-            # interior edge above any representable metric value so the
-            # whole real line maps to bin 0 — an attribute that was
-            # idle during training cannot invent states 1..n-1 when it
-            # later becomes active.
-            edges = np.full(self.n_bins - 1, _CONSTANT_EDGE)
-            centers = np.full(self.n_bins, lo)
-            return _AttributeBins(edges=edges, centers=centers)
-        if self.strategy == "width":
-            all_edges = np.linspace(lo, hi, self.n_bins + 1)
-        else:
-            quantiles = np.linspace(0.0, 1.0, self.n_bins + 1)
-            all_edges = np.quantile(col, quantiles)
-            # Guard against duplicate quantile edges on spiky data.
-            all_edges = np.maximum.accumulate(
-                all_edges + np.arange(self.n_bins + 1) * 1e-9
-            )
-        edges = all_edges[1:-1]
-        centers = 0.5 * (all_edges[:-1] + all_edges[1:])
-        return _AttributeBins(edges=edges, centers=centers)
 
     # ------------------------------------------------------------------
     # Transform
     # ------------------------------------------------------------------
-    def transform(self, data: np.ndarray) -> np.ndarray:
-        """Map values to bin indices; shape-preserving for 1-D / 2-D."""
-        if self._bins is None:
+    def _require_fitted(self) -> np.ndarray:
+        if self._edges is None:
             raise RuntimeError("discretizer is not fitted")
+        return self._edges
+
+    def transform(self, data: np.ndarray) -> np.ndarray:
+        """Map values to bin indices; shape-preserving for 1-D / 2-D.
+
+        A value's bin is the count of its attribute's edges ``<=`` it:
+        ``searchsorted(edges, value, side="right")`` for every non-NaN
+        value (NaN lands in bin 0).
+        """
+        edges = self._require_fitted()
         arr = np.asarray(data, dtype=float)
         squeeze = arr.ndim == 1
         if squeeze:
             arr = arr[np.newaxis, :]
-        if arr.shape[1] != len(self._bins):
+        if arr.shape[1] != edges.shape[0]:
             raise ValueError(
-                f"expected {len(self._bins)} attributes, got {arr.shape[1]}"
+                f"expected {edges.shape[0]} attributes, got {arr.shape[1]}"
             )
-        out = np.empty(arr.shape, dtype=np.intp)
-        for j, bins in enumerate(self._bins):
-            out[:, j] = np.searchsorted(bins.edges, arr[:, j], side="right")
+        out = np.zeros(arr.shape, dtype=np.intp)
+        for edge in edges.T:  # one pass per interior edge, every column
+            out += edge <= arr
         return out[0] if squeeze else out
 
     def transform_value(self, attribute_index: int, value: float) -> int:
         """Bin index for a single attribute value."""
-        if self._bins is None:
-            raise RuntimeError("discretizer is not fitted")
-        bins = self._bins[attribute_index]
-        return int(np.searchsorted(bins.edges, value, side="right"))
+        edges = self._require_fitted()[attribute_index]
+        return int((edges <= value).sum())
 
     def center(self, attribute_index: int, bin_index: int) -> float:
         """Representative value of a bin (for reports and round-trips)."""
-        if self._bins is None:
-            raise RuntimeError("discretizer is not fitted")
-        centers = self._bins[attribute_index].centers
+        self._require_fitted()
+        centers = self._centers[attribute_index]
         return float(centers[int(np.clip(bin_index, 0, self.n_bins - 1))])
 
     # ------------------------------------------------------------------
@@ -152,12 +154,9 @@ class Discretizer:
             "kind": "discretizer",
             "n_bins": self.n_bins,
             "strategy": self.strategy,
-            "bins": None if self._bins is None else [
-                {
-                    "edges": pack_array(b.edges),
-                    "centers": pack_array(b.centers),
-                }
-                for b in self._bins
+            "bins": None if self._edges is None else [
+                {"edges": pack_array(edges), "centers": pack_array(centers)}
+                for edges, centers in zip(self._edges, self._centers)
             ],
         }
 
@@ -176,7 +175,7 @@ class Discretizer:
                    strategy=str(payload["strategy"]))
         raw = payload.get("bins")
         if raw is not None:
-            bins: List[_AttributeBins] = []
+            edges_rows, centers_rows = [], []
             for i, entry in enumerate(raw):
                 edges = unpack_array(entry["edges"], "<f8")
                 centers = unpack_array(entry["centers"], "<f8")
@@ -190,6 +189,9 @@ class Discretizer:
                         f"attribute {i}: expected {disc.n_bins} centers, "
                         f"got {centers.shape}"
                     )
-                bins.append(_AttributeBins(edges=edges, centers=centers))
-            disc._bins = bins
+                edges_rows.append(edges)
+                centers_rows.append(centers)
+            disc._edges = np.array(edges_rows).reshape(-1, disc.n_bins - 1)
+            disc._centers = np.array(centers_rows).reshape(-1, disc.n_bins)
+            refits.bump()
         return disc

@@ -43,7 +43,10 @@ to end.
 Staleness rule: current = the objects the predictor holds now, not
 refit since — chains, classifier and discretizer are each compared by
 identity with what the predictor holds *and* by the marker a refit
-replaces (chain version, ``_diff_soft``, the ``_bins`` list).
+replaces (chain version, ``_diff_soft``, the ``_edges`` array) — but
+only after the refit counter (:mod:`repro.core.refits`) has moved.
+A batch's rows are classified in one pass, results built from
+``.tolist()``; the per-item loop is ``oracles.py::oracle_classify_rows``.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import refits
 from repro.core.bayes import ABNORMAL, NORMAL
 from repro.core.markov import MarkovModel, expected_bins
 from repro.core.predictor import (
@@ -83,7 +87,6 @@ class _FleetTensors:
     edges: np.ndarray        # (A, n_bins - 1)
     diff_soft: np.ndarray    # (A, b, b) clipped Eq. (2) tensors
     diff_hard: np.ndarray    # (A, b, b) unclipped variant
-    root_row: np.ndarray     # (A, b) root rows of diff_soft
     rel_parent: np.ndarray   # (A,) parent index *within* the VM
     is_root: np.ndarray      # (A,) bool
     mask: np.ndarray         # (A,) attribute-selection mask
@@ -98,14 +101,14 @@ class _Source(NamedTuple):
     classifier: object
     diff_soft: np.ndarray
     discretizer: object
-    bins: list
+    edges: np.ndarray
 
     @classmethod
     def of(cls, predictor: AnomalyPredictor) -> "_Source":
         clf, disc = predictor.classifier, predictor.discretizer
         return cls(
             predictor, list(predictor.value_models),
-            clf, clf._diff_soft, disc, disc._bins,
+            clf, clf._diff_soft, disc, disc._edges,
         )
 
     def mirrors(self, predictor: AnomalyPredictor) -> bool:
@@ -113,11 +116,11 @@ class _Source(NamedTuple):
         from.  (Chains compare by identity, so list equality is "same
         objects"; an in-place chain update is caught by the stack's
         versions instead.)"""
-        _, chains, clf, diff_soft, disc, bins = self
+        _, chains, clf, diff_soft, disc, edges = self
         return (
             predictor.value_models == chains
             and predictor.classifier is clf and clf._diff_soft is diff_soft
-            and predictor.discretizer is disc and disc._bins is bins
+            and predictor.discretizer is disc and disc._edges is edges
         )
 
 
@@ -136,6 +139,7 @@ class FleetScorer:
 
     def _build(self) -> None:
         """Stack the fleet from the predictors' current models."""
+        count = refits.count()
         for vm, predictor in self.predictors.items():
             if not predictor.trained:
                 raise ValueError(f"predictor for VM {vm!r} is not trained")
@@ -169,6 +173,8 @@ class FleetScorer:
         #: steps -> (table (A * start states, x), valid (A * start
         #: states,)); see :meth:`_horizon_rows`.
         self._horizon_cache: OrderedDict = OrderedDict()
+        #: The refit count the stack was last checked against.
+        self._refits = count
 
     @property
     def n_vms(self) -> int:
@@ -188,28 +194,16 @@ class FleetScorer:
         )
 
     def _build_tensors(self) -> _FleetTensors:
-        classifiers = [self.predictors[vm].classifier for vm in self._order]
-        diff_soft = np.concatenate([clf._diff_soft for clf in classifiers])
+        predictors = [self.predictors[vm] for vm in self._order]
+        classifiers = [p.classifier for p in predictors]
         return _FleetTensors(
-            edges=np.stack([
-                bins.edges
-                for vm in self._order
-                for bins in self.predictors[vm].discretizer._bins
-            ]),
-            diff_soft=diff_soft,
-            diff_hard=np.concatenate(
-                [clf._diff_hard for clf in classifiers]
-            ),
-            root_row=np.ascontiguousarray(diff_soft[:, 0, :]),
+            edges=np.concatenate([p.discretizer._edges for p in predictors]),
+            diff_soft=np.concatenate([c._diff_soft for c in classifiers]),
+            diff_hard=np.concatenate([c._diff_hard for c in classifiers]),
             rel_parent=np.concatenate(
-                [clf._parent_or_self for clf in classifiers]
-            ),
-            is_root=np.concatenate(
-                [clf.parents < 0 for clf in classifiers]
-            ),
-            mask=np.concatenate(
-                [clf.attribute_mask for clf in classifiers]
-            ),
+                [c._parent_or_self for c in classifiers]),
+            is_root=np.concatenate([c.parents < 0 for c in classifiers]),
+            mask=np.concatenate([c.attribute_mask for c in classifiers]),
             prior_diff={
                 vm: float(clf._log_prior[ABNORMAL] - clf._log_prior[NORMAL])
                 for vm, clf in zip(self._order, classifiers)
@@ -222,14 +216,15 @@ class FleetScorer:
         Repairs just the refit VMs' rows when :meth:`refresh` can, and
         re-stacks the whole fleet otherwise — which raises
         :class:`ValueError` if the refit left the fleet without one
-        chain variant and ``n_bins``.
+        chain variant and ``n_bins``.  O(1) while no model anywhere has
+        been refit since the last call.
         """
-        if self._stacked.fresh() and all(
-            source.mirrors(source.predictor) for source in self._sources
-        ):
+        count = refits.count()
+        if count == self._refits:
             return
         if not self.refresh():
             self._build()
+        self._refits = count
 
     def refresh(self) -> bool:
         """Incrementally re-stack VMs whose models were refit in place.
@@ -286,7 +281,7 @@ class FleetScorer:
         """Repair one VM's rows of the fleet tensors in place."""
         tensors = self._tensors
         clf = predictor.classifier
-        edges = np.stack([bins.edges for bins in predictor.discretizer._bins])
+        edges = predictor.discretizer._edges
         if (
             edges.shape != tensors.edges[start:stop].shape
             or clf._diff_soft.shape != tensors.diff_soft[start:stop].shape
@@ -295,7 +290,6 @@ class FleetScorer:
         tensors.edges[start:stop] = edges
         tensors.diff_soft[start:stop] = clf._diff_soft
         tensors.diff_hard[start:stop] = clf._diff_hard
-        tensors.root_row[start:stop] = clf._diff_soft[:, 0, :]
         tensors.rel_parent[start:stop] = clf._parent_or_self
         tensors.is_root[start:stop] = clf.parents < 0
         tensors.mask[start:stop] = clf.attribute_mask
@@ -416,19 +410,13 @@ class FleetScorer:
         bins = bins[0]
         tensors = self._tensors
         parent_local = tensors.rel_parent[sel] + np.repeat(
-            bounds[:-1], np.diff(bounds)
+            bounds[:-1], bounds[1:] - bounds[:-1]
         )
         raw = tensors.diff_hard[sel, bins[parent_local], bins]
-        strengths_all = np.where(tensors.mask[sel], raw, 0.0)
-        results: List[PredictionResult] = []
-        for j, (vm, _) in enumerate(batch):
-            lo, hi = bounds[j], bounds[j + 1]
-            strengths = strengths_all[lo:hi]
-            results.append(PredictionResult.from_score(
-                strengths.sum() + tensors.prior_diff[vm],
-                bins[lo:hi], strengths, self.predictors[vm].attributes,
-            ))
-        return results
+        return self._results(
+            [(vm, 0) for vm, _ in batch],
+            np.where(tensors.mask[sel], raw, 0.0), bins, bounds,
+        )
 
     def _gather(
         self, items: Sequence[Tuple], need: int
@@ -491,47 +479,72 @@ class FleetScorer:
         Item ``j`` owns rows ``bounds[j]:bounds[j + 1]`` of ``final``
         (``(rows, n)``, its VM's attributes in order); ``sel`` is each
         row's global attribute index.  Soft strengths are two
-        fleet-wide einsums over every row; a ``"hard"`` predictor
-        instead gathers the unclipped ratio at its expected bins.
+        fleet-wide einsums over every row; a ``"hard"`` predictor's rows
+        instead gather the unclipped ratio at their expected bins.
         """
         tensors = self._tensors
-        rel_parent = tensors.rel_parent[sel]
-        parent_local = rel_parent + np.repeat(
-            bounds[:-1], np.diff(bounds)
+        parent_local = tensors.rel_parent[sel] + np.repeat(
+            bounds[:-1], bounds[1:] - bounds[:-1]
         )
         is_root = tensors.is_root[sel]
-        mask = tensors.mask[sel]
         roots = np.flatnonzero(is_root)
         children = np.flatnonzero(~is_root)
         strengths_all = np.zeros(sel.shape[0])
         if roots.size:
             strengths_all[roots] = np.einsum(
-                "ac,ac->a", final[roots], tensors.root_row[sel][roots]
+                "ac,ac->a", final[roots], tensors.diff_soft[sel[roots], 0]
             )
         if children.size:
             strengths_all[children] = np.einsum(
                 "ap,apc,ac->a",
                 final[parent_local[children]],
-                tensors.diff_soft[sel][children],
+                tensors.diff_soft[sel[children]],
                 final[children],
             )
-        strengths_all = np.where(mask, strengths_all, 0.0)
-        diff_hard = tensors.diff_hard[sel]
-        results: List[PredictionResult] = []
-        for j, (vm, steps) in enumerate(items):
-            predictor = self.predictors[vm]
-            lo, hi = bounds[j], bounds[j + 1]
-            predicted = expected_bins(final[lo:hi])
-            if predictor.prediction_mode == "hard":
-                clipped = np.clip(predicted, 0, predictor.n_bins - 1)
-                raw = diff_hard[lo:hi][
-                    np.arange(hi - lo), clipped[rel_parent[lo:hi]], clipped
-                ]
-                strengths = np.where(mask[lo:hi], raw, 0.0)
-            else:
-                strengths = strengths_all[lo:hi]
-            results.append(PredictionResult.from_score(
-                strengths.sum() + tensors.prior_diff[vm],
-                predicted, strengths, predictor.attributes, steps,
-            ))
-        return results
+        predicted = expected_bins(final)
+        hard = [
+            self.predictors[vm].prediction_mode == "hard" for vm, _ in items
+        ]
+        if any(hard):
+            strengths_all = np.where(
+                np.repeat(hard, bounds[1:] - bounds[:-1]),
+                tensors.diff_hard[sel, predicted[parent_local], predicted],
+                strengths_all,
+            )
+        return self._results(
+            items, np.where(tensors.mask[sel], strengths_all, 0.0),
+            predicted, bounds,
+        )
+
+    def _results(
+        self,
+        items: Sequence[Tuple[str, int]],
+        strengths: np.ndarray,
+        bins: np.ndarray,
+        bounds: np.ndarray,
+    ) -> List[PredictionResult]:
+        """One result per ``(vm, steps)`` item from its rows of
+        ``strengths`` and ``bins``; Eq. (1) sums each item's strengths
+        as one contiguous row, as the point ``log_odds`` does."""
+        sizes = bounds[1:] - bounds[:-1]
+        scores = np.empty(sizes.shape[0])
+        for size in set(sizes.tolist()):
+            which = np.flatnonzero(sizes == size)
+            scores[which] = strengths[
+                bounds[which][:, None] + np.arange(size)
+            ].sum(axis=1)
+        scores += [self._tensors.prior_diff[vm] for vm, _ in items]
+        probabilities = (1.0 / (1.0 + np.exp(-scores))).tolist()
+        bins, strengths = bins.tolist(), strengths.tolist()
+        bounds = bounds.tolist()
+        return [
+            PredictionResult(
+                abnormal=score > 0.0, probability=probability,
+                score=score, bins=tuple(bins[lo:hi]),
+                strengths=tuple(strengths[lo:hi]),
+                attributes=self.predictors[vm].attributes, steps=steps,
+            )
+            for (vm, steps), score, probability, lo, hi in zip(
+                items, scores.tolist(), probabilities, bounds, bounds[1:]
+            )
+        ]

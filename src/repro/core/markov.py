@@ -33,11 +33,11 @@ pre-vectorization propagation is a test oracle in
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import refits
 from repro.core.arrays import pack_array, unpack_array
 
 __all__ = [
@@ -47,6 +47,8 @@ __all__ = [
     "expected_bin",
     "expected_bins",
     "propagate",
+    "transition_counts",
+    "transition_matrices",
 ]
 
 
@@ -57,11 +59,13 @@ def expected_bins(distributions: np.ndarray) -> np.ndarray:
     distribution mean, rounded to the nearest bin and clipped into
     range.  Using the expectation rather than the mode keeps multi-step
     predictions of trending attributes from collapsing onto the
-    most-visited state.  Accepts any ``(..., n_states)`` array.
+    most-visited state.  Accepts any ``(..., n_states)`` array.  Each
+    mean is a fixed-order row reduction, not a BLAS product, so a row's
+    bin does not depend on which other rows share the call.
     """
     distributions = np.asarray(distributions, dtype=float)
     n_states = distributions.shape[-1]
-    expected = distributions @ np.arange(n_states)
+    expected = (distributions * np.arange(n_states)).sum(axis=-1)
     return np.clip(np.rint(expected), 0, n_states - 1).astype(np.intp)
 
 
@@ -82,14 +86,18 @@ def propagate(
     distribution ``k + 1`` transitions ahead.  The einsum reductions
     are independent along the chain axis, so any row subset of a stack
     (one chain included) propagates to the same bits as the full stack.
+
+    The first step is a gather: contracting a one-hot start with the
+    tensor adds only exact zeros to the start state's row.
     """
     a, n = tensor.shape[0], tensor.shape[-1]
     out = np.empty((steps, a, n))
     chains = np.arange(a)
     if tensor.ndim == 4:
+        out[0] = tensor[chains, histories[-2], histories[-1]]
         combined = np.zeros((a, n, n))  # combined[a, prev, cur]
-        combined[chains, histories[-2], histories[-1]] = 1.0
-        for k in range(steps):
+        combined[chains, histories[-1]] = out[0]
+        for k in range(1, steps):
             # One contraction advances (prev, cur) -> (cur, next):
             # combined'[a, c, x] = sum_p combined[a, p, c] *
             # tensor[a, p, c, x], and marginalizing the new "previous"
@@ -99,12 +107,44 @@ def propagate(
             combined = np.einsum("apc,apcx->acx", combined, tensor)
             out[k] = combined.sum(axis=1)
     else:
-        dist = np.zeros((a, n))
-        dist[chains, histories[-1]] = 1.0
-        for k in range(steps):
+        dist = out[0] = tensor[chains, histories[-1]]
+        for k in range(1, steps):
             dist = np.einsum("ac,acx->ax", dist, tensor)
             out[k] = dist
     return out
+
+
+def transition_counts(
+    states: np.ndarray, segments: np.ndarray, n_states: int, history: int
+) -> np.ndarray:
+    """Integer ``(a, n**history, n)`` transition counts of each column
+    of ``(rows, a)`` ``states``, from one ``np.bincount`` over an
+    ``(attr, condition, next)`` index.  A transition counts only when
+    every row it spans shares one (non-decreasing) ``segments`` id."""
+    t, a = states.shape[0] - history, states.shape[1]
+    cond = states[:max(t, 0)]
+    for k in range(1, history):
+        cond = cond * n_states + states[k:t + k]
+    conditions = n_states ** history
+    index = (np.arange(a) * conditions + cond) * n_states + states[history:]
+    valid = segments[history:] == segments[:max(t, 0)]
+    return np.bincount(
+        index[valid].ravel(), minlength=a * conditions * n_states
+    ).reshape(a, conditions, n_states)
+
+
+def transition_matrices(
+    counts: np.ndarray, smoothing: float, persistence: float
+) -> np.ndarray:
+    """Smoothed row-stochastic ``(a, C, n)`` matrices from counts, each
+    row normalised along the contiguous last axis as one chain's is.
+    The persistence mass goes to each condition's stay-put next state,
+    its current state (the condition index modulo ``n``)."""
+    smoothed = counts + smoothing
+    if persistence > 0:
+        conditions = np.arange(counts.shape[1])
+        smoothed[:, conditions, conditions % counts.shape[2]] += persistence
+    return smoothed / smoothed.sum(axis=2, keepdims=True)
 
 
 class MarkovModel:
@@ -143,13 +183,8 @@ class MarkovModel:
         #: detect staleness.
         self._version = 0
 
-    # -- subclass hooks -------------------------------------------------
     def _n_condition_states(self) -> int:
-        raise NotImplementedError
-
-    def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(condition indices, next states) pairs from a state sequence."""
-        raise NotImplementedError
+        return self.n_states ** self.history_needed
 
     # -- training --------------------------------------------------------
     def fit(self, sequence: Sequence[int]) -> "MarkovModel":
@@ -173,15 +208,43 @@ class MarkovModel:
         """
         seq = self._validate(sequence)
         if seq.size > self.history_needed:
-            rows, nxt = self._extract_transitions(seq)
-            np.add.at(self._counts, (rows, nxt), 1.0)
+            self._counts += transition_counts(
+                seq[:, None], np.zeros(seq.size), self.n_states,
+                self.history_needed,
+            )[0]
             self._invalidate_cache()
             self._trained = True
         return self
 
+    @classmethod
+    def fit_columns(
+        cls, states: np.ndarray, segments: np.ndarray, n_states: int,
+        **params,
+    ) -> List["MarkovModel"]:
+        """One chain per column of ``(rows, a)`` ``states``, counted and
+        normalised in one pass each (the matrices become the chains'
+        caches): bitwise :meth:`update` fed once per segment.  The
+        chains are untrained when no segment yields a transition."""
+        counts = transition_counts(
+            states, segments, n_states, cls.history_needed
+        )
+        chains = [cls(n_states, **params) for _ in range(counts.shape[0])]
+        if counts.any():
+            counts = counts.astype(float)
+            matrix = transition_matrices(
+                counts, chains[0].smoothing, chains[0].persistence
+            )
+            matrix.flags.writeable = False
+            for chain, chain_counts, chain_matrix in zip(chains, counts, matrix):
+                chain._counts, chain._matrix_cache = chain_counts, chain_matrix
+                chain._trained = True
+            refits.bump()
+        return chains
+
     def _invalidate_cache(self) -> None:
         self._matrix_cache = None
         self._version += 1
+        refits.bump()
 
     def _validate(self, sequence: Sequence[int]) -> np.ndarray:
         seq = np.asarray(sequence, dtype=np.intp)
@@ -196,18 +259,12 @@ class MarkovModel:
                 )
         return seq
 
-    def _persistence_targets(self) -> np.ndarray:
-        """For each conditioning state, the 'stay put' next state."""
-        raise NotImplementedError
-
     def _build_transition_matrix(self) -> np.ndarray:
         """Smoothed row-stochastic transition matrix, built from the raw
         counts on every call (:meth:`transition_matrix` caches it)."""
-        smoothed = self._counts + self.smoothing
-        if self.persistence > 0:
-            rows = np.arange(smoothed.shape[0])
-            smoothed[rows, self._persistence_targets()] += self.persistence
-        return smoothed / smoothed.sum(axis=1, keepdims=True)
+        return transition_matrices(
+            self._counts[None], self.smoothing, self.persistence
+        )[0]
 
     def transition_matrix(self) -> np.ndarray:
         """Smoothed row-stochastic transition matrix.
@@ -326,6 +383,7 @@ class MarkovModel:
             )
         model._counts = counts
         model._trained = bool(payload["trained"])
+        refits.bump()
         return model
 
 
@@ -333,25 +391,6 @@ class SimpleMarkovModel(MarkovModel):
     """First-order chain: ``P(next | current)``."""
 
     history_needed = 1
-
-    def _n_condition_states(self) -> int:
-        return self.n_states
-
-    def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return seq[:-1], seq[1:]
-
-    def _persistence_targets(self) -> np.ndarray:
-        return np.arange(self.n_states)
-
-
-@functools.lru_cache(maxsize=None)
-def _stay_put_targets(n_states: int) -> np.ndarray:
-    """Stay-put next state of each combined state ``(prev, cur)``: it
-    persists by emitting ``cur`` again.  Depends on ``n_states`` only,
-    so every chain of that size shares one read-only array."""
-    targets = np.tile(np.arange(n_states), n_states)
-    targets.flags.writeable = False
-    return targets
 
 
 class TwoDependentMarkovModel(MarkovModel):
@@ -365,19 +404,9 @@ class TwoDependentMarkovModel(MarkovModel):
 
     history_needed = 2
 
-    def _n_condition_states(self) -> int:
-        return self.n_states * self.n_states
-
     def encode(self, prev: int, cur: int) -> int:
         """Combined-state index for a (previous, current) pair."""
         return int(prev) * self.n_states + int(cur)
-
-    def _extract_transitions(self, seq: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        rows = seq[:-2] * self.n_states + seq[1:-1]
-        return rows, seq[2:]
-
-    def _persistence_targets(self) -> np.ndarray:
-        return _stay_put_targets(self.n_states)
 
 
 #: Snapshot tags for the two chain variants (see ``to_dict``).

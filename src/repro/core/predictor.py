@@ -12,7 +12,11 @@ trained over the concatenated attributes of every VM (see
 :func:`monolithic_attributes` and
 :meth:`AnomalyPredictor.concat_histories`).
 
-This module fits the models and stacks their chains.  There is one
+This module fits the models and stacks their chains.
+:meth:`AnomalyPredictor.train` fits in one pass per model: every
+chain from one ``np.bincount`` (:meth:`MarkovModel.fit_columns`), every
+discretizer column at once, the TAN without per-attribute loops; the
+loops it replaced are oracles in ``tests/core/oracles.py``.  There is one
 scoring path, :class:`~repro.core.fleet.FleetScorer`: the
 controller and the servers score whole fleets through it, and
 :meth:`AnomalyPredictor.predict`, :meth:`~AnomalyPredictor.
@@ -30,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import refits
 from repro.core.bayes import NaiveBayesClassifier
 from repro.core.discretization import DEFAULT_BINS, Discretizer
 from repro.core.markov import (
@@ -79,28 +84,6 @@ class PredictionResult:
     #: look-ahead steps this prediction was made for (0 = now)
     steps: int = 0
 
-    @classmethod
-    def from_score(
-        cls,
-        score: float,
-        bins: Sequence[int],
-        strengths: Sequence[float],
-        attributes: Tuple[str, ...],
-        steps: int = 0,
-    ) -> "PredictionResult":
-        """The result for Eq. (1) statistic ``score``: abnormal when it
-        is positive, with the logistic posterior."""
-        score = float(score)
-        return cls(
-            abnormal=score > 0.0,
-            probability=float(1.0 / (1.0 + np.exp(-score))),
-            score=score,
-            bins=tuple(int(b) for b in bins),
-            strengths=tuple(float(v) for v in strengths),
-            attributes=attributes,
-            steps=steps,
-        )
-
     def ranked_attributes(self) -> List[Tuple[str, float]]:
         """Attributes sorted by anomaly-impact strength, strongest first."""
         return sorted(
@@ -133,14 +116,7 @@ class BatchedAttributeChains:
     def __init__(self, models: Sequence[MarkovModel]) -> None:
         if not models:
             raise ValueError("need at least one chain")
-        kinds = {type(m) for m in models}
-        if len(kinds) != 1:
-            raise ValueError(f"chains must share one variant, got {kinds}")
-        states = {m.n_states for m in models}
-        if len(states) != 1:
-            raise ValueError(f"chains must share n_states, got {states}")
-        if not all(m._trained for m in models):
-            raise ValueError("all chains must be trained")
+        self._check(models, type(models[0]), models[0].n_states)
         self._models = tuple(models)
         self.n_states = models[0].n_states
         self.two_dependent = isinstance(models[0], TwoDependentMarkovModel)
@@ -149,15 +125,24 @@ class BatchedAttributeChains:
         self._tensor = np.stack([m.operator() for m in models])
         self._versions = tuple(m._version for m in models)
 
+    @staticmethod
+    def _check(models: Sequence[MarkovModel], variant: type, n_states: int) -> None:
+        """Every chain must be a trained ``variant`` chain of ``n_states``."""
+        for m in models:
+            if type(m) is not variant:
+                raise ValueError(f"variant mismatch: {type(m)} vs {variant}")
+            if m.n_states != n_states:
+                raise ValueError(f"n_states mismatch: {m.n_states} vs {n_states}")
+            if not m._trained:
+                raise ValueError("chains must be trained")
+
     @property
     def n_attrs(self) -> int:
         return len(self._models)
 
     def fresh(self) -> bool:
         """True while no underlying chain has been refit/updated."""
-        return all(
-            m._version == v for m, v in zip(self._models, self._versions)
-        )
+        return self.fresh_slice(0, len(self._models))
 
     def fresh_slice(self, start: int, stop: int) -> bool:
         """True while no chain in ``[start, stop)`` was refit/updated.
@@ -185,33 +170,17 @@ class BatchedAttributeChains:
         (different variant, state count, or untrained models) — the
         caller should rebuild from scratch instead.
         """
-        if start < 0 or start + len(models) > len(self._models):
+        stop = start + len(models)
+        if start < 0 or stop > len(self._models):
             raise ValueError(
-                f"restack [{start}, {start + len(models)}) outside "
-                f"0..{len(self._models)}"
+                f"restack [{start}, {stop}) outside 0..{len(self._models)}"
             )
-        for m in models:
-            if type(m) is not type(self._models[0]):
-                raise ValueError(
-                    f"variant mismatch: {type(m)} vs {type(self._models[0])}"
-                )
-            if m.n_states != self.n_states:
-                raise ValueError(
-                    f"n_states mismatch: {m.n_states} vs {self.n_states}"
-                )
-            if not m._trained:
-                raise ValueError("replacement chains must be trained")
-        self._tensor[start:start + len(models)] = [
-            m.operator() for m in models
-        ]
-        all_models = list(self._models)
-        all_versions = list(self._versions)
-        all_models[start:start + len(models)] = models
-        all_versions[start:start + len(models)] = [
-            m._version for m in models
-        ]
-        self._models = tuple(all_models)
-        self._versions = tuple(all_versions)
+        self._check(models, type(self._models[0]), self.n_states)
+        self._tensor[start:stop] = [m.operator() for m in models]
+        self._models = self._models[:start] + tuple(models) + self._models[stop:]
+        self._versions = (self._versions[:start]
+                          + tuple(m._version for m in models)
+                          + self._versions[stop:])
 
     def predict_subset(
         self, histories: np.ndarray, attrs_idx: np.ndarray, steps: int
@@ -305,6 +274,13 @@ class AnomalyPredictor:
             )
         self._trained = False
 
+    def __setattr__(self, name: str, value) -> None:
+        # Setting a model object or the trained flag is a refit to any
+        # scorer stacked over this predictor (see repro.core.refits).
+        if name in ("classifier", "discretizer", "value_models", "_trained"):
+            refits.bump()
+        object.__setattr__(self, name, value)
+
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -324,10 +300,6 @@ class AnomalyPredictor:
         """Trailing samples required to condition a prediction."""
         return MARKOV_CHAINS[self.markov_kind].history_needed
 
-    def _new_markov(self) -> MarkovModel:
-        return MARKOV_CHAINS[self.markov_kind](
-            self.n_bins, smoothing=self.smoothing)
-
     def train(
         self,
         values: np.ndarray,
@@ -344,7 +316,9 @@ class AnomalyPredictor:
         ``segment_ids`` marks contiguous monitoring runs: when the
         training window has gaps (samples filtered out by regime,
         monitoring restarts), state transitions must not be counted
-        across a gap.  Rows sharing an id form one unbroken sequence.
+        across a gap.  Rows sharing an id form one unbroken sequence,
+        in row order; they need not be adjacent.  Every value must be
+        finite: a ``ValueError`` names the first column that is not.
         """
         values = np.asarray(values, dtype=float)
         labels = np.asarray(labels, dtype=np.intp)
@@ -354,26 +328,32 @@ class AnomalyPredictor:
             )
         if labels.shape != (values.shape[0],):
             raise ValueError("labels must match values rows")
-        if segment_ids is None:
-            segments = [np.arange(values.shape[0])]
-        else:
-            ids = np.asarray(segment_ids)
-            if ids.shape != (values.shape[0],):
-                raise ValueError("segment_ids must match values rows")
-            segments = [np.flatnonzero(ids == seg) for seg in np.unique(ids)]
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            raise ValueError(
+                f"attribute {self.attributes[int(np.argmin(finite))]!r} "
+                f"has non-finite training values"
+            )
         # Fit into locals and commit together: a window that cannot be
         # trained on must leave the previous model scoring as it did.
         discretizer = Discretizer(
             n_bins=self.n_bins, strategy=self.discretizer.strategy
         ).fit(values)
         binned = discretizer.transform(values)
-        chains: List[MarkovModel] = []
-        for j in range(len(self.attributes)):
-            model = self._new_markov()
-            for rows in segments:
-                model.update(binned[rows, j])
-            chains.append(model)
-        if not all(m._trained for m in chains):
+        if segment_ids is None:
+            segments = np.zeros(values.shape[0], dtype=np.intp)
+            sequence = binned
+        else:
+            ids = np.asarray(segment_ids)
+            if ids.shape != (values.shape[0],):
+                raise ValueError("segment_ids must match values rows")
+            # Each segment's rows, segments in id order, as one stream.
+            order = np.argsort(ids, kind="stable")
+            segments, sequence = ids[order], binned[order]
+        chains = MARKOV_CHAINS[self.markov_kind].fit_columns(
+            sequence, segments, self.n_bins, smoothing=self.smoothing
+        )
+        if not chains[0]._trained:
             raise ValueError(
                 "training window yields no state transitions (every "
                 "segment shorter than the chain history); need longer "
@@ -484,8 +464,8 @@ class AnomalyPredictor:
                 raise ValueError(
                     f"chain variant does not match markov={predictor.markov_kind!r}"
                 )
-        trained = bool(payload["trained"])
-        if trained:
+        predictor.value_models = models
+        if payload["trained"]:
             if len(models) != len(predictor.attributes):
                 raise ValueError(
                     f"expected {len(predictor.attributes)} chains, "
@@ -500,10 +480,7 @@ class AnomalyPredictor:
                 predictor.classifier = NaiveBayesClassifier.from_dict(
                     clf_payload
                 )
-            predictor.value_models = models
             predictor._trained = True
-        else:
-            predictor.value_models = models
         return predictor
 
     # ------------------------------------------------------------------

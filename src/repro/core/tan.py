@@ -117,24 +117,22 @@ class TANClassifier(BayesClassifier):
 
     @staticmethod
     def _maximum_spanning_tree(weights: np.ndarray) -> np.ndarray:
-        """Prim's algorithm; returns parent indices with root = 0."""
-        n = weights.shape[0]
-        parents = np.full(n, -1, dtype=np.intp)
-        if n <= 1:
-            return parents
-        in_tree = np.zeros(n, dtype=bool)
-        in_tree[0] = True
-        best_weight = weights[0].copy()
-        best_parent = np.zeros(n, dtype=np.intp)
-        for _ in range(n - 1):
-            candidates = np.where(~in_tree)[0]
-            nxt = candidates[np.argmax(best_weight[candidates])]
-            parents[nxt] = best_parent[nxt]
-            in_tree[nxt] = True
-            improved = weights[nxt] > best_weight
-            best_weight = np.where(improved, weights[nxt], best_weight)
-            best_parent = np.where(improved, nxt, best_parent)
-        return parents
+        """Prim's algorithm on lists; returns parent indices with root
+        = 0.  Of equally heavy candidates the lowest index joins first,
+        as ``np.argmax`` picks."""
+        rows = weights.tolist()
+        parents = [-1] * len(rows)
+        if len(rows) > 1:
+            best, best_parent = rows[0][:], [0] * len(rows)
+            outside = list(range(1, len(rows)))
+            while outside:
+                nxt = max(outside, key=best.__getitem__)
+                outside.remove(nxt)
+                parents[nxt] = best_parent[nxt]
+                for j in outside:
+                    if rows[nxt][j] > best[j]:
+                        best[j], best_parent[j] = rows[nxt][j], nxt
+        return np.array(parents, dtype=np.intp)
 
     # ------------------------------------------------------------------
     # Training
@@ -205,17 +203,26 @@ class TANClassifier(BayesClassifier):
             lam = 1.0
         child = np.log(lam * cond + (1.0 - lam) * marginal[:, :, np.newaxis, :])
         root = np.log(marginal)
-        is_root = self.parents < 0
+        is_root = (self.parents < 0).tolist()
+        # Every child's support is its marginal's, along the parent axis.
+        support = np.broadcast_to(observed[:, None, :], child.shape[1:])
         self._log_cpt = [
             root[:, i] if is_root[i] else child[:, i]
             for i in range(self.n_attributes)
         ]
         self._support = [
-            observed[i] if is_root[i]
-            else np.tile(observed[i], (self.n_bins, 1))
+            observed[i] if is_root[i] else support[i]
             for i in range(self.n_attributes)
         ]
-        self._build_scoring_tensors(parent_or_self)
+        self._build_scoring_tensors(
+            parent_or_self,
+            np.where(
+                np.array(is_root)[:, None, None],
+                (root[ABNORMAL] - root[NORMAL])[:, None, :],
+                child[ABNORMAL] - child[NORMAL],
+            ),
+            support,
+        )
 
     # ------------------------------------------------------------------
     # Snapshot / restore (model registry hooks)
@@ -312,7 +319,14 @@ class TANClassifier(BayesClassifier):
         clf._log_cpt = cpts
         clf._support = masks
         parent_or_self = np.where(parents >= 0, parents, np.arange(n_attrs))
-        clf._build_scoring_tensors(parent_or_self)
+        clf._build_scoring_tensors(
+            parent_or_self,
+            np.array([
+                np.broadcast_to(t[ABNORMAL] - t[NORMAL], (b, b)) for t in cpts
+            ]).reshape(n_attrs, b, b),
+            np.array([np.broadcast_to(m, (b, b)) for m in masks]
+                     ).reshape(n_attrs, b, b),
+        )
         clf.attribute_mask = mask
         return clf
 

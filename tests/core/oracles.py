@@ -7,6 +7,15 @@ per-attribute naive-Bayes counts and the eager k-step horizon operator
 as they stood before.  ``test_refit_kernels.py`` demands bitwise
 equality with them.
 
+``src/`` fits a predictor's chains, discretizer columns and TAN tables
+in one pass each and classifies a batch's rows in one pass;
+:func:`oracle_fit_chains`, :func:`oracle_transition_matrix`,
+:class:`OracleDiscretizer`, the Prim, ordinal smoothing and
+scoring-tensor loops and :func:`oracle_classify_rows` are the
+per-chain, per-column, per-attribute and per-item loops they
+replaced.  ``test_one_pass_refit.py`` demands bitwise equality with
+them.
+
 ``src/`` scans change points as one ``(component, attribute, time)``
 stack and scores each violation epoch from one ``(vm, rows, attr)``
 block; the per-column scan, the per-VM localizer epoch loop and the
@@ -60,9 +69,9 @@ from repro.core.bayes import (
     STRENGTH_CLIP,
     _class_log_prior_from_counts,
     check_training_data,
-    ordinal_smooth,
     select_attributes,
 )
+from repro.core.discretization import _CONSTANT_EDGE, Discretizer
 from repro.core.localization import DeviationLocalizer
 from repro.core.markov import (
     SimpleMarkovModel,
@@ -144,7 +153,7 @@ class OneHotTAN(TANClassifier):
         n_attrs = X.shape[1]
         self.n_attributes = n_attrs
         onehot = (X[:, :, None] == np.arange(self.n_bins)).astype(float)
-        self.parents = self._maximum_spanning_tree(
+        self.parents = oracle_maximum_spanning_tree(
             self._onehot_cmi(X, y, onehot)
         )
         counts = np.array(
@@ -180,7 +189,7 @@ class OneHotTAN(TANClassifier):
             parent = self.parents[i]
             marg_raw = marg_counts[:, i, :].copy()
             if self.robust:
-                marg_raw = ordinal_smooth(marg_raw, axis=1)
+                marg_raw = oracle_ordinal_smooth(marg_raw, axis=1)
             marginal = marg_raw + self.smoothing
             marginal /= marginal.sum(axis=1, keepdims=True)
             if parent < 0:
@@ -194,7 +203,9 @@ class OneHotTAN(TANClassifier):
             else:
                 raw = pair_counts[:, i, :, :]
                 if self.robust:
-                    raw = ordinal_smooth(ordinal_smooth(raw, axis=2), axis=1)
+                    raw = oracle_ordinal_smooth(
+                        oracle_ordinal_smooth(raw, axis=2), axis=1
+                    )
                 cond = raw + self.smoothing
                 cond /= cond.sum(axis=2, keepdims=True)
                 row_counts = raw.sum(axis=2, keepdims=True)
@@ -214,7 +225,133 @@ class OneHotTAN(TANClassifier):
             cpts.append(np.log(table))
         self._log_cpt = cpts
         self._support = supports
-        self._build_scoring_tensors(parent_or_self)
+        oracle_build_scoring_tensors(self, parent_or_self)
+
+
+def oracle_maximum_spanning_tree(weights: np.ndarray) -> np.ndarray:
+    """Prim's algorithm; returns parent indices with root = 0."""
+    n = weights.shape[0]
+    parents = np.full(n, -1, dtype=np.intp)
+    if n <= 1:
+        return parents
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_weight = weights[0].copy()
+    best_parent = np.zeros(n, dtype=np.intp)
+    for _ in range(n - 1):
+        candidates = np.where(~in_tree)[0]
+        nxt = candidates[np.argmax(best_weight[candidates])]
+        parents[nxt] = best_parent[nxt]
+        in_tree[nxt] = True
+        improved = weights[nxt] > best_weight
+        best_weight = np.where(improved, weights[nxt], best_weight)
+        best_parent = np.where(improved, nxt, best_parent)
+    return parents
+
+
+def oracle_ordinal_smooth(counts: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``ordinal_smooth`` through ``np.moveaxis``."""
+    counts = np.asarray(counts, dtype=float)
+    w = ORDINAL_KERNEL_WEIGHT
+    moved = np.moveaxis(counts, axis, -1)
+    out = moved.copy()
+    out[..., 1:] += w * moved[..., :-1]
+    out[..., :-1] += w * moved[..., 1:]
+    return np.moveaxis(out, -1, axis)
+
+
+def oracle_build_scoring_tensors(clf, parent_or_self: np.ndarray) -> None:
+    """``BayesClassifier._build_scoring_tensors``'s per-attribute loop
+    over ``clf._log_cpt`` and ``clf._support``."""
+    n_attrs, b = clf.n_attributes, clf.n_bins
+    diff = np.empty((n_attrs, b, b))
+    support = np.empty((n_attrs, b, b), dtype=bool)
+    for i, table in enumerate(clf._log_cpt):
+        # A root's (b,) row broadcasts along the parent axis.
+        diff[i] = table[ABNORMAL] - table[NORMAL]
+        support[i] = clf._support[i]
+    clf._parent_or_self = parent_or_self
+    clf._diff_hard = np.where(support, diff, 0.0)
+    clf._diff_soft = np.where(
+        support, np.clip(diff, -STRENGTH_CLIP, STRENGTH_CLIP), 0.0
+    )
+    clf._attr_idx = np.arange(n_attrs)
+    clf._prior_diff = float(clf._log_prior[ABNORMAL] - clf._log_prior[NORMAL])
+
+
+def oracle_fit_chains(chain_cls, binned, segment_ids, n_bins, smoothing):
+    """``AnomalyPredictor.train``'s chain loop: a fresh chain per
+    attribute, fed one ``update`` per segment, each counting with
+    ``np.add.at`` over its ``_extract_transitions`` pairs."""
+    if segment_ids is None:
+        segments = [np.arange(binned.shape[0])]
+    else:
+        ids = np.asarray(segment_ids)
+        segments = [np.flatnonzero(ids == seg) for seg in np.unique(ids)]
+    chains = []
+    for j in range(binned.shape[1]):
+        model = chain_cls(n_bins, smoothing=smoothing)
+        for rows in segments:
+            seq = binned[rows, j]
+            if seq.size > model.history_needed:
+                if isinstance(model, TwoDependentMarkovModel):
+                    cond, nxt = seq[:-2] * model.n_states + seq[1:-1], seq[2:]
+                else:
+                    cond, nxt = seq[:-1], seq[1:]
+                np.add.at(model._counts, (cond, nxt), 1.0)
+                model._trained = True
+        chains.append(model)
+    return chains
+
+
+def oracle_transition_matrix(model) -> np.ndarray:
+    """``MarkovModel._build_transition_matrix`` on one chain's own
+    ``(conditions, n)`` counts."""
+    smoothed = model._counts + model.smoothing
+    if model.persistence > 0:
+        rows = np.arange(smoothed.shape[0])
+        targets = np.tile(
+            np.arange(model.n_states), smoothed.shape[0] // model.n_states
+        )
+        smoothed[rows, targets] += model.persistence
+    return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
+class OracleDiscretizer(Discretizer):
+    """:class:`Discretizer` with its per-column fit and transform."""
+
+    def fit(self, data: np.ndarray) -> "OracleDiscretizer":
+        data = np.asarray(data, dtype=float)
+        bins = [self._fit_column(col) for col in data.T]
+        self._edges = np.array([e for e, _ in bins])
+        self._centers = np.array([c for _, c in bins])
+        return self
+
+    def _fit_column(self, col: np.ndarray):
+        lo, hi = float(np.min(col)), float(np.max(col))
+        if hi - lo < 1e-12:
+            edges = np.full(self.n_bins - 1, _CONSTANT_EDGE)
+            centers = np.full(self.n_bins, lo)
+            return edges, centers
+        if self.strategy == "width":
+            all_edges = np.linspace(lo, hi, self.n_bins + 1)
+        else:
+            quantiles = np.linspace(0.0, 1.0, self.n_bins + 1)
+            all_edges = np.quantile(col, quantiles)
+            # Guard against duplicate quantile edges on spiky data.
+            all_edges = np.maximum.accumulate(
+                all_edges + np.arange(self.n_bins + 1) * 1e-9
+            )
+        edges = all_edges[1:-1]
+        centers = 0.5 * (all_edges[:-1] + all_edges[1:])
+        return edges, centers
+
+    def transform(self, data: np.ndarray) -> np.ndarray:
+        arr = np.atleast_2d(np.asarray(data, dtype=float))
+        out = np.empty(arr.shape, dtype=np.intp)
+        for j, edges in enumerate(self._edges):
+            out[:, j] = np.searchsorted(edges, arr[:, j], side="right")
+        return out
 
 
 def oracle_naive_counts(X, y, n_bins):
@@ -530,6 +667,76 @@ def oracle_predict(
     )
 
 
+def oracle_from_score(
+    score: float,
+    bins: Sequence[int],
+    strengths: Sequence[float],
+    attributes: Tuple[str, ...],
+    steps: int = 0,
+) -> PredictionResult:
+    """``PredictionResult.from_score``: the result for Eq. (1)
+    statistic ``score``, abnormal when it is positive, with the
+    logistic posterior."""
+    score = float(score)
+    return PredictionResult(
+        abnormal=score > 0.0,
+        probability=float(1.0 / (1.0 + np.exp(-score))),
+        score=score,
+        bins=tuple(int(b) for b in bins),
+        strengths=tuple(float(v) for v in strengths),
+        attributes=attributes,
+        steps=steps,
+    )
+
+
+def oracle_classify_rows(scorer, items, final, sel, bounds):
+    """``FleetScorer._classify_rows`` with its per-item loop: each
+    item's expected bins, hard-mode gather, Eq. (1) sum and posterior
+    computed on its own."""
+    tensors = scorer._tensors
+    rel_parent = tensors.rel_parent[sel]
+    parent_local = rel_parent + np.repeat(
+        bounds[:-1], np.diff(bounds)
+    )
+    is_root = tensors.is_root[sel]
+    mask = tensors.mask[sel]
+    roots = np.flatnonzero(is_root)
+    children = np.flatnonzero(~is_root)
+    strengths_all = np.zeros(sel.shape[0])
+    if roots.size:
+        strengths_all[roots] = np.einsum(
+            "ac,ac->a", final[roots],
+            np.ascontiguousarray(tensors.diff_soft[:, 0, :])[sel][roots],
+        )
+    if children.size:
+        strengths_all[children] = np.einsum(
+            "ap,apc,ac->a",
+            final[parent_local[children]],
+            tensors.diff_soft[sel][children],
+            final[children],
+        )
+    strengths_all = np.where(mask, strengths_all, 0.0)
+    diff_hard = tensors.diff_hard[sel]
+    results: List[PredictionResult] = []
+    for j, (vm, steps) in enumerate(items):
+        predictor = scorer.predictors[vm]
+        lo, hi = bounds[j], bounds[j + 1]
+        predicted = expected_bins(final[lo:hi])
+        if predictor.prediction_mode == "hard":
+            clipped = np.clip(predicted, 0, predictor.n_bins - 1)
+            raw = diff_hard[lo:hi][
+                np.arange(hi - lo), clipped[rel_parent[lo:hi]], clipped
+            ]
+            strengths = np.where(mask[lo:hi], raw, 0.0)
+        else:
+            strengths = strengths_all[lo:hi]
+        results.append(oracle_from_score(
+            strengths.sum() + tensors.prior_diff[vm],
+            predicted, strengths, predictor.attributes, steps,
+        ))
+    return results
+
+
 # ----------------------------------------------------------------------
 # The per-VM scoring copy
 # ----------------------------------------------------------------------
@@ -646,7 +853,7 @@ def oracle_vm_predict_horizons(
         strengths = oracle_vm_expected_strengths_batch(clf, dists)
         scores = oracle_vm_expected_log_odds_batch(clf, dists)
     return [
-        PredictionResult.from_score(
+        oracle_from_score(
             scores[k], bins[k], strengths[k], predictor.attributes, k + 1
         )
         for k in range(steps)
@@ -665,12 +872,12 @@ def oracle_vm_predict(
     bins = tuple(int(b) for b in expected_bins(final))
     clf = predictor.classifier
     if predictor.prediction_mode == "hard":
-        return PredictionResult.from_score(
+        return oracle_from_score(
             clf.log_odds(bins), bins, clf.attribute_strengths(bins),
             predictor.attributes, steps,
         )
     D = np.asarray(final)[None]
-    return PredictionResult.from_score(
+    return oracle_from_score(
         float(oracle_vm_expected_log_odds_batch(clf, D)[0]), bins,
         [float(v) for v in oracle_vm_expected_strengths_batch(clf, D)[0]],
         predictor.attributes, steps,
@@ -683,7 +890,7 @@ def oracle_vm_classify_current(predictor, values) -> PredictionResult:
     bins = predictor.discretizer.transform(np.asarray(values, dtype=float))
     bins = tuple(int(b) for b in bins)
     clf = predictor.classifier
-    return PredictionResult.from_score(
+    return oracle_from_score(
         clf.log_odds(bins), bins, clf.attribute_strengths(bins),
         predictor.attributes,
     )

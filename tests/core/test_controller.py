@@ -8,6 +8,7 @@ from repro.core.controller import PrepareConfig, PrepareController
 from repro.experiments.scenarios import RUBIS, SYSTEM_S, build_testbed, make_fault
 from repro.experiments.schemes import deploy_scheme
 from repro.faults import CpuHogFault, FaultKind, MemoryLeakFault
+from repro.sim.hypervisor import OperationRecord
 
 
 def deploy(app=RUBIS, scheme="prepare", seed=7, **config_kw):
@@ -136,6 +137,38 @@ class TestSuppression:
             30.0 + controller.config.post_action_grace + 10.0
         )
         assert not controller._suppressed("vm_db", testbed.sim.now)
+
+    @staticmethod
+    def finish_operation(testbed, controller, at, outcome="ok"):
+        testbed.cluster.hypervisor.operations.append(OperationRecord(
+            op="scale-cpu", vm="vm_db", started_at=at - 2.0, finished_at=at,
+            outcome=outcome,
+        ))
+        controller._refresh_suppressions(at)
+
+    def test_finished_operation_restarts_the_vote(self):
+        """The k-of-W window restarts after a hypervisor operation:
+        alerts from before it describe the old allocation."""
+        testbed, managed = deploy()
+        controller = managed.controller
+        vote = controller.filters["vm_db"]
+        for _ in range(vote.k):
+            vote.push(True)
+        assert vote.confirmed
+        self.finish_operation(testbed, controller, 50.0)
+        assert vote.recent_alerts == 0 and not vote.confirmed
+        # A rejected verb changed nothing: the vote goes on.
+        vote.push(True)
+        self.finish_operation(testbed, controller, 60.0, outcome="failed")
+        assert vote.recent_alerts == 1
+
+    def test_grace_covers_the_whole_window_after_the_finish(self):
+        testbed, managed = deploy()
+        controller = managed.controller
+        grace = controller.config.post_action_grace
+        self.finish_operation(testbed, controller, 50.0)
+        assert controller._suppressed("vm_db", 50.0 + 0.75 * grace)
+        assert not controller._suppressed("vm_db", 50.0 + grace)
 
 
 class TestOperatorAlarms:

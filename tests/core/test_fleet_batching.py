@@ -139,6 +139,34 @@ class TestClassifyBatchParity:
 
 
 class TestIncrementalRefresh:
+    def test_sync_is_one_compare_until_a_model_changes(self):
+        predictors, traces = _make_fleet(n_vms=3)
+        scorer = FleetScorer(predictors)
+        sources, scorer._sources = scorer._sources, None
+        scorer.sync()  # nothing refit: no source is looked at
+        predictors["vm1"].train(traces["vm1"][:200], [0, 1] * 100)
+        with pytest.raises(TypeError):
+            scorer.sync()  # the refit counter moved: every source is
+        scorer._sources = sources
+        batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
+        for (vm, recent, steps), got in zip(batch, scorer.score(batch)):
+            _assert_result_equal(got, predictors[vm].predict(recent, steps))
+
+    def test_model_object_set_back_on_a_predictor_is_a_refit(self):
+        """Setting a model object fitted long ago moves the refit
+        counter too, so the O(1) check cannot miss it."""
+        predictors, traces = _make_fleet(n_vms=2)
+        scorer = FleetScorer(predictors)
+        vm0 = predictors["vm0"]
+        old = vm0.classifier, vm0.discretizer, vm0.value_models
+        vm0.train(traces["vm1"][:200], [0, 0, 1] * 66 + [0, 1])
+        batch = [(vm, traces[vm][50:60], 4) for vm in sorted(predictors)]
+        scorer.score(batch)
+        vm0.classifier, vm0.discretizer, vm0.value_models = old
+        fresh = FleetScorer(predictors).score(batch)
+        for got, want in zip(scorer.score(batch), fresh):
+            _assert_result_equal(got, want)
+
     def test_refresh_repairs_refit_vm(self):
         predictors, traces = _make_fleet()
         scorer = FleetScorer(predictors)

@@ -191,6 +191,14 @@ def run_cell(name):
     ))
 
 
+def _active_dispatch():
+    """The CPU dispatch targets numpy built in and this host runs."""
+    from numpy._core import _multiarray_umath as umath
+
+    return [target for target in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(target)]
+
+
 def describe_mismatch(name, result) -> str:
     """The new digests, and the first action that left the golden log."""
     _want, want_actions = GOLDEN[name]
@@ -200,6 +208,9 @@ def describe_mismatch(name, result) -> str:
         f"{name}: decision record changed",
         f"  new digest: {_digest(_record(result))}",
         f"  new action digests: {got_actions}",
+        f"  host: numpy {np.__version__}, active dispatch targets "
+        f"{_active_dispatch()} (another numpy or dispatch set than the "
+        f"pinning host's can move a last bit with no decision changed)",
     ]
     for i, (got, want) in enumerate(zip(got_actions, want_actions)):
         if got != want:

@@ -25,11 +25,7 @@ from repro.core.markov import (
     TwoDependentMarkovModel,
     expected_bins,
 )
-from repro.core.predictor import (
-    AnomalyPredictor,
-    BatchedAttributeChains,
-    PredictionResult,
-)
+from repro.core.predictor import AnomalyPredictor, BatchedAttributeChains
 from repro.core.tan import TANClassifier
 from repro.core.unsupervised import OutlierDetector, rolling_outlier_flags
 
@@ -37,6 +33,7 @@ from .oracles import (
     oracle_cmi_per_pair,
     oracle_expected_log_odds,
     oracle_expected_strengths,
+    oracle_from_score,
     oracle_log_odds,
     oracle_predict,
     oracle_propagate,
@@ -267,7 +264,7 @@ def _per_chain_predict(predictor, recent, steps):
         score, strengths = clf.log_odds(bins), clf.attribute_strengths(bins)
     else:
         (score,), (strengths,) = score_distributions(clf, final[None])
-    return PredictionResult.from_score(
+    return oracle_from_score(
         score, bins, strengths, predictor.attributes, steps
     )
 
